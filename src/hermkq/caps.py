@@ -47,6 +47,12 @@ def scoped_cap(cap: int | None):
 
 
 def check_cap(size: int, what: str, cap: int | None = None) -> None:
+    """Raise CapExceeded when a search of `size` steps would pass the cap.
+
+    `size` is whatever the search spends: the candidates a full scan would
+    try, or, for the group searches ("matrix enumeration"), the running
+    count of search nodes, checked before each level of the frame search.
+    """
     limit = cap if cap is not None else global_cap()
     if size > limit:
         raise CapExceeded(f"{what}: search space {size} exceeds cap {limit}")

@@ -345,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--cap", type=int,
-                        help="override the enumeration cap for this call only")
+                        help="override the enumeration cap for this call only; "
+                             "group searches count search nodes against it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ring-check", help="verify the involution axioms of a ring")

@@ -12,9 +12,10 @@ group S(E) of gamma with gamma^* = eps*gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .additive import solve_affine
-from .caps import check_cap
+from .caps import CapExceeded, check_cap
 from .forms import (
     HermForm,
     QuadFormEl,
@@ -23,7 +24,7 @@ from .forms import (
     selfadjoint_subgroup,
     shift_subgroup,
 )
-from .linalg import Mat, all_matrices, block, diag_block, invert
+from .linalg import Mat, block, diag_block, invert
 from .rings import DualRing, Ring
 
 
@@ -103,36 +104,81 @@ def check_min(f: Mat, q: QuadFormEl) -> Mat | None:
     return sols[0] if sols else None
 
 
+def _frame_search(gram: Mat, block_ok, cap: int | None) -> list[Mat]:
+    """Every n x n matrix f all of whose leading Gram blocks pass `block_ok`.
+
+    Backtracking over partial frames (Plesken & Souvignier, "Computing
+    isometries of lattices", J. Symbolic Comput. 24, 1997): f is built one
+    column at a time, and the frame F of its first j columns is dropped as
+    soon as block_ok(j, F^* gram F) fails.  The caller's tests are necessary
+    conditions on the leading j x j block, so no member of the group is lost;
+    at j = n the test is the full membership test.
+
+    The cap counts search nodes: before each level the frames kept so far,
+    times |R|^n candidate columns, are added to a running count and checked,
+    so no level is evaluated past the cap.
+    """
+    ring, n = gram.ring, gram.rows
+    if ring.size is None:
+        raise CapExceeded("ring not enumerable")
+    add, mul, conj, zero = ring.add, ring.mul, ring.conj, ring.zero
+
+    def dot(u, v):
+        acc = zero
+        for a, b in zip(u, v):
+            if a != zero and b != zero:
+                acc = add(acc, mul(a, b))
+        return acc
+
+    cols = list(product(ring.elements(), repeat=n))
+    gram_cols = list(zip(*gram.entries))
+    # entry (i, k) of F^* gram F is covecs[F_i] . F_k, where covecs[v] = v^* gram
+    covecs = [tuple(dot([conj(x) for x in v], gc) for gc in gram_cols) for v in cols]
+    frames = [((), ())]  # (indices of the columns chosen, rows of their Gram block)
+    nodes = 0
+    for j in range(1, n + 1):
+        nodes += len(frames) * len(cols)
+        check_cap(nodes, "matrix enumeration", cap)
+        kept = []
+        for chosen, rows in frames:
+            for c, (col, covec) in enumerate(zip(cols, covecs)):
+                right = [dot(covecs[i], col) for i in chosen]
+                bottom = tuple(dot(covec, cols[i]) for i in chosen) + (dot(covec, col),)
+                g = Mat(ring, [r + (x,) for r, x in zip(rows, right)] + [bottom])
+                if block_ok(j, g):
+                    kept.append((chosen + (c,), g.entries))
+        frames = kept
+    return [Mat(ring, list(zip(*(cols[i] for i in chosen)))) for chosen, _ in frames]
+
+
 def enumerate_unitary(h: HermForm, cap: int | None = None) -> list[Mat]:
-    """All f with f^* phi f = phi, by scanning every matrix over the ring."""
+    """All f with f^* phi f = phi, by a column-by-column frame search."""
     if h.n == 0:
         return [Mat(h.ring, [])]
-    out = []
+    lead = {j: h.phi.submatrix(0, j, 0, j) for j in range(1, h.n + 1)}
+    found = _frame_search(h.phi, lambda j, g: g == lead[j], cap)
+    # over a field a solution of f^* phi f = phi with phi invertible is
+    # automatically invertible; other rings get an explicit check
     field = h.ring.is_field and h.nondegenerate
-    for f in all_matrices(h.ring, h.n, h.n, cap):
-        if f.star() * h.phi * f != h.phi:
-            continue
-        # over a field a solution of f^* phi f = phi with phi invertible is
-        # automatically invertible; other rings get an explicit check
-        if field or invert(f) is not None:
-            out.append(f)
+    out = [f for f in found if field or invert(f) is not None]
     out.sort(key=Mat.key)
     return out
 
 
 def enumerate_orthogonal_min(q: QuadFormEl, cap: int | None = None) -> list[Mat]:
-    """All invertible f admitting a witness gamma for identity (S)."""
+    """All invertible f admitting a witness gamma for identity (S).
+
+    The leading j x j block of gamma - eps*gamma^* is the shift of gamma's
+    leading block, so a frame whose block f^* phi0 f - phi0 leaves the
+    rank-j shift subgroup has no completion.
+    """
     if q.n == 0:
         return [Mat(q.ring, [])]
-    shifts = shift_subgroup(q.ring, q.eps, q.n)
+    shifts = {j: shift_subgroup(q.ring, q.eps, j) for j in range(1, q.n + 1)}
+    lead = {j: q.phi0.submatrix(0, j, 0, j) for j in range(1, q.n + 1)}
+    found = _frame_search(q.phi0, lambda j, g: shifts[j].contains(g - lead[j]), cap)
     field = q.ring.is_field and q.nondegenerate
-    out = []
-    for f in all_matrices(q.ring, q.n, q.n, cap):
-        diff = f.star() * q.phi0 * f - q.phi0
-        if not shifts.contains(diff):
-            continue
-        if field or invert(f) is not None:
-            out.append(f)
+    out = [f for f in found if field or invert(f) is not None]
     out.sort(key=Mat.key)
     return out
 

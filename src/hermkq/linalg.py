@@ -320,11 +320,22 @@ def is_invertible_by_enumeration(m: Mat, cap: int | None = None) -> bool:
 
 
 def nilpotency_index(m: Mat) -> int | None:
-    """Least k with m^k = 0, or None (search capped at rows*cols)."""
+    """Least k with m^k = 0, or None when the powers of m repeat first.
+
+    Over a ring with nilpotent scalars the index can exceed rows*cols (3 is
+    nilpotent of index 2 as a 1x1 matrix over Z/9).  Over a finite ring the
+    powers are eventually periodic, so the search ends; the number of powers
+    taken is checked against the global cap.
+    """
     if not m.is_square():
         raise ValueError("nilpotency needs a square matrix")
+    seen = set()
     power = Mat.identity(m.ring, m.rows)
-    for k in range(1, m.rows * m.cols + 1):
+    k = 0
+    while power.entries not in seen:
+        seen.add(power.entries)
+        k += 1
+        check_cap(k, "nilpotency search")
         power = power * m
         if power.is_zero():
             return k

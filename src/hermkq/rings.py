@@ -50,6 +50,7 @@ class Ring:
     is_field = False
     size: int | None = None
     char: int = 0
+    _key: str | None = None
 
     def __init__(self):
         self.zero = self._zero()
@@ -206,10 +207,17 @@ class Ring:
         raise NotImplementedError
 
     def key(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+        """Canonical JSON of the constructor parameters, computed once.
+
+        The split unit is not part of it, so `find_split_unit` and
+        `set_split_unit` leave the key (and the hash) unchanged.
+        """
+        if self._key is None:
+            self._key = json.dumps(self.to_json(), sort_keys=True)
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.key() == other.key()
+        return self is other or (isinstance(other, Ring) and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -841,24 +849,21 @@ class PolySRing(Ring):
     def _enumerate(self):
         if self.degree_bound is None:
             raise CapExceeded("PolyS is infinite; set a degree bound to sample it")
+        return self._polys_up_to(self.degree_bound)
+
+    def _polys_up_to(self, bound: int) -> list:
         if self.base.size is None:
             raise CapExceeded("PolyS base not enumerable")
-        check_cap(self.base.size ** (self.degree_bound + 1), "PolyS sample")
+        check_cap(self.base.size ** (bound + 1), "PolyS sample")
         out = []
-        for coeffs in product(self.base.elements(), repeat=self.degree_bound + 1):
+        for coeffs in product(self.base.elements(), repeat=bound + 1):
             out.append(_poly_trim_ring(list(coeffs), self.base))
         return sorted(set(out), key=lambda t: (len(t), t))
 
     def sample_elements(self):
         bound = self.degree_bound if self.degree_bound is not None else 2
         if self.base.size is not None and self.base.size ** (bound + 1) <= 4096:
-            saved = self.degree_bound
-            self.degree_bound = bound
-            try:
-                return list(self._enumerate())
-            finally:
-                self.degree_bound = saved
-                self._elements_cache = None
+            return self._polys_up_to(bound)
         raise CapExceeded("PolyS sample too large")
 
     def to_str(self, a):

@@ -330,3 +330,9 @@ def test_almost_hermitian_validation():
     with pytest.raises(ValueError):
         # invertible but sigma^{-1} sigma^* - 1 is not nilpotent over F3
         AlmostHermitian.from_matrix(Fp(3), 1, Mat.from_strs(Fp(3), [["1", "1"], ["2", "1"]]))
+
+
+def test_sqrt_accepts_nilpotent_scalar_past_rows_times_cols():
+    # 3 is nilpotent of index 2 over Z/9, above the 1 = rows*cols of a 1x1 nu
+    gamma, rep = sqrt_one_plus_nu_t(Mat(Zn(9), [[3]]), 5)
+    assert rep["passed"] and rep["nilpotency_index"] == 2

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from hermkq.forms import HermForm, QuadFormEl, hyperbolic, psi_normalize
+from hermkq.caps import CapExceeded
+from hermkq.forms import (
+    HermForm,
+    QuadFormEl,
+    direct_sum,
+    hyperbolic,
+    psi_normalize,
+    shift_subgroup,
+)
 from hermkq.groups import (
     ElMorphism,
     check_max,
@@ -23,7 +31,7 @@ from hermkq.groups import (
     whitehead_factorization,
 )
 from hermkq.linalg import Mat, all_matrices, invert
-from hermkq.rings import DualRing, F2, F4, Fp, Zn
+from hermkq.rings import DualRing, F2, F4, Fp, Mat2Ring, PolySRing, ProductOpRing, Zn
 
 
 def test_check_max_examples():
@@ -223,3 +231,75 @@ def test_el_morphism_validation():
     ElMorphism(q, Mat.identity(f2, 2), Mat.from_strs(f2, [["1", "0"], ["0", "0"]]))
     with pytest.raises(ValueError):
         ElMorphism(q, Mat.identity(f2, 2), Mat.from_strs(f2, [["0", "1"], ["0", "0"]]))
+
+
+# -- the frame search against the full scan and the classical orders ---------
+
+def _scan_max(h, units):
+    return [f for f in units if f.star() * h.phi * f == h.phi]
+
+
+def _scan_min(q, units):
+    shifts = shift_subgroup(q.ring, q.eps, q.n)
+    return [f for f in units if shifts.contains(f.star() * q.phi0 * f - q.phi0)]
+
+
+def _nondegenerate_forms(ring, n):
+    """Every nondegenerate eps-hermitian phi, and every phi0 up to shifts whose
+    associated form is nondegenerate, for eps = +1 and -1."""
+    herms, quads = [], []
+    for eps in (1, -1):
+        for phi in all_matrices(ring, n, n):
+            if phi.star() == phi.scale_sign(eps) and invert(phi) is not None:
+                herms.append(HermForm(ring, eps, phi))
+        for phi0 in shift_subgroup(ring, eps, n).coset_reps_all():
+            q = QuadFormEl(ring, eps, phi0)
+            if q.nondegenerate:
+                quads.append(q)
+    return herms, quads
+
+
+@pytest.mark.parametrize("ring,n", [
+    (F2(), 2), (Fp(3), 2), (F4(), 2), (F4("trivial"), 2), (Zn(4), 2),
+    (DualRing(F2()), 2), (Mat2Ring(F2()), 1), (ProductOpRing(F2()), 1),
+], ids=["F2", "F3", "F4", "F4-trivial", "Z4", "Dual-F2", "Mat2-F2", "ProductOp-F2"])
+def test_frame_search_matches_full_scan(ring, n):
+    # the full scan over all_matrices, sorted as the searches sort their output
+    units = sorted((f for f in all_matrices(ring, n, n) if invert(f) is not None),
+                   key=Mat.key)
+    herms, quads = _nondegenerate_forms(ring, n)
+    assert herms and quads
+    for h in herms:
+        assert enumerate_unitary(h) == _scan_max(h, units), h.phi
+    for q in quads:
+        assert enumerate_orthogonal_min(q) == _scan_min(q, units), q.phi0
+
+
+def test_frame_search_classical_orders():
+    # D. E. Taylor, The Geometry of the Classical Groups (1992)
+    f2, f3 = F2(), Fp(3)
+    hyp4 = hyperbolic(f2, 1, 2)
+    anisotropic = QuadFormEl(f2, 1, Mat.from_strs(f2, [["1", "1"], ["0", "1"]]))
+    minus4 = direct_sum(hyperbolic(f2, 1, 1), anisotropic)
+    o3 = QuadFormEl(f3, 1, Mat.scalar(f3, 3, 2))  # phi = 2 + 2 = 1
+    assert len(enumerate_unitary(hyp4.associated())) == 720  # Sp4(2)
+    assert len(enumerate_orthogonal_min(hyp4)) == 72  # O+4(2)
+    assert len(enumerate_orthogonal_min(minus4)) == 120  # O-4(2)
+    assert len(enumerate_unitary(o3.associated())) == 48  # O3(3)
+    assert len(enumerate_orthogonal_min(o3)) == 48
+
+
+def test_frame_search_cap_counts_nodes():
+    h = hyperbolic(F2(), 1, 2).associated()
+    # 10128 search nodes, where the full scan needed 2^16 candidates
+    assert len(enumerate_unitary(h, cap=2**14)) == 720
+    with pytest.raises(CapExceeded, match="matrix enumeration: search space 10128"):
+        enumerate_unitary(h, cap=10_000)
+    # hyperbolic rank 2 over F2: 4 first columns, then 3 kept frames * 4 = 16
+    q = hyperbolic(F2(), 1, 1)
+    assert len(enumerate_orthogonal_min(q, cap=16)) == 2
+    with pytest.raises(CapExceeded, match="search space 16 exceeds cap 15"):
+        enumerate_orthogonal_min(q, cap=15)
+    ps = PolySRing(F2())
+    with pytest.raises(CapExceeded, match="ring not enumerable"):
+        enumerate_unitary(HermForm(ps, 1, Mat.identity(ps, 1)))

@@ -13,7 +13,7 @@ from hermkq.linalg import (
     rank_over_field,
     solve_linear,
 )
-from hermkq.rings import DualRing, F2, F4, Fp, Mat2Ring, Zn
+from hermkq.rings import DualRing, F2, F4, Fp, Mat2Ring, TruncPolyRing, Zn
 from hermkq.snf import invariant_factors, smith_normal_form, solve_integer, solve_mod
 
 
@@ -172,3 +172,25 @@ def test_inverse_is_two_sided(data):
     if mi is not None:
         ident = Mat.identity(ring, 2)
         assert m * mi == ident and mi * m == ident
+
+
+@pytest.mark.parametrize("ring,entries,index", [
+    (Zn(9), [["3"]], 2),
+    (Zn(8), [["2"]], 3),
+    (Zn(8), [["2", "1"], ["0", "2"]], 4),
+    (DualRing(Zn(4)), [["2+e"]], 2),
+    (DualRing(Zn(4)), [["e", "1"], ["0", "e"]], 3),
+    (TruncPolyRing(F2(), 3), [['["0","1","0"]']], 3),
+    (Zn(9), [["2"]], None),
+    (DualRing(Zn(4)), [["1+e"]], None),
+    (Zn(8), [["4", "0"], ["0", "1"]], None),
+], ids=["Z9-3", "Z8-2", "Z8-2+N", "DualZ4-2+e", "DualZ4-e+N", "TruncPoly-t", "Z9-unit",
+        "DualZ4-unit", "Z8-not-nilpotent"])
+def test_nilpotency_index_with_nilpotent_scalars(ring, entries, index):
+    m = Mat.from_strs(ring, entries)
+    assert nilpotency_index(m) == index
+    if index is not None:
+        power = Mat.identity(ring, m.rows)
+        for _ in range(index - 1):
+            power = power * m
+        assert not power.is_zero() and (power * m).is_zero()

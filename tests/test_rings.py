@@ -188,3 +188,29 @@ def test_dual_e_square_zero():
     d5 = DualRing(Fp(5), "-e")
     e5 = (0, 1)
     assert d5.conj(e5) == (0, 4)
+
+
+def test_key_is_stable_and_shared_by_equal_rings():
+    for ring in shipped_rings():
+        key, h = ring.key(), hash(ring)
+        lam = ring.find_split_unit()
+        if lam is not None:
+            ring.set_split_unit(lam)
+        assert ring.key() == key and hash(ring) == h
+        twin = ring_from_json(ring.to_json())
+        assert twin is not ring
+        assert twin == ring and ring == twin and hash(twin) == h
+    # a ring whose split unit is set before its key is first read
+    f4 = F4()
+    f4.set_split_unit(f4.from_str("w+1"))
+    assert f4 == F4() and hash(f4) == hash(F4())
+    assert F4() != F4("trivial") and Zn(4) != Fp(2)
+
+
+def test_polys_sample_leaves_the_ring_unchanged():
+    ps = PolySRing(F2())
+    key = ps.key()
+    assert len(ps.sample_elements()) == 8  # degree <= 2 over F2
+    assert ps.degree_bound is None and ps.key() == key
+    with pytest.raises(CapExceeded):
+        ps.elements()
