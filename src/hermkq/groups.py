@@ -116,11 +116,13 @@ def _frame_search(gram: Mat, block_ok, cap: int | None) -> list[Mat]:
 
     The cap counts search nodes: before each level the frames kept so far,
     times |R|^n candidate columns, are added to a running count and checked,
-    so no level is evaluated past the cap.
+    so no level is evaluated past the cap.  The first level's count, |R|^n,
+    is checked before the columns are built.
     """
     ring, n = gram.ring, gram.rows
     if ring.size is None:
         raise CapExceeded("ring not enumerable")
+    check_cap(ring.size**n, "matrix enumeration", cap)
     add, mul, conj, zero = ring.add, ring.mul, ring.conj, ring.zero
 
     def dot(u, v):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 from .caps import CapExceeded, check_cap
-from .rings import Ring
+from .rings import PolySRing, Ring
 
 
 class Mat:
@@ -319,23 +319,36 @@ def is_invertible_by_enumeration(m: Mat, cap: int | None = None) -> bool:
     return len(seen) == R.size**m.rows
 
 
+def _nilpotency_bound(ring: Ring, n: int) -> int:
+    """An index that no nilpotent n x n matrix over `ring` exceeds.
+
+    Over a finite ring the images m^k R^n shrink strictly until they are 0,
+    each a proper additive subgroup of the one before, so a nilpotent m has
+    index at most log2 |R^n|.  Over B[s] with B finite, m is nilpotent of
+    index at most n*k modulo the radical J of B, where k <= log2 |B| is the
+    largest matrix degree of B/J, and J^t = 0 with t <= log2 |B|; hence
+    n*log2(|B|)^2.  Other infinite rings keep the rows*cols bound, which suffices
+    over a domain.
+    """
+    if ring.size is not None:
+        return (ring.size**n).bit_length() - 1
+    if isinstance(ring, PolySRing) and ring.base.size is not None:
+        b = ring.base.size.bit_length() - 1
+        return n * b * b
+    return n * n
+
+
 def nilpotency_index(m: Mat) -> int | None:
-    """Least k with m^k = 0, or None when the powers of m repeat first.
+    """Least k with m^k = 0, or None when m is not nilpotent.
 
     Over a ring with nilpotent scalars the index can exceed rows*cols (3 is
-    nilpotent of index 2 as a 1x1 matrix over Z/9).  Over a finite ring the
-    powers are eventually periodic, so the search ends; the number of powers
-    taken is checked against the global cap.
+    nilpotent of index 2 as a 1x1 matrix over Z/9); the powers are taken up
+    to the bound of `_nilpotency_bound`.
     """
     if not m.is_square():
         raise ValueError("nilpotency needs a square matrix")
-    seen = set()
     power = Mat.identity(m.ring, m.rows)
-    k = 0
-    while power.entries not in seen:
-        seen.add(power.entries)
-        k += 1
-        check_cap(k, "nilpotency search")
+    for k in range(1, _nilpotency_bound(m.ring, m.rows) + 1):
         power = power * m
         if power.is_zero():
             return k

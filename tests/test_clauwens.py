@@ -1,6 +1,7 @@
 import pytest
 
 from hermkq.additive import solve_affine
+from hermkq.caps import scoped_cap
 from hermkq.clauwens import (
     AlmostHermitian,
     DeltaDatum,
@@ -20,7 +21,7 @@ from hermkq.clauwens import (
 )
 from hermkq.forms import DegenerateFormError, QuadFormEl, hyperbolic, min_equal
 from hermkq.linalg import Mat, all_matrices, block, invert, kron
-from hermkq.rings import F2, F4, Fp, Zn
+from hermkq.rings import F2, F4, Fp, PolySRing, Zn
 
 
 F2_ = F2()
@@ -336,3 +337,10 @@ def test_sqrt_accepts_nilpotent_scalar_past_rows_times_cols():
     # 3 is nilpotent of index 2 over Z/9, above the 1 = rows*cols of a 1x1 nu
     gamma, rep = sqrt_one_plus_nu_t(Mat(Zn(9), [[3]]), 5)
     assert rep["passed"] and rep["nilpotency_index"] == 2
+
+
+def test_sqrt_refuses_non_nilpotent_polynomial_nu():
+    # s - s^2 over F3[s] is self-adjoint; its powers grow without repeating
+    ps = PolySRing(Fp(3))
+    with scoped_cap(32), pytest.raises(ValueError, match="nu must be nilpotent"):
+        sqrt_one_plus_nu_t(Mat(ps, [[(0, 1, 2)]]), (0, 1))

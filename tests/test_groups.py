@@ -262,7 +262,9 @@ def _nondegenerate_forms(ring, n):
 @pytest.mark.parametrize("ring,n", [
     (F2(), 2), (Fp(3), 2), (F4(), 2), (F4("trivial"), 2), (Zn(4), 2),
     (DualRing(F2()), 2), (Mat2Ring(F2()), 1), (ProductOpRing(F2()), 1),
-], ids=["F2", "F3", "F4", "F4-trivial", "Z4", "Dual-F2", "Mat2-F2", "ProductOp-F2"])
+    (ProductOpRing(F2()), 2),
+], ids=["F2", "F3", "F4", "F4-trivial", "Z4", "Dual-F2", "Mat2-F2", "ProductOp-F2",
+        "ProductOp-F2-rank2"])
 def test_frame_search_matches_full_scan(ring, n):
     # the full scan over all_matrices, sorted as the searches sort their output
     units = sorted((f for f in all_matrices(ring, n, n) if invert(f) is not None),
@@ -273,6 +275,35 @@ def test_frame_search_matches_full_scan(ring, n):
         assert enumerate_unitary(h) == _scan_max(h, units), h.phi
     for q in quads:
         assert enumerate_orthogonal_min(q) == _scan_min(q, units), q.phi0
+
+
+def test_frame_search_matches_full_scan_mat2_rank2():
+    # the leading-block tests at j < n on a noncommutative ring; the rank-2
+    # scan is 16^4 candidates, so one form pair stands in for all of them
+    ring = Mat2Ring(F2())
+    q = hyperbolic(ring, 1, 1)
+    h = q.associated()
+    shifts = shift_subgroup(ring, 1, 2)
+    scan_max, scan_min = [], []
+    for f in all_matrices(ring, 2, 2):
+        if f.star() * h.phi * f == h.phi:
+            scan_max.append(f)
+        if shifts.contains(f.star() * q.phi0 * f - q.phi0):
+            scan_min.append(f)
+    found_max, found_min = enumerate_unitary(h), enumerate_orthogonal_min(q)
+    assert found_max == sorted((f for f in scan_max if invert(f) is not None), key=Mat.key)
+    assert found_min == sorted((f for f in scan_min if invert(f) is not None), key=Mat.key)
+    assert (len(found_max), len(found_min)) == (720, 72)
+
+
+def test_frame_search_checks_cap_before_building_columns():
+    # the first level alone, |R|^n columns, passes the cap: refused before
+    # any column is built
+    with pytest.raises(CapExceeded, match="search space 104060401 exceeds"):
+        enumerate_unitary(HermForm(Fp(101), 1, Mat.identity(Fp(101), 4)))
+    z = Zn(2**12)
+    with pytest.raises(CapExceeded, match="search space 16777216 exceeds"):
+        enumerate_orthogonal_min(hyperbolic(z, 1, 1))
 
 
 def test_frame_search_classical_orders():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermkq.caps import scoped_cap
 from hermkq.linalg import (
     Mat,
     all_matrices,
@@ -13,7 +14,7 @@ from hermkq.linalg import (
     rank_over_field,
     solve_linear,
 )
-from hermkq.rings import DualRing, F2, F4, Fp, Mat2Ring, TruncPolyRing, Zn
+from hermkq.rings import DualRing, F2, F4, Fp, Mat2Ring, PolySRing, TruncPolyRing, Zn
 from hermkq.snf import invariant_factors, smith_normal_form, solve_integer, solve_mod
 
 
@@ -194,3 +195,17 @@ def test_nilpotency_index_with_nilpotent_scalars(ring, entries, index):
         for _ in range(index - 1):
             power = power * m
         assert not power.is_zero() and (power * m).is_zero()
+
+
+def test_nilpotency_index_stops_at_a_closed_bound():
+    # a unit of large order over Fp(101) and s - s^2 over F3[s], whose powers
+    # never repeat, are refused after log2|R^n| resp. n*log2(|B|)^2 powers,
+    # far below the cap
+    f101 = Fp(101)
+    unit = Mat(f101, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    ps = PolySRing(Fp(3))
+    with scoped_cap(32):
+        assert nilpotency_index(unit) is None
+        assert nilpotency_index(Mat(ps, [[(0, 1, 2)]])) is None
+    assert nilpotency_index(Mat(PolySRing(Zn(9)), [[(3,)]])) == 2
+    assert nilpotency_index(Mat(ps, [[(), (1,)], [(), ()]])) == 2
