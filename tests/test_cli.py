@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -50,6 +51,31 @@ def test_group_command(capsys):
     doc = json.loads(out)
     assert doc["report"]["order"] == 16
     assert doc["report"]["extension"]["order_min"] == 2
+
+
+HYP4_F2 = json.dumps(
+    {"ring": {"kind": "Fp", "p": 2}, "epsilon": 1, "variant": "el",
+     "matrix": [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                ["0", "0", "0", "0"], ["0", "0", "0", "0"]]}
+)
+HYP_F4 = json.dumps(
+    {"ring": json.loads(RING_F4), "epsilon": 1, "variant": "el",
+     "matrix": [["0", "1"], ["0", "0"]]}
+)
+
+
+@pytest.mark.parametrize("form,variant,order", [(HYP4_F2, "max", 720), (HYP_F4, "el", 288)],
+                         ids=["Sp4-F2", "el-F4"])
+def test_group_closure_is_exact(capsys, form, variant, order):
+    code, out = run(capsys, "group", "--form", form, "--variant", variant)
+    assert code == 0
+    report = json.loads(out)["report"]
+    checks = report["checks"]
+    assert report["order"] == order
+    assert checks["identity"] and checks["inverses"] and checks["closure"]
+    assert "closure_sampled" not in checks and "closure_pairs" not in checks
+    assert checks["closure_products"] <= order * (math.log2(order) + 1)
+    assert 1 <= checks["closure_generators"] <= math.log2(order)
 
 
 def test_witt_command(capsys):

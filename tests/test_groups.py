@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from hermkq.groups import (
     satisfies_S,
     section_homomorphism_report,
     split_section,
+    verify_group_axioms,
     whitehead_factorization,
 )
 from hermkq.linalg import Mat, all_matrices, invert
@@ -334,3 +336,97 @@ def test_frame_search_cap_counts_nodes():
     ps = PolySRing(F2())
     with pytest.raises(CapExceeded, match="ring not enumerable"):
         enumerate_unitary(HermForm(ps, 1, Mat.identity(ps, 1)))
+
+
+# -- the generator closure against the all-pairs definition -------------------
+
+def _all_pairs_axioms(elements, compose, inverse, identity):
+    """The group axioms checked pair by pair, as the definition states them."""
+    s = set(elements)
+    return {
+        "identity": identity in s,
+        "inverses": all(inverse(x) in s for x in elements),
+        "closure": all(compose(x, y) in s for x in elements for y in elements),
+    }
+
+
+def _exact(checks):
+    return {k: checks[k] for k in ("identity", "inverses", "closure")}
+
+
+def _axiom_args(variant, q):
+    if variant == "el":
+        return compose_el, el_inverse, el_identity(q)
+    return (lambda a, b: a * b), invert, Mat.identity(q.ring, q.n)
+
+
+@pytest.mark.parametrize("ring", [
+    F2(), Fp(3), F4(), Zn(4), DualRing(F2()), Mat2Ring(F2()),
+], ids=["F2", "F3", "F4", "Z4", "Dual-F2", "Mat2-F2"])
+def test_axioms_match_all_pairs(ring):
+    _, quads = _nondegenerate_forms(ring, 1)
+    # rank 2 over Mat2(F2) has an el group of order 73 728: rank 1 only there
+    if not isinstance(ring, Mat2Ring):
+        quads += [hyperbolic(ring, 1, 1)]
+    for q in quads:
+        for variant in ("max", "min", "el"):
+            group = enumerate_group(variant, q)
+            checks = group.checks
+            assert _exact(checks) == _all_pairs_axioms(group.elements, *_axiom_args(variant, q))
+            assert all(_exact(checks).values()), (variant, q.phi0)
+            assert checks["closure_generators"] <= math.log2(group.order)
+            assert checks["closure_products"] <= group.order * (math.log2(group.order) + 1)
+
+
+def test_axioms_detect_broken_sets():
+    f2 = F2()
+    sp4 = enumerate_unitary(hyperbolic(f2, 1, 2).associated())
+    mul = lambda a, b: a * b
+
+    def check(elems):
+        identity = Mat.identity(f2, 4)
+        got = verify_group_axioms(elems, mul, invert, identity)
+        s = set(elems)
+        # the cheap two thirds of the definition, exactly
+        assert got["identity"] == (identity in s)
+        assert got["inverses"] == all(invert(x) in s for x in elems)
+        return got
+
+    assert _exact(check(sp4)) == {"identity": True, "inverses": True, "closure": True}
+    # a closed finite set of invertible matrices is a group, and no subgroup
+    # of GL4(F2) (order 20160) has 719 or 721 elements
+    for drop in (1, len(sp4) // 2, len(sp4) - 1):
+        assert not check(sp4[:drop] + sp4[drop + 1:])["closure"]
+    foreign = Mat.from_strs(f2, [["1", "1", "0", "0"], ["0", "1", "0", "0"],
+                                 ["0", "0", "1", "0"], ["0", "0", "0", "1"]])
+    assert invert(foreign) is not None and foreign not in set(sp4)
+    assert not check(sp4 + [foreign])["closure"]
+    assert not check(sorted(sp4 + [foreign], key=Mat.key))["closure"]
+
+    # small sets against the whole definition: no identity, a singular member
+    q3 = hyperbolic(Fp(3), 1, 1)
+    o = enumerate_unitary(q3.associated())
+    ident = Mat.identity(Fp(3), 2)
+    no_ident = [f for f in o if f != ident]
+    singular = [Mat.zero(Fp(3), 2), Mat.from_strs(Fp(3), [["1", "0"], ["0", "0"]])]
+    cases = [no_ident, o + singular[:1], o + singular[1:], sorted(o + singular, key=Mat.key)]
+    expected = [
+        {"identity": False, "inverses": True, "closure": False},
+        {"identity": True, "inverses": False, "closure": True},
+        {"identity": True, "inverses": False, "closure": False},
+        {"identity": True, "inverses": False, "closure": False},
+    ]
+    for elems, want in zip(cases, expected):
+        got = _exact(verify_group_axioms(elems, mul, invert, ident))
+        assert got == _all_pairs_axioms(elems, mul, invert, ident) == want
+
+    # transpositions a, b and the 3-cycle ab, walked in this order: the
+    # products by each generator's own powers all stay in the set, so closure
+    # fails only once the newly reached b and ab are multiplied by a as well
+    e3 = Mat.identity(f2, 3)
+    a = Mat.from_strs(f2, [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]])
+    b = Mat.from_strs(f2, [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]])
+    perms = [e3, a, b, a * b]
+    got = _exact(verify_group_axioms(perms, mul, invert, e3))
+    assert got == _all_pairs_axioms(perms, mul, invert, e3)
+    assert got == {"identity": True, "inverses": False, "closure": False}
