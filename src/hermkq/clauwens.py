@@ -3,232 +3,88 @@ a normalized quadratic datum, degree linearization, and the constructive
 nilpotent-machinery lemmas (congruence recursion, polynomial square root,
 projector conjugation).
 
-Conventions.  After identifying a module with its dual by the hermitian form
-Delta of the datum, endomorphisms of the tensor factor carry the twisted
-adjoint X -> Delta^{-1} X^bar-t Delta, while coefficients of s-polynomials
-are honest form matrices whose adjoint is the plain conjugate transpose with
-s -> 1-s expanded binomially.  All identities below are verified exactly.
+Conventions.  A polynomial matrix is a `Mat` over `PolySRing(A)`: its sums,
+products, blocks and determinant are those of `Mat`, and its s-adjoint is
+`Mat.star()`, the conjugate transpose with s -> 1-s expanded binomially.
+`MatPoly` only builds such a matrix from its coefficient matrices C_k
+(sum C_k s^k) and prints it as that list.  After identifying a module with
+its dual by the hermitian form Delta of the datum, endomorphisms of the
+tensor factor carry the twisted adjoint X -> Delta^{-1} X^bar-t Delta.  All
+identities below are verified exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .additive import MatSubgroup, solve_affine
 from .caps import CapExceeded, check_cap
 from .forms import DegenerateFormError, QuadFormEl, min_equal, psi_normalize
-from .linalg import Mat, diag_block, invert, kron, nilpotency_index
-from .rings import PolySRing, Ring
+from .linalg import Mat, _det_comm, block, diag_block, invert, kron, nilpotency_index
+from .rings import Ring, _poly_trim_ring
 
 
 # ---------------------------------------------------------------------------
-# polynomials with matrix coefficients
+# polynomial matrices
 
 
-class MatPoly:
-    """sum_k C_k x^k with C_k square-free Mat coefficients, trailing zeros trimmed."""
+class MatPoly(Mat):
+    """The matrix sum_k C_k s^k over A[s], built from its coefficient
+    matrices C_k over A; `coeffs` and `to_strs` give them back, with zero
+    top coefficients trimmed."""
 
-    __slots__ = ("ring", "rows", "cols", "coeffs")
+    __slots__ = ()
 
     def __init__(self, ring: Ring, rows: int, cols: int, coeffs):
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        for c in cs:
-            if c.rows != rows or c.cols != cols:
-                raise ValueError("coefficient shape mismatch")
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def constant(m: Mat) -> "MatPoly":
-        return MatPoly(m.ring, m.rows, m.cols, [m])
-
-    @staticmethod
-    def zero(ring: Ring, rows: int, cols: int) -> "MatPoly":
-        return MatPoly(ring, rows, cols, [])
-
-    @staticmethod
-    def identity(ring: Ring, n: int) -> "MatPoly":
-        return MatPoly(ring, n, n, [Mat.identity(ring, n)])
+        coeffs = list(coeffs)
+        if any(c.rows != rows or c.cols != cols for c in coeffs):
+            raise ValueError("coefficient shape mismatch")
+        super().__init__(
+            ring.poly_s(),
+            [
+                [_poly_trim_ring([c.entries[i][j] for c in coeffs], ring) for j in range(cols)]
+                for i in range(rows)
+            ],
+        )
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max((len(e) for row in self.entries for e in row), default=0) - 1
 
-    def coeff(self, k: int) -> Mat:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Mat.zero(self.ring, self.rows, self.cols)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatPoly)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "MatPoly") -> "MatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MatPoly(
-            self.ring,
-            self.rows,
-            self.cols,
-            [self.coeff(k) + other.coeff(k) for k in range(n)],
-        )
-
-    def __sub__(self, other: "MatPoly") -> "MatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MatPoly(
-            self.ring,
-            self.rows,
-            self.cols,
-            [self.coeff(k) - other.coeff(k) for k in range(n)],
-        )
-
-    def __neg__(self) -> "MatPoly":
-        return MatPoly(self.ring, self.rows, self.cols, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "MatPoly") -> "MatPoly":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        if self.is_zero() or other.is_zero():
-            return MatPoly.zero(self.ring, self.rows, other.cols)
-        out = [
-            Mat.zero(self.ring, self.rows, other.cols)
-            for _ in range(len(self.coeffs) + len(other.coeffs) - 1)
+    @property
+    def coeffs(self) -> list[Mat]:
+        base = self.ring.base
+        zero = base.zero
+        return [
+            Mat(base, [[e[k] if k < len(e) else zero for e in row] for row in self.entries])
+            for k in range(self.degree + 1)
         ]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return MatPoly(self.ring, self.rows, other.cols, out)
-
-    def scale_sign(self, eps: int) -> "MatPoly":
-        return self if eps == 1 else -self
-
-    def shift(self, k: int) -> "MatPoly":
-        """Multiply by x^k."""
-        pad = [Mat.zero(self.ring, self.rows, self.cols)] * k
-        return MatPoly(self.ring, self.rows, self.cols, pad + list(self.coeffs))
-
-    def star_s(self) -> "MatPoly":
-        """Adjoint for the involution s -> 1 - s: coefficients get the plain
-        conjugate transpose and s^k expands to (1-s)^k."""
-        R = self.ring
-        out = [Mat.zero(R, self.cols, self.rows) for _ in range(len(self.coeffs) or 1)]
-        for k, c in enumerate(self.coeffs):
-            cs = c.star()
-            if cs.is_zero():
-                continue
-            for j in range(k + 1):
-                scalar = R.int_embed(math.comb(k, j) * (-1) ** j)
-                if scalar == R.zero:
-                    continue
-                out[j] = out[j] + cs.scale_right(scalar)
-        return MatPoly(R, self.cols, self.rows, out)
-
-    def star_t(self, gram: Mat | None = None) -> "MatPoly":
-        """Adjoint for a fixed variable (conj t = t), optionally twisted by a
-        gram matrix: coefficientwise gram^{-1} C^bar-t gram."""
-        if gram is None:
-            return MatPoly(self.ring, self.cols, self.rows, [c.star() for c in self.coeffs])
-        ginv = invert(gram)
-        return MatPoly(
-            self.ring,
-            self.cols,
-            self.rows,
-            [ginv * c.star() * gram for c in self.coeffs],
-        )
-
-    def subst_kron(self, d: Mat) -> Mat:
-        """Ring homomorphism x -> d into the Kronecker algebra:
-        sum_k coeffs[k] (x) d^k."""
-        out = Mat.zero(self.ring, self.rows * d.rows, self.cols * d.cols)
-        power = Mat.identity(self.ring, d.rows)
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + kron(c, power)
-            if k + 1 < len(self.coeffs):
-                power = power * d
-        return out
-
-    def eval_at_int(self, value: int) -> Mat:
-        """Evaluate at an integer point (a ring homomorphism A[s] -> A)."""
-        c = self.ring.int_embed(value)
-        out = Mat.zero(self.ring, self.rows, self.cols)
-        scalar = self.ring.one
-        for k, m in enumerate(self.coeffs):
-            out = out + m.scale_right(scalar)
-            scalar = self.ring.mul(scalar, c)
-        return out
 
     def to_strs(self):
         return [c.to_strs() for c in self.coeffs]
 
-    def key(self):
-        return repr(self.to_strs())
 
-    def __repr__(self):
-        return f"MatPoly(degree={self.degree}, shape={self.rows}x{self.cols})"
-
-
-def _poly_entry(theta: MatPoly, i: int, j: int):
-    coeffs = [c.entries[i][j] for c in theta.coeffs]
-    while coeffs and coeffs[-1] == theta.ring.zero:
-        coeffs.pop()
-    return tuple(coeffs)
+def _as_matpoly(m: Mat) -> MatPoly:
+    """A matrix over A[s] typed as a MatPoly; the entries are shared."""
+    if isinstance(m, MatPoly):
+        return m
+    out = object.__new__(MatPoly)
+    Mat.__init__(out, m.ring, m.entries)
+    return out
 
 
-def _poly_det(theta: MatPoly) -> tuple:
-    """Determinant of a polynomial matrix by minor expansion (commutative)."""
-    R = theta.ring
-    if not R.is_commutative:
-        raise CapExceeded("polynomial determinant needs a commutative ring")
-    psr = PolySRing(R)
-    n = theta.rows
-    entries = [[_poly_entry(theta, i, j) for j in range(n)] for i in range(n)]
-    memo = {}
-
-    def minor(rows_mask: int, col: int) -> tuple:
-        if (rows_mask, col) in memo:
-            return memo[(rows_mask, col)]
-        rows = [i for i in range(n) if rows_mask & (1 << i)]
-        if not rows:
-            return (R.one,)
-        acc = ()
-        sign = 1
-        for idx, i in enumerate(rows):
-            term = psr.mul(entries[i][col], minor(rows_mask & ~(1 << i), col + 1))
-            acc = psr.add(acc, term if sign > 0 else psr.neg(term))
-            sign = -sign
-        memo[(rows_mask, col)] = acc
-        return acc
-
-    return minor((1 << n) - 1, 0)
-
-
-def _elem_nilpotent(ring: Ring, a) -> bool:
-    seen = set()
-    cur = a
-    while cur not in seen:
-        if cur == ring.zero:
-            return True
-        seen.add(cur)
-        cur = ring.mul(cur, a)
-    return cur == ring.zero
+def _substitute(p: Mat, phi: Mat, left: Mat) -> Mat:
+    """sum_k p_k (x) left*phi^k for p = sum_k p_k s^k over A[s]: the ring
+    homomorphism s -> phi into the Kronecker algebra, with `left` (Delta for
+    a cup product, 1 for a plain substitution) on the second factor."""
+    out = Mat.zero(p.ring.base, p.rows * left.rows, p.cols * left.cols)
+    power = left
+    for k, c in enumerate(_as_matpoly(p).coeffs):
+        if k:
+            power = power * phi
+        if not c.is_zero():
+            out = out + kron(c, power)
+    return out
 
 
 def _poly_unit(ring: Ring, coeffs: tuple) -> bool:
@@ -238,7 +94,7 @@ def _poly_unit(ring: Ring, coeffs: tuple) -> bool:
         return False
     if ring.inv(coeffs[0]) is None:
         return False
-    return all(_elem_nilpotent(ring, c) for c in coeffs[1:])
+    return all(nilpotency_index(Mat(ring, [[c]])) is not None for c in coeffs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +105,7 @@ class PolyQuadForm:
     """theta = sum theta_k s^k on A^n over A[s], with invertible hermitian
     part H(s) = theta + eps * theta^* (s-bar = 1-s)."""
 
-    def __init__(self, ring: Ring, eps: int, theta: MatPoly, check: bool = True):
+    def __init__(self, ring: Ring, eps: int, theta: Mat, check: bool = True):
         if eps not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
         if theta.rows != theta.cols:
@@ -257,7 +113,8 @@ class PolyQuadForm:
         self.ring = ring
         self.eps = eps
         self.n = theta.rows
-        self.theta = theta
+        self.theta = _as_matpoly(theta)
+        self._nondegenerate = None
         if check and self.n > 0 and not self.nondegenerate():
             raise DegenerateFormError("hermitian part is not invertible over A[s]")
 
@@ -268,12 +125,17 @@ class PolyQuadForm:
         return PolyQuadForm(ring, eps, MatPoly(ring, n, n, mats), check=check)
 
     def hermitian(self) -> MatPoly:
-        return self.theta + self.theta.star_s().scale_sign(self.eps)
+        return _as_matpoly(self.theta + self.theta.star().scale_sign(self.eps))
 
     def nondegenerate(self) -> bool:
-        if self.n == 0:
-            return True
-        return _poly_unit(self.ring, _poly_det(self.hermitian()) or (self.ring.zero,))
+        """Whether det H(s) is a unit of A[s]; computed once per form."""
+        if self._nondegenerate is None:
+            if self.n and not self.ring.is_commutative:
+                raise CapExceeded("polynomial determinant needs a commutative ring")
+            self._nondegenerate = self.n == 0 or _poly_unit(
+                self.ring, _det_comm(self.hermitian())
+            )
+        return self._nondegenerate
 
     def degree(self) -> int:
         return self.theta.degree
@@ -384,15 +246,7 @@ def cup_product(theta: PolyQuadForm, d: DeltaDatum) -> QuadFormEl:
         raise ValueError("cup product factors must share a ring")
     if not theta.nondegenerate():
         raise DegenerateFormError("theta is degenerate")
-    R = theta.ring
-    out = Mat.zero(R, theta.n * d.m, theta.n * d.m)
-    power = Mat.identity(R, d.m)
-    for k in range(theta.degree() + 1):
-        c = theta.theta.coeff(k)
-        if not c.is_zero():
-            out = out + kron(c, d.gram * power)
-        power = power * d.phi
-    return QuadFormEl(R, theta.eps * d.eta, out)
+    return QuadFormEl(theta.ring, theta.eps * d.eta, _substitute(theta.theta, d.phi, d.gram))
 
 
 def kappa_hermitian_two_ways(theta: PolyQuadForm, d: DeltaDatum):
@@ -401,10 +255,7 @@ def kappa_hermitian_two_ways(theta: PolyQuadForm, d: DeltaDatum):
     kappa = cup_product(theta, d).phi0
     eps_out = theta.eps * d.eta
     direct = kappa + kappa.star().scale_sign(eps_out)
-    herm = theta.hermitian()  # H(s) = theta + eps theta^*
-    substituted = herm.subst_kron(d.phi)
-    ident = Mat.identity(theta.ring, theta.n)
-    lifted = kron(ident, d.gram) * substituted
+    lifted = _substitute(theta.hermitian(), d.phi, d.gram)  # H(s) = theta + eps theta^*
     return direct, lifted
 
 
@@ -416,7 +267,7 @@ def kappa_nondegenerate(theta: PolyQuadForm, d: DeltaDatum) -> bool:
     return invert(direct) is not None
 
 
-def lemma2_shift(theta: PolyQuadForm, z: MatPoly, d: DeltaDatum | None = None):
+def lemma2_shift(theta: PolyQuadForm, z: Mat, d: DeltaDatum | None = None):
     """Shift theta by Z - eps*Z^*; cup products change by an explicit shift.
 
     Returns (theta', witness) where witness (present when a datum is given)
@@ -424,7 +275,7 @@ def lemma2_shift(theta: PolyQuadForm, z: MatPoly, d: DeltaDatum | None = None):
     kappa' = kappa + gamma - (eps*eta) gamma^*, so the two cup products are
     equal in the min category.
     """
-    shifted = theta.theta + z - z.star_s().scale_sign(theta.eps)
+    shifted = theta.theta + z - z.star().scale_sign(theta.eps)
     theta2 = PolyQuadForm(theta.ring, theta.eps, shifted)
     if theta2.hermitian() != theta.hermitian():
         raise AssertionError("shift changed the hermitian part")
@@ -433,13 +284,7 @@ def lemma2_shift(theta: PolyQuadForm, z: MatPoly, d: DeltaDatum | None = None):
         kappa = cup_product(theta, d).phi0
         kappa2 = cup_product(theta2, d).phi0
         R = theta.ring
-        gamma = Mat.zero(R, theta.n * d.m, theta.n * d.m)
-        power = Mat.identity(R, d.m)
-        for k in range(z.degree + 1):
-            c = z.coeff(k)
-            if not c.is_zero():
-                gamma = gamma + kron(c, d.gram * power)
-            power = power * d.phi
+        gamma = _substitute(z, d.phi, d.gram)
         eps_out = theta.eps * d.eta
         if kappa2 != kappa + gamma - gamma.star().scale_sign(eps_out):
             raise AssertionError("explicit cup-product shift failed")
@@ -455,70 +300,38 @@ def lemma2_shift(theta: PolyQuadForm, z: MatPoly, d: DeltaDatum | None = None):
 # linearization
 
 
-def _degree_reduction_factor(theta: PolyQuadForm) -> MatPoly:
+def _degree_reduction_factor(theta: PolyQuadForm) -> Mat:
     """The unimodular Q of one reduction step: block columns (E, A^n, A^n*),
     lower triangular with identity diagonal, carrying (s-1) and
     theta_N s^{N-1} in the first column."""
-    R = theta.ring
+    ps = theta.theta.ring
+    R = ps.base
     n = theta.n
     big = theta.degree()
-    ident = Mat.identity(R, n)
-    zero = Mat.zero(R, n)
-    one_minus = MatPoly(R, n, n, [-ident, ident])  # (s - 1) actually: -1 + s
-    theta_top = MatPoly.constant(theta.theta.coeff(big)).shift(big - 1)
-
-    def cpoly(m):
-        return MatPoly.constant(m)
-
-    rows = [
-        [cpoly(ident), cpoly(zero), cpoly(zero)],
-        [one_minus, cpoly(ident), cpoly(zero)],
-        [theta_top, cpoly(zero), cpoly(ident)],
-    ]
-    return _block_matpoly(R, rows)
+    ident = Mat.identity(ps, n)
+    zero = Mat.zero(ps, n)
+    s_minus_one = Mat.scalar(ps, n, (R.neg(R.one), R.one))
+    theta_top = MatPoly(R, n, n, [Mat.zero(R, n)] * (big - 1) + [theta.theta.coeffs[big]])
+    return block(
+        ps,
+        [
+            [ident, zero, zero],
+            [s_minus_one, ident, zero],
+            [theta_top, zero, ident],
+        ],
+    )
 
 
-def _block_matpoly(ring: Ring, grid) -> MatPoly:
-    """Assemble a block MatPoly from a grid of MatPoly blocks."""
-    deg = max(p.degree for row in grid for p in row)
-    coeffs = []
-    from .linalg import block as mat_block
-
-    for k in range(deg + 1):
-        coeffs.append(mat_block(ring, [[p.coeff(k) for p in row] for row in grid]))
-    return MatPoly(ring, coeffs[0].rows, coeffs[0].cols, coeffs)
-
-
-def _stabilize_theta(theta: PolyQuadForm) -> MatPoly:
+def _stabilize_theta(theta: PolyQuadForm) -> Mat:
     """theta (+) the rank-2n hyperbolic generator as a constant block."""
-    R = theta.ring
-    n = theta.n
-    ident = Mat.identity(R, n)
-    zero = Mat.zero(R, n)
-    blocks = []
-    deg = theta.degree()
-    from .linalg import block as mat_block
-
-    for k in range(deg + 1):
-        c = theta.theta.coeff(k)
-        top = ident if k == 0 else zero
-        blocks.append(
-            mat_block(
-                R,
-                [
-                    [c, Mat.zero(R, n, 2 * n)],
-                    [Mat.zero(R, 2 * n, n), _hyp_block(R, n, top)],
-                ],
-            )
-        )
-    return MatPoly(R, 3 * n, 3 * n, blocks)
+    R = theta.theta.ring.base
+    hyp = MatPoly(R, 2 * theta.n, 2 * theta.n, [_hyp_block(R, theta.n)])
+    return diag_block(theta.theta.ring, [theta.theta, hyp])
 
 
-def _hyp_block(ring, n, top) -> Mat:
+def _hyp_block(ring, n) -> Mat:
     zero = Mat.zero(ring, n)
-    from .linalg import block as mat_block
-
-    return mat_block(ring, [[zero, top], [zero, zero]])
+    return block(ring, [[zero, Mat.identity(ring, n)], [zero, zero]])
 
 
 def linearize(theta: PolyQuadForm):
@@ -540,13 +353,13 @@ def linearize(theta: PolyQuadForm):
     while work.degree() >= 2:
         big = work.degree()
         q_factor = _degree_reduction_factor(work)
-        p_factor = q_factor.star_s()
+        p_factor = q_factor.star()
         middle = _stabilize_theta(work)
-        new_theta = p_factor * middle * q_factor
+        new_theta = _as_matpoly(p_factor * middle * q_factor)
         if new_theta.degree > max(big - 1, 1):
             raise AssertionError("degree reduction failed to drop the degree")
         # the step is p * middle * q with p the s-adjoint of q: verify both
-        recheck = q_factor.star_s() * middle * q_factor
+        recheck = q_factor.star() * middle * q_factor
         if recheck != new_theta:
             raise AssertionError("transcript step failed its exact recheck")
         work = PolyQuadForm(R, eps, new_theta)
@@ -562,12 +375,13 @@ def linearize(theta: PolyQuadForm):
             }
         )
     # eliminate the constant: theta0 + theta1 s  ~  (theta1 + theta0 + eps theta0^*) s
-    theta0 = work.theta.coeff(0)
+    zero = Mat.zero(R, work.n)
+    theta0, g = (work.theta.coeffs + [zero, zero])[:2]  # degree <= 1 now
     if not theta0.is_zero():
         z = MatPoly(R, work.n, work.n, [-theta0, theta0])  # -theta0 (1 - s)
         shifted, _ = lemma2_shift(work, z)
-        expected = theta0 + work.theta.coeff(1) + theta0.star().scale_sign(eps)
-        if shifted.theta != MatPoly(R, work.n, work.n, [Mat.zero(R, work.n), expected]):
+        g = theta0 + g + theta0.star().scale_sign(eps)
+        if shifted.theta != MatPoly(R, work.n, work.n, [zero, g]):
             raise AssertionError("constant elimination did not produce g*s")
         work = shifted
         transcript.append(
@@ -578,7 +392,6 @@ def linearize(theta: PolyQuadForm):
                 "_z": z,
             }
         )
-    g = work.theta.coeff(1)
     almost = AlmostHermitian.from_matrix(R, eps, g)
     return almost, transcript
 
@@ -595,20 +408,13 @@ def linearize_cup_soundness(
     rank = theta.n
     for step in transcript:
         if step["kind"] == "degree_reduction":
-            hyp_kappa = kron(_hyp_block(R, rank, Mat.identity(R, rank)), d.gram)
-            stabilized = _tensor_block_sum(R, kappa, hyp_kappa)
-            q_sub = step["_q"].subst_kron(d.phi)
+            hyp_kappa = kron(_hyp_block(R, rank), d.gram)
+            stabilized = diag_block(R, [kappa, hyp_kappa])
+            q_sub = _substitute(step["_q"], d.phi, Mat.identity(R, d.m))
             kappa = q_sub.star() * stabilized * q_sub
             rank *= 3
         else:
-            z = step["_z"]
-            gamma = Mat.zero(R, rank * d.m, rank * d.m)
-            power = Mat.identity(R, d.m)
-            for k in range(z.degree + 1):
-                c = z.coeff(k)
-                if not c.is_zero():
-                    gamma = gamma + kron(c, d.gram * power)
-                power = power * d.phi
+            gamma = _substitute(step["_z"], d.phi, d.gram)
             kappa = kappa + gamma - gamma.star().scale_sign(eps_out)
     final = cup_product(almost.linear_form(), d).phi0
     if final != kappa:
@@ -616,10 +422,6 @@ def linearize_cup_soundness(
     return min_equal(
         QuadFormEl(R, eps_out, final), QuadFormEl(R, eps_out, kappa)
     )
-
-
-def _tensor_block_sum(ring, a: Mat, b: Mat) -> Mat:
-    return diag_block(ring, [a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -767,24 +569,27 @@ def sqrt_one_plus_nu_t(nu: Mat, lam, gram: Mat | None = None):
     idx = nilpotency_index(nu)
     if idx is None:
         raise ValueError("nu must be nilpotent")
+    if lam is None:
+        raise ValueError("the ring has no split unit (central lambda, lambda + conj(lambda) = 1)")
     if R.add(lam, R.conj(lam)) != R.one or not R.is_central(lam):
         raise ValueError("lambda must be a central split unit")
 
+    # A[t] multiplies as A[s] does; only conj(t) = t differs, so the
+    # adjoint acts on each coefficient alone
     def star_poly(p: MatPoly) -> MatPoly:
         return MatPoly(R, n, n, [adj(c) for c in p.coeffs])
 
     target = MatPoly(R, n, n, [ident, nu])
     gamma = MatPoly(R, n, n, [ident, nu.scale_left(lam)])
     for _ in range(2 * idx + 4):
-        err = star_poly(gamma) * gamma - target
+        err = _as_matpoly(star_poly(gamma) * gamma - target)
         if err.is_zero():
             break
-        k = next(i for i, c in enumerate(err.coeffs) if not c.is_zero())
-        b = err.coeff(k)
+        k, b = next((i, c) for i, c in enumerate(err.coeffs) if not c.is_zero())
         if adj(b) != b:
             raise AssertionError("offending coefficient is not self-adjoint")
         correction = MatPoly(R, n, n, [ident] + [Mat.zero(R, n)] * (k - 1) + [-b.scale_left(lam)])
-        gamma = correction * gamma
+        gamma = _as_matpoly(correction * gamma)
     else:
         raise AssertionError("square-root recursion failed to terminate")
 

@@ -51,6 +51,7 @@ class Ring:
     size: int | None = None
     char: int = 0
     _key: str | None = None
+    _poly_s: "PolySRing | None" = None
 
     def __init__(self):
         self.zero = self._zero()
@@ -215,6 +216,13 @@ class Ring:
         if self._key is None:
             self._key = json.dumps(self.to_json(), sort_keys=True)
         return self._key
+
+    def poly_s(self) -> "PolySRing":
+        """A[s] over this ring, made once, so that the matrices over it share
+        one ring object and compare rings by identity."""
+        if self._poly_s is None:
+            self._poly_s = PolySRing(self)
+        return self._poly_s
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Ring) and self.key() == other.key())

@@ -1,13 +1,12 @@
 import pytest
 
 from hermkq.additive import solve_affine
-from hermkq.caps import scoped_cap
+from hermkq.caps import CapExceeded, scoped_cap
 from hermkq.clauwens import (
     AlmostHermitian,
     DeltaDatum,
     MatPoly,
     PolyQuadForm,
-    _poly_det,
     _poly_unit,
     cup_product,
     kappa_hermitian_two_ways,
@@ -20,8 +19,8 @@ from hermkq.clauwens import (
     sqrt_one_plus_nu_t,
 )
 from hermkq.forms import DegenerateFormError, QuadFormEl, hyperbolic, min_equal
-from hermkq.linalg import Mat, all_matrices, block, invert, kron
-from hermkq.rings import F2, F4, Fp, PolySRing, Zn
+from hermkq.linalg import Mat, _det_comm, all_matrices, block, invert, kron
+from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, PolySRing, Zn
 
 
 F2_ = F2()
@@ -57,23 +56,49 @@ def test_matpoly_star_s_is_involutive():
         Mat.from_strs(F2_, [["1", "1"], ["0", "1"]]),
     ]
     p = MatPoly(F2_, 2, 2, coeffs)
-    assert p.star_s().star_s() == p
+    assert p.star().star() == p
     q = MatPoly(F2_, 2, 2, coeffs[:2])
-    assert (p * q).star_s() == q.star_s() * p.star_s()
+    assert (p * q).star() == q.star() * p.star()
     z5 = Fp(5)
     p5 = MatPoly(z5, 1, 1, [Mat.from_strs(z5, [["2"]]), Mat.from_strs(z5, [["3"]])])
-    assert p5.star_s().star_s() == p5
+    assert p5.star().star() == p5
+    # rings with nilpotents, and F4 with the Frobenius involution
+    for ring in (Zn(4), F4(), DualRing(F2_)):
+        els = ring.elements()
+        cs = [
+            Mat(ring, [[els[(3 * k + 2 * i + j + 1) % len(els)] for j in range(2)] for i in range(2)])
+            for k in range(3)
+        ]
+        p = MatPoly(ring, 2, 2, cs)
+        q = MatPoly(ring, 2, 2, cs[1:])
+        assert p.coeffs == cs
+        assert MatPoly(ring, 2, 2, cs + [Mat.zero(ring, 2)]).coeffs == cs  # zero top trimmed
+        assert p.star().star() == p
+        assert (p * q).star() == q.star() * p.star()
 
 
 def test_poly_det_and_units():
-    ident = MatPoly.identity(F2_, 2)
-    assert _poly_det(ident) == (F2_.one,)
+    ident = MatPoly(F2_, 2, 2, [Mat.identity(F2_, 2)])
+    assert _det_comm(ident) == (F2_.one,)
     s_shift = MatPoly(F2_, 1, 1, [Mat.zero(F2_, 1), Mat.identity(F2_, 1)])
-    assert not _poly_unit(F2_, _poly_det(s_shift))
+    assert not _poly_unit(F2_, _det_comm(s_shift))
     z4 = Zn(4)
     # 1 + 2s is a unit of Z/4[s] (2 nilpotent)
     assert _poly_unit(z4, (1, 2))
     assert not _poly_unit(z4, (2, 1))
+    # the determinant over Z/4[s] is multiplicative at rank 2
+    mats = list(all_matrices(z4, 2, 2))[::37]
+    polys = [MatPoly(z4, 2, 2, [a, b]) for a in mats for b in mats[::2]]
+    ps = z4.poly_s()
+    for p in polys[::5]:
+        for q in polys[::7]:
+            assert _det_comm(p * q) == ps.mul(_det_comm(p), _det_comm(q))
+
+
+def test_poly_quad_form_refuses_a_noncommutative_ring():
+    m2 = Mat2Ring(F2_)
+    with pytest.raises(CapExceeded, match="polynomial determinant needs a commutative ring"):
+        PolyQuadForm.from_coeff_mats(m2, 1, [Mat.identity(m2, 1)])
 
 
 def test_cup_product_linear_case():
@@ -117,7 +142,7 @@ def test_kappa_hermitian_two_evaluation_orders():
 def test_lemma2_zero_shift():
     g = HYP.associated().phi
     theta = PolyQuadForm.from_coeff_mats(F2_, 1, [Mat.zero(F2_, 2), g])
-    shifted, witness = lemma2_shift(theta, MatPoly.zero(F2_, 2, 2), DELTA)
+    shifted, witness = lemma2_shift(theta, MatPoly(F2_, 2, 2, []), DELTA)
     assert shifted.theta == theta.theta
     assert witness["gamma"].is_zero()
 
@@ -245,7 +270,7 @@ def test_sqrt_trivial_and_f4():
     f4 = F4()
     lam = f4.find_split_unit()
     gamma, rep = sqrt_one_plus_nu_t(Mat.zero(f4, 2), lam)
-    assert rep["passed"] and gamma == MatPoly.identity(f4, 2)
+    assert rep["passed"] and gamma == MatPoly(f4, 2, 2, [Mat.identity(f4, 2)])
     nu = Mat.from_strs(f4, [["1", "w"], ["w+1", "1"]])
     gamma2, rep2 = sqrt_one_plus_nu_t(nu, lam)
     assert rep2["passed"] and rep2["nilpotency_index"] == 2 and gamma2.degree <= 1
@@ -339,8 +364,40 @@ def test_sqrt_accepts_nilpotent_scalar_past_rows_times_cols():
     assert rep["passed"] and rep["nilpotency_index"] == 2
 
 
+def test_sqrt_refuses_a_ring_without_split_unit():
+    z4 = Zn(4)
+    assert z4.find_split_unit() is None
+    with pytest.raises(ValueError, match="no split unit"):
+        sqrt_one_plus_nu_t(Mat(z4, [[2]]), None)
+
+
 def test_sqrt_refuses_non_nilpotent_polynomial_nu():
     # s - s^2 over F3[s] is self-adjoint; its powers grow without repeating
     ps = PolySRing(Fp(3))
     with scoped_cap(32), pytest.raises(ValueError, match="nu must be nilpotent"):
         sqrt_one_plus_nu_t(Mat(ps, [[(0, 1, 2)]]), (0, 1))
+
+
+def test_library_surface_of_the_benchmark():
+    # the calls perfbench/worker.py makes, as a library user would
+    import hermkq as hk
+
+    f2 = {"kind": "Fp", "p": 2}
+    ring = hk.ring_from_json(f2)
+    theta_doc = [[["0", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]], [["0", "1"], ["1", "0"]]]
+    theta = hk.PolyQuadForm.from_coeff_mats(ring, 1, [hk.Mat.from_strs(ring, c) for c in theta_doc])
+    assert theta.theta.to_strs() == theta_doc
+    delta = hk.DeltaDatum.from_quadform(hk.form_from_json(
+        {"ring": f2, "epsilon": 1, "variant": "el", "matrix": [["0", "1"], ["0", "0"]]}))
+    z_doc = [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]],
+             [["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    z = hk.MatPoly(ring, theta.n, theta.n, [hk.Mat.from_strs(ring, c) for c in z_doc])
+    shifted, witness = hk.lemma2_shift(theta, z, delta)
+    # a list of coefficient matrices, zero top coefficients trimmed
+    assert shifted.theta.to_strs() == [[["0", "0"], ["1", "1"]]]
+    assert witness["gamma"].to_strs() == [
+        ["0", "1", "0", "1"], ["1", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]
+    almost, transcript = hk.linearize(theta)
+    assert [s["kind"] for s in transcript] == ["degree_reduction", "constant_elimination"]
+    assert hk.linearize_cup_soundness(theta, almost, transcript, delta) is True
+    assert almost.index == 3 and almost.g.rows == 6

@@ -165,6 +165,14 @@ def test_clauwens_sqrt_command(capsys):
     assert json.loads(out)["report"]["identity_exact"] is True
 
 
+def test_clauwens_sqrt_without_split_unit_is_bad_input(capsys):
+    # Z/4 has no split unit; the refusal is a report, not a traceback
+    code, out = run(capsys, "clauwens", "sqrt-nilpotent", "--ring", '{"kind":"Zn","n":4}',
+                    "--nu", '[["2"]]')
+    assert code == 2
+    assert json.loads(out)["error"] == "bad-input"
+
+
 def test_clauwens_projectors_command(capsys):
     ideal = json.dumps([
         [["2", "0"], ["0", "0"]], [["0", "2"], ["0", "0"]],
