@@ -155,7 +155,7 @@ def cmd_group(args, fmt):
         for m in group.elements[:16]
     ]
     if variant == "el":
-        ext = extension_check(q)
+        ext = extension_check(q, group=group)
         report["extension"] = {
             k: v for k, v in ext.items() if isinstance(v, (bool, int))
         }

@@ -8,8 +8,10 @@ Column conventions throughout: forms evaluate as x^* phi y.
 from __future__ import annotations
 
 import json
+from itertools import product
 
-from .additive import MatSubgroup, solve_affine
+from .additive import MatSubgroup, _is_prime, solve_affine
+from .caps import check_cap
 from .linalg import Mat, diag_block, invert
 from .rings import Ring, ring_from_json
 
@@ -18,7 +20,7 @@ class DegenerateFormError(ValueError):
     pass
 
 
-_SHIFT_CACHE: dict = {}
+_SHIFT_TABLES: dict = {}
 _SELFADJ_CACHE: dict = {}
 
 
@@ -28,13 +30,116 @@ def _basis_mats(ring: Ring, n: int):
     return bm(additive_basis(ring), n, n)
 
 
-def shift_subgroup(ring: Ring, eps: int, n: int) -> MatSubgroup:
-    """Additive subgroup {gamma - eps*gamma^*} of n x n matrices."""
-    key = (ring.key(), eps, n)
-    if key not in _SHIFT_CACHE:
-        gens = [b - b.star().scale_sign(eps) for b in _basis_mats(ring, n)]
-        _SHIFT_CACHE[key] = MatSubgroup(ring, n, n, gens)
-    return _SHIFT_CACHE[key]
+def _shift_table(ring: Ring, eps: int):
+    """Entry data of the shift subgroup over one ring: the canonical
+    representative of a + Lambda for every a, where Lambda = {a - eps*conj(a)},
+    the order of Lambda, and the element the strict upper triangle is set to."""
+    lam = MatSubgroup(ring, 1, 1, [b - b.star().scale_sign(eps) for b in _basis_mats(ring, 1)])
+    shifts = {ring.sub(a, ring.conj(a) if eps == 1 else ring.neg(ring.conj(a)))
+              for a in ring.elements()}
+    canon = {}
+    for a in ring.elements():
+        if a not in canon:
+            rep = lam.coset_canonical(Mat(ring, [[a]])).entries[0][0]
+            for s in shifts:
+                canon[ring.add(a, s)] = rep
+    if _is_prime(ring.char):
+        top = ring.zero
+    else:
+        top = min(ring.elements(), key=lambda a: Mat(ring, [[a]]).key())
+    return canon, lam.size, top
+
+
+class ShiftSubgroup:
+    """The additive subgroup S = {gamma - eps*gamma^*} of n x n matrices.
+
+    Closed form.  Taking gamma = x*e_ij shows that for i < j, S holds every
+    pair (x at (i, j), -eps*conj(x) at (j, i)), and on the diagonal it holds
+    Lambda = {a - eps*conj(a)}; S is the direct sum of these pieces, so
+    |S| = |R|^(n(n-1)/2) * |Lambda|^n.  The canonical representative of
+    m + S sets each strict-upper entry m_ij to a fixed element t (adding the
+    matching pair moves m_ji by -eps*conj(t - m_ij)) and maps each diagonal
+    entry to the canonical representative of m_ii + Lambda.
+
+    This is the representative the generic MatSubgroup picks.  In prime
+    characteristic that is the reduced echelon form over row-major
+    coordinates: the pivots of a pair sit at (i, j), which comes first, so
+    t = 0, and the pieces have disjoint coordinates, so the diagonal pivots
+    are those of Lambda alone.  In composite characteristic it is the least
+    Mat.key in the coset: the key compares entries in row-major order and
+    every piece varies independently, so the least key takes t, the element
+    with the least key, at each (i, j) (t = 0 for every ring whose zero
+    prints first), and the least representative of m_ii + Lambda.
+
+    The per-entry data is cached by (ring key, eps); matrices are built over
+    the ring of the argument, or of the caller for `coset_reps_all`.
+    """
+
+    def __init__(self, ring: Ring, eps: int, n: int):
+        key = (ring.key(), eps)
+        if key not in _SHIFT_TABLES:
+            _SHIFT_TABLES[key] = _shift_table(ring, eps)
+        self._canon, lam_size, self._top = _SHIFT_TABLES[key]
+        self.ring = ring
+        self.eps = eps
+        self.rows = self.cols = n
+        self.size = ring.size ** (n * (n - 1) // 2) * lam_size**n
+
+    def canonical_flat(self, flat) -> tuple:
+        """The canonical representative of a row-major tuple of entries."""
+        R, n, top, canon = self.ring, self.rows, self._top, self._canon
+        out = list(flat)
+        for i in range(n):
+            out[i * n + i] = canon[out[i * n + i]]
+            for j in range(i + 1, n):
+                x = out[i * n + j]
+                if x != top:
+                    c = R.conj(R.sub(top, x))
+                    k = j * n + i
+                    out[k] = R.sub(out[k], c) if self.eps == 1 else R.add(out[k], c)
+                    out[i * n + j] = top
+        return tuple(out)
+
+    def coset_canonical(self, m: Mat) -> Mat:
+        flat = self.canonical_flat([x for row in m.entries for x in row])
+        n = self.rows
+        return Mat(m.ring, [flat[i * n: (i + 1) * n] for i in range(n)])
+
+    def contains(self, m: Mat) -> bool:
+        R, e, canon = self.ring, m.entries, self._canon
+        zero = canon[R.zero]
+        for i in range(self.rows):
+            if canon[e[i][i]] != zero:
+                return False
+            for j in range(i + 1, self.rows):
+                c = R.conj(e[i][j])
+                if e[j][i] != (R.neg(c) if self.eps == 1 else c):
+                    return False
+        return True
+
+    def coset_reps_all(self, cap: int | None = None) -> list[Mat]:
+        """Every canonical representative, sorted by Mat.key: the diagonal
+        over the representatives of R/Lambda, the strict upper triangle t and
+        the strict lower triangle free."""
+        R, n = self.ring, self.rows
+        diag = set(self._canon.values())
+        lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
+        check_cap(len(diag) ** n * R.size ** len(lower), "coset representative enumeration", cap)
+        out = []
+        for d in product(diag, repeat=n):
+            for low in product(R.elements(), repeat=len(lower)):
+                rows = [[self._top] * n for _ in range(n)]
+                for i in range(n):
+                    rows[i][i] = d[i]
+                for (j, i), x in zip(lower, low):
+                    rows[j][i] = x
+                out.append(Mat(R, rows))
+        return sorted(out, key=Mat.key)
+
+
+def shift_subgroup(ring: Ring, eps: int, n: int) -> ShiftSubgroup:
+    """Additive subgroup {gamma - eps*gamma^*} of n x n matrices, in closed form."""
+    return ShiftSubgroup(ring, eps, n)
 
 
 def selfadjoint_subgroup(ring: Ring, eps: int, n: int) -> MatSubgroup:

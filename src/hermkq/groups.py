@@ -172,13 +172,19 @@ def enumerate_orthogonal_min(q: QuadFormEl, cap: int | None = None) -> list[Mat]
 
     The leading j x j block of gamma - eps*gamma^* is the shift of gamma's
     leading block, so a frame whose block f^* phi0 f - phi0 leaves the
-    rank-j shift subgroup has no completion.
+    rank-j shift subgroup has no completion.  The test compares canonical
+    coset representatives: the block lies in the coset of phi0's leading
+    block exactly when the two representatives agree.
     """
     if q.n == 0:
         return [Mat(q.ring, [])]
     shifts = {j: shift_subgroup(q.ring, q.eps, j) for j in range(1, q.n + 1)}
-    lead = {j: q.phi0.submatrix(0, j, 0, j) for j in range(1, q.n + 1)}
-    found = _frame_search(q.phi0, lambda j, g: shifts[j].contains(g - lead[j]), cap)
+
+    def canonical(j, m):
+        return shifts[j].canonical_flat([x for row in m.entries for x in row])
+
+    lead = {j: canonical(j, q.phi0.submatrix(0, j, 0, j)) for j in range(1, q.n + 1)}
+    found = _frame_search(q.phi0, lambda j, g: canonical(j, g) == lead[j], cap)
     field = q.ring.is_field and q.nondegenerate
     out = [f for f in found if field or invert(f) is not None]
     out.sort(key=Mat.key)
@@ -211,9 +217,17 @@ class EnumeratedGroup:
     variant: str
     order: int
     elements: list
-    base_order: int | None = None  # |O^min| for the enlarged variant
-    kernel_order: int | None = None  # |S(E)| for the enlarged variant
     checks: dict = field(default_factory=dict)
+    base: list | None = None  # O^min, for the enlarged variant
+    kernel: list | None = None  # S(E), for the enlarged variant
+
+    @property
+    def base_order(self) -> int | None:
+        return None if self.base is None else len(self.base)
+
+    @property
+    def kernel_order(self) -> int | None:
+        return None if self.kernel is None else len(self.kernel)
 
     def to_json(self, form=None):
         doc = {
@@ -324,27 +338,29 @@ def enumerate_group(variant: str, form, cap: int | None = None) -> EnumeratedGro
         q = form
         elems, omin, se = el_elements(q, cap)
         checks = verify_group_axioms(elems, compose_el, el_inverse, el_identity(q))
-        return EnumeratedGroup(
-            "el", len(elems), elems, base_order=len(omin), kernel_order=len(se),
-            checks=checks,
-        )
+        return EnumeratedGroup("el", len(elems), elems, checks, base=omin, kernel=se)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def extension_check(q: QuadFormEl, cap: int | None = None) -> dict:
+def extension_check(q: QuadFormEl, cap: int | None = None,
+                    group: EnumeratedGroup | None = None) -> dict:
     """Verify 1 -> S(E) -> O^el -> O^min -> 1 on the enumerated groups.
 
-    Closure of the enlarged group is established structurally: every element
-    factors as (1, s).lift(f), so closure on kernel*kernel, kernel*lift,
-    lift*kernel and lift*lift pairs implies closure everywhere.
+    `group` is the enlarged group `enumerate_group("el", q)` returned; without
+    it the group is enumerated here.  Each f of O^min is lifted to the first
+    enumerated (f, gamma).  Closure of the enlarged group is established
+    structurally: every element factors as lift(f).(1, s), so closure on
+    kernel*kernel, kernel*lift, lift*kernel and lift*lift pairs implies
+    closure everywhere.
     """
-    omin = enumerate_orthogonal_min(q, cap)
-    se = selfadjoint_subgroup(q.ring, q.eps, q.n).elements()
-    lifts = {f: ElMorphism(q, f, check_min(f, q)) for f in omin}
+    if group is None:
+        elems, omin, se = el_elements(q, cap)
+    else:
+        elems, omin, se = group.elements, group.base, group.kernel
+    lifts = {}
+    for m in elems:
+        lifts.setdefault(m.f, m)
     kernel = [ElMorphism(q, Mat.identity(q.ring, q.n), s) for s in se]
-    elems = [
-        ElMorphism(q, f, lifts[f].gamma + s, check=True) for f in omin for s in se
-    ]
     elem_set = set(elems)
     report = {
         "order_min": len(omin),
@@ -374,13 +390,12 @@ def extension_check(q: QuadFormEl, cap: int | None = None) -> dict:
     # projection is a surjective homomorphism (surjective by construction)
     omin_set = set(omin)
     report["projection_surjective"] = all(f in omin_set for f in omin)
-    hom_ok = True
-    for a in lifts.values():
-        for b in lifts.values():
-            c = compose_el(a, b)
-            if c.f != a.f * b.f or not satisfies_S(q, c.f, c.gamma):
-                hom_ok = False
-    report["projection_homomorphism"] = hom_ok
+    lift_products = [
+        (a, b, compose_el(a, b)) for a in lifts.values() for b in lifts.values()
+    ]
+    report["projection_homomorphism"] = all(
+        c.f == a.f * b.f and satisfies_S(q, c.f, c.gamma) for a, b, c in lift_products
+    )
 
     # kernel is exactly the (1, gamma) with gamma^* = eps*gamma
     ident = Mat.identity(q.ring, q.n)
@@ -388,21 +403,14 @@ def extension_check(q: QuadFormEl, cap: int | None = None) -> dict:
     report["kernel_matches_SE"] = found_kernel == set(kernel)
 
     # structured closure: the four pair families generate all products
-    closure = True
-    for a in kernel:
-        for b in kernel:
-            if compose_el(a, b) not in elem_set:
-                closure = False
-    for f, lift in lifts.items():
+    closure = all(compose_el(a, b) in elem_set for a in kernel for b in kernel)
+    for lift in lifts.values():
         for a in kernel:
             if compose_el(lift, a) not in elem_set:
                 closure = False
             if compose_el(a, lift) not in elem_set:
                 closure = False
-    for a in lifts.values():
-        for b in lifts.values():
-            if compose_el(a, b) not in elem_set:
-                closure = False
+    closure = closure and all(c in elem_set for _, _, c in lift_products)
     decomposition = all(
         compose_el(
             lifts[m.f], ElMorphism(q, ident, m.gamma - lifts[m.f].gamma, check=False)
@@ -418,13 +426,13 @@ def extension_check(q: QuadFormEl, cap: int | None = None) -> dict:
     inv_phi = herm.inverse()
     for f, lift in lifts.items():
         lift_inv = el_inverse(lift)
+        finv = invert(f) if inv_phi is not None and check_max(f, herm) else None
         for s in se:
             conj = compose_el(compose_el(lift_inv, ElMorphism(q, ident, s, check=False)), lift)
             expected = f.star() * s * f
             if conj.f != ident or conj.gamma != expected:
                 action_ok = False
-            if inv_phi is not None and check_max(f, herm):
-                finv = invert(f)
+            if finv is not None:
                 u = inv_phi * s
                 if inv_phi * expected != finv * u * f:
                     action_ok = False

@@ -1,5 +1,17 @@
 """Discrete invariants: Gamma/Lambda, the Xi group, Arf, Dickson, and
-rank-bounded Witt / Grothendieck-Witt classification by exhaustive orbits."""
+rank-bounded Witt / Grothendieck-Witt classification by exhaustive orbits.
+
+The classification lists the objects of each rank and walks their GL_n
+congruence orbits.  Min objects are the canonical representatives of
+M_n(R) modulo the shift subgroup S = {gamma - eps*gamma^*}, read off its
+closed form (`forms.ShiftSubgroup`): the strict upper triangle fixed, the
+diagonal over R/Lambda, the strict lower triangle free.  Max objects are the
+even nondegenerate phi with phi^* = eps*phi, generated entry by entry.  The
+orbit walk applies each generator of GL_n (elementary transvections and unit
+scalings) as one row and one column operation on row-major tuples, and puts
+min classes back in canonical form by the same closed form, so no n x n
+product and no echelon reduction is formed per step.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +24,6 @@ from .forms import (
     QuadFormEl,
     direct_sum,
     hyperbolic,
-    is_even,
     shift_subgroup,
 )
 from .groups import check_min
@@ -492,87 +503,108 @@ def dickson(f: Mat, q: QuadFormEl) -> int:
 # Orbit enumeration, Witt classes, Grothendieck-Witt monoid
 
 
-def _gl_generators(ring: Ring, n: int) -> list[Mat]:
-    """Transvections over an additive basis plus diagonal unit scalings.
+def _gl_moves(ring: Ring, n: int) -> list[tuple]:
+    """Generators of GL_n as (i, j, c): for i != j the transvection 1 + c*e_ij,
+    c over an additive basis and its negatives (the inverses); for i == j the
+    scaling of coordinate i by a unit c != 1 (closed under inverses).
 
-    These generate GL_n over the shipped commutative rings (fields and Z/m);
-    inverses are appended so orbit walks need no extra bookkeeping.
+    These generate GL_n over the shipped commutative rings (fields and Z/m).
     """
-    gens = []
     basis = additive_basis(ring).basis
-    ident = Mat.identity(ring, n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for b in basis:
-                entries = [list(row) for row in ident.entries]
-                entries[i][j] = b
-                gens.append(Mat(ring, entries))
-    units = [u for u in ring.elements() if ring.inv(u) is not None]
-    for i in range(n):
-        for u in units:
-            if u == ring.one:
-                continue
-            entries = [list(row) for row in ident.entries]
-            entries[i][i] = u
-            gens.append(Mat(ring, entries))
-    out = list(gens)
-    for g in gens:
-        gi = invert(g)
-        if gi not in out:
-            out.append(gi)
+    coeffs = list(dict.fromkeys(basis + [ring.neg(b) for b in basis]))
+    units = [u for u in ring.elements() if u != ring.one and ring.inv(u) is not None]
+    return [(i, j, c) for i in range(n) for j in range(n) if i != j for c in coeffs] + [
+        (i, i, u) for i in range(n) for u in units
+    ]
+
+
+def _congruence(ring: Ring, n: int, flat: tuple, move: tuple) -> list:
+    """g^* m g for the generator g of `move`, on a row-major tuple: one
+    column operation (m g), then one row operation (g^* on the left)."""
+    add, mul, conj = ring.add, ring.mul, ring.conj
+    i, j, c = move
+    out = list(flat)
+    cc = conj(c)
+    if i == j:
+        for k in range(n):
+            out[k * n + i] = mul(out[k * n + i], c)
+        for k in range(i * n, i * n + n):
+            out[k] = mul(cc, out[k])
+    else:
+        for k in range(n):
+            out[k * n + j] = add(out[k * n + j], mul(out[k * n + i], c))
+        for k in range(n):
+            out[j * n + k] = add(out[j * n + k], mul(cc, out[i * n + k]))
     return out
 
 
 def _min_class_reps(ring: Ring, eps: int, rank: int, cap=None) -> list[Mat]:
-    """Canonical representatives of nondegenerate min classes at one rank."""
+    """Canonical representatives of nondegenerate min classes at one rank.
+
+    Representatives that differ only inside the kernel of a -> a + eps*conj(a)
+    on the diagonal share their hermitian form, so each form is inverted once.
+    """
     if rank == 0:
         return [Mat(ring, [])]
-    shifts = shift_subgroup(ring, eps, rank)
-    reps = shifts.coset_reps_all(cap)
+    nondegenerate = {}
     out = []
-    for rep in reps:
+    for rep in shift_subgroup(ring, eps, rank).coset_reps_all(cap):
         phi = rep + rep.star().scale_sign(eps)
-        if invert(phi) is not None:
+        if phi not in nondegenerate:
+            nondegenerate[phi] = invert(phi) is not None
+        if nondegenerate[phi]:
             out.append(rep)
-    return sorted(out, key=Mat.key)
+    return out
 
 
 def _max_class_reps(ring: Ring, eps: int, rank: int, cap=None) -> list[Mat]:
-    """Even nondegenerate hermitian forms at one rank (the max objects)."""
+    """Even nondegenerate hermitian forms at one rank (the max objects).
+
+    phi with phi^* = eps*phi is even, phi = phi0 + eps*phi0^*, exactly when
+    its diagonal lies in T = {a + eps*conj(a)}: off the diagonal take
+    phi0_ij = phi_ij for i < j and 0 below.  So the candidates are generated
+    directly: the diagonal in T, the strict upper triangle free and the
+    strict lower triangle its eps-conjugate, |T|^n |R|^(n(n-1)/2) in all.
+    """
     if rank == 0:
         return [Mat(ring, [])]
-    from .linalg import all_matrices
-
+    if ring.size is None:
+        raise CapExceeded("ring not enumerable")
+    n = rank
+    even = {ring.add(a, _scale(ring, eps, ring.conj(a))) for a in ring.elements()}
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    check_cap(len(even) ** n * ring.size ** len(upper), "matrix enumeration", cap)
     out = []
-    seen = set()
-    for phi in all_matrices(ring, rank, rank, cap):
-        if phi in seen:
-            continue
-        if phi.star() != phi.scale_sign(eps):
-            continue
-        if invert(phi) is None:
-            continue
-        from .forms import HermForm
-
-        if is_even(HermForm(ring, eps, phi)) is None:
-            continue
-        out.append(phi)
-        seen.add(phi)
+    for diag in product(even, repeat=n):
+        for vals in product(ring.elements(), repeat=len(upper)):
+            rows = [[ring.zero] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = diag[i]
+            for (i, j), x in zip(upper, vals):
+                rows[i][j] = x
+                rows[j][i] = _scale(ring, eps, ring.conj(x))
+            phi = Mat(ring, rows)
+            if invert(phi) is not None:
+                out.append(phi)
     return sorted(out, key=Mat.key)
 
 
 def _orbits(ring, eps, rank, reps, variant, cap=None):
-    """Partition class representatives into congruence orbits by BFS."""
+    """Partition class representatives into congruence orbits by BFS.
+
+    The walk runs on row-major tuples: each generator acts by one row and one
+    column operation, and min classes are put back in canonical form by the
+    closed form of the shift subgroup.
+    """
     if rank == 0:
         return [sorted(reps, key=Mat.key)]
-    gens = _gl_generators(ring, rank)
-    shifts = shift_subgroup(ring, eps, rank) if variant == "min" else None
-    rep_set = set(reps)
-    unvisited = set(reps)
+    n = rank
+    moves = _gl_moves(ring, n)
+    canonical = shift_subgroup(ring, eps, n).canonical_flat if variant == "min" else tuple
+    by_flat = {tuple(x for row in m.entries for x in row): m for m in reps}
+    unvisited = set(by_flat)
     orbits = []
-    for start in reps:
+    for start in by_flat:
         if start not in unvisited:
             continue
         orbit = {start}
@@ -580,17 +612,15 @@ def _orbits(ring, eps, rank, reps, variant, cap=None):
         unvisited.discard(start)
         while frontier:
             cur = frontier.pop()
-            for g in gens:
-                nxt = g.star() * cur * g
-                if variant == "min":
-                    nxt = shifts.coset_canonical(nxt)
+            for move in moves:
+                nxt = canonical(_congruence(ring, n, cur, move))
                 if nxt not in orbit:
-                    if nxt not in rep_set:
+                    if nxt not in by_flat:
                         raise AssertionError("orbit left the representative set")
                     orbit.add(nxt)
                     unvisited.discard(nxt)
                     frontier.append(nxt)
-        orbits.append(sorted(orbit, key=Mat.key))
+        orbits.append(sorted((by_flat[x] for x in orbit), key=Mat.key))
     orbits.sort(key=lambda o: o[0].key())
     return orbits
 
@@ -603,12 +633,18 @@ class WittTable:
     max_rank: int
     ranks: dict  # rank -> list of orbits (each a sorted list of canonical reps)
     stable_classes: list = field(default_factory=list)
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def class_of(self, rank: int, rep: Mat) -> int:
-        for i, orbit in enumerate(self.ranks[rank]):
-            if rep in set(orbit):
-                return i
-        raise KeyError("representative not classified")
+        """Index of the orbit that holds `rep` at `rank`; KeyError if none does."""
+        if not self._index:
+            self._index = {
+                (r, m): i for r, orbs in self.ranks.items() for i, o in enumerate(orbs) for m in o
+            }
+        try:
+            return self._index[(rank, rep)]
+        except KeyError:
+            raise KeyError("representative not classified") from None
 
     def to_json(self):
         return {

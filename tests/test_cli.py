@@ -258,3 +258,16 @@ def test_env_cap_is_default_and_cap_flag_overrides_one_call(capsys, monkeypatch)
     assert code == 0
     assert os.environ["HERMKQ_CAP"] == "10"
     assert caps.global_cap() == 10
+
+
+def test_form_check_min_over_z9_past_the_span_cap(capsys):
+    # the rank-3 shift subgroup over Z/9 at eps = -1 has 9^6 elements; its
+    # canonical form is closed, so no span is listed and no cap is reached
+    form = json.dumps({"ring": {"kind": "Zn", "n": 9}, "epsilon": -1, "variant": "min",
+                       "matrix": [["1", "2", "0"], ["0", "1", "3"], ["4", "0", "1"]]})
+    code, out = run(capsys, "form-check", "--form", form)
+    doc = json.loads(out)
+    assert "error" not in doc
+    assert code == 1  # an alternating form of odd rank is degenerate
+    assert doc["report"]["nondegenerate"] is False
+    assert doc["report"]["min_canonical"] == [["0", "0", "0"], ["7", "0", "0"], ["4", "6", "0"]]

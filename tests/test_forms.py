@@ -1,7 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
+from hermkq.additive import MatSubgroup, _basis_mats, additive_basis
 from hermkq.forms import (
     DegenerateFormError,
     HermForm,
@@ -21,7 +23,7 @@ from hermkq.forms import (
     shift_subgroup,
 )
 from hermkq.linalg import Mat, all_matrices, invert
-from hermkq.rings import F2, F4, Fp
+from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, ProductOpRing, TruncPolyRing, Zn
 
 
 def test_pairing_chi_examples():
@@ -242,3 +244,71 @@ def test_hyperbolic_summand_of_rank2_forms():
                 found = True
                 break
         assert found, phi0.to_strs()
+
+
+# -- the closed-form shift subgroup against the generic span -----------------
+
+SHIFT_RINGS = [
+    ("F2", F2()), ("F3", Fp(3)), ("F4", F4()), ("F4-trivial", F4("trivial")),
+    ("Z4", Zn(4)), ("Z6", Zn(6)), ("Z9", Zn(9)), ("Dual-F2", DualRing(F2())),
+    ("Dual-Z4", DualRing(Zn(4))), ("Mat2-F2", Mat2Ring(F2())),
+    ("ProductOp-F2", ProductOpRing(F2())), ("ProductOp-Z4", ProductOpRing(Zn(4))),
+    ("TruncPoly-F3", TruncPolyRing(Fp(3), 2, "-t")), ("TruncPoly-Z4", TruncPolyRing(Zn(4), 2)),
+]
+
+
+def _generic_shift_subgroup(ring, eps, n):
+    gens = [b - b.star().scale_sign(eps) for b in _basis_mats(additive_basis(ring), n, n)]
+    return MatSubgroup(ring, n, n, gens)
+
+
+@pytest.mark.parametrize("ring", [r for _, r in SHIFT_RINGS], ids=[k for k, _ in SHIFT_RINGS])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_shift_subgroup_closed_form_matches_generic_span(ring, eps):
+    # prime characteristic: the echelon convention up to rank 3; composite:
+    # the least Mat.key of the coset, up to rank 2 (the generic span is slow)
+    prime = ring.char in (2, 3)
+    for n in (1, 2, 3) if prime else (1, 2):
+        generic = _generic_shift_subgroup(ring, eps, n)
+        closed = shift_subgroup(ring, eps, n)
+        assert closed.size == generic.size
+        rng = random.Random(n)
+        elems = ring.elements()
+        for _ in range(12):
+            m, g = (Mat(ring, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
+                    for _ in range(2))
+            shift = g - g.star().scale_sign(eps)
+            assert closed.contains(shift)
+            assert closed.contains(m) == generic.contains(m)
+            canonical = closed.coset_canonical(m)
+            assert canonical == generic.coset_canonical(m)
+            assert closed.coset_canonical(m + shift) == canonical
+        if n > 2:
+            continue
+        reps = closed.coset_reps_all()
+        if prime or ring.size**(n * n) * generic.size <= 4096:
+            assert reps == generic.coset_reps_all()
+        else:
+            assert len(reps) == ring.size**(n * n) // generic.size
+            assert reps == sorted(set(reps), key=Mat.key)
+            for rep in reps[:: max(1, len(reps) // 16)]:
+                assert generic.coset_canonical(rep) == rep
+
+
+def test_min_canonical_over_z9_past_the_span_cap():
+    # rank 3 over Z/9 at eps = -1: |S| = 9^6, past the 2^16 elements a
+    # generic subgroup lists in composite characteristic
+    doc = {"ring": {"kind": "Zn", "n": 9}, "epsilon": -1, "variant": "min",
+           "matrix": [["1", "2", "0"], ["0", "1", "3"], ["4", "0", "1"]]}
+    q = form_from_json(doc).rep
+    shifts = shift_subgroup(q.ring, -1, 3)
+    assert shifts.size == 9**6
+    canonical = q.min_canonical()
+    assert canonical.to_strs() == [["0", "0", "0"], ["7", "0", "0"], ["4", "6", "0"]]
+    assert shifts.contains(canonical - q.phi0)
+    # results are built over the ring of the argument, not a cached one
+    fresh = form_from_json(doc).rep
+    assert fresh.ring is not q.ring
+    assert shifts.coset_canonical(fresh.phi0).ring is fresh.ring
+    assert fresh.min_canonical().ring is fresh.ring
+    assert all(m.ring is fresh.ring for m in shift_subgroup(fresh.ring, -1, 2).coset_reps_all())

@@ -1,9 +1,10 @@
 import pytest
 
-from hermkq.forms import QuadFormEl, direct_sum, hyperbolic
-from hermkq.groups import enumerate_orthogonal_min
+from hermkq.forms import HermForm, QuadFormEl, direct_sum, hyperbolic, is_even
+from hermkq.groups import enumerate_orthogonal_min, enumerate_unitary
 from hermkq.invariants import (
     AbelianGroupPresentation,
+    _max_class_reps,
     _min_class_reps,
     _orbits,
     arf,
@@ -16,8 +17,8 @@ from hermkq.invariants import (
     xi_char2_field,
     xi_group,
 )
-from hermkq.linalg import Mat, invert
-from hermkq.rings import F2, F4, Fq, Zn
+from hermkq.linalg import Mat, all_matrices, invert
+from hermkq.rings import F2, F4, Fp, Fq, Zn
 
 
 F4T = Fq(2, 2, (1, 1, 1), "trivial")
@@ -223,3 +224,60 @@ def test_dickson_kernel_index_2_rank2():
     group = enumerate_orthogonal_min(q)
     values = [dickson(g, q) for g in group]
     assert values.count(0) * 2 == len(group)
+
+
+# -- orbit-stabilizer and the full-scan oracle for the class representatives --
+
+def _gl_order(q, k, r):
+    """|GL_r| over F_q (k = 1) or Z/p^k (q = p): q^((k-1)r^2) prod (q^r - q^i)."""
+    out = q ** ((k - 1) * r * r)
+    for i in range(r):
+        out *= q**r - q**i
+    return out
+
+
+@pytest.mark.parametrize("ring,q,k,eps,variant,max_rank", [
+    (F2(), 2, 1, 1, "min", 4), (F2(), 2, 1, -1, "min", 4), (Fp(3), 3, 1, 1, "min", 2),
+    (Fp(3), 3, 1, -1, "min", 2), (Fp(3), 3, 1, -1, "max", 2), (F4(), 4, 1, 1, "min", 2),
+    (F4(), 4, 1, 1, "max", 2), (F4(), 4, 1, -1, "min", 2), (F4(), 4, 1, -1, "max", 2),
+    (Zn(4), 2, 2, 1, "min", 2), (Zn(4), 2, 2, -1, "max", 2), (Zn(9), 3, 2, 1, "min", 2),
+    (Zn(9), 3, 2, 1, "max", 2),
+], ids=["F2+", "F2-", "F3+", "F3-", "F3-max", "F4+", "F4+max", "F4-", "F4-max", "Z4+",
+        "Z4-max", "Z9+", "Z9+max"])
+def test_orbit_stabilizer(ring, q, k, eps, variant, max_rank):
+    # |orbit| * |O(phi)| = |GL_r|: checks the orbit walk and its generators
+    # of GL_r against the frame search, independently of both
+    table = witt_classify(ring, eps, variant, max_rank)
+    for r in range(1, max_rank + 1):
+        for orbit in table.ranks[r]:
+            if variant == "min":
+                stab = len(enumerate_orthogonal_min(QuadFormEl(ring, eps, orbit[0])))
+            else:
+                stab = len(enumerate_unitary(HermForm(ring, eps, orbit[0])))
+            assert len(orbit) * stab == _gl_order(q, k, r), (r, orbit[0])
+    if ring.size == 2:
+        assert sorted(len(o) for o in table.ranks[4]) == [168, 280]
+
+
+def _scanned_max_reps(ring, eps, n):
+    out = []
+    for phi in all_matrices(ring, n, n):
+        if phi.star() == phi.scale_sign(eps) and invert(phi) is not None:
+            if is_even(HermForm(ring, eps, phi)) is not None:
+                out.append(phi)
+    return sorted(out, key=Mat.key)
+
+
+@pytest.mark.parametrize("ring", [F2(), Fp(3), F4(), F4T, Zn(4)],
+                         ids=["F2", "F3", "F4", "F4-trivial", "Z4"])
+def test_max_class_reps_match_full_scan(ring):
+    for eps in (1, -1):
+        for n in (1, 2):
+            assert _max_class_reps(ring, eps, n) == _scanned_max_reps(ring, eps, n)
+
+
+def test_class_of_unclassified_rep_raises():
+    f2 = F2()
+    table = witt_classify(f2, 1, "min", 2)
+    with pytest.raises(KeyError):
+        table.class_of(2, Mat.zero(f2, 2))
