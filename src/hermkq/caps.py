@@ -15,6 +15,11 @@ class CapExceeded(Exception):
     """A brute-force search space is larger than the configured cap."""
 
 
+class Unsupported(ValueError):
+    """The input is well formed, but the computation asked for does not
+    cover it."""
+
+
 def global_cap() -> int:
     """Current cap: the `scoped_cap` override if one is active, else the
     HERMKQ_CAP environment variable, else DEFAULT_CAP."""
@@ -52,6 +57,9 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     `size` is whatever the search spends: the candidates a full scan would
     try, or, for the group searches ("matrix enumeration"), the running
     count of search nodes, checked before each level of the frame search.
+    A node there is one unit of that search's work: each of the |R|^n
+    columns of its first pass, and each inner product of a chosen column
+    with a candidate for a later position.
     """
     limit = cap if cap is not None else global_cap()
     if size > limit:

@@ -3,18 +3,20 @@
 Every command reads JSON (inline or @file), runs the requested computation,
 and prints a single report document embedding the input and the package
 version.  Exit codes: 0 success, 1 a verified property failed (the report
-carries the counterexample), 2 malformed input or a cap was exhausted.
+carries the counterexample), 2 malformed input, an input the computation
+does not cover (`unsupported`), or a cap was exhausted.
 JSON output is deterministic; --format table renders a flat text view.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import __version__
-from .caps import CapExceeded, scoped_cap
+from .caps import CapExceeded, Unsupported, scoped_cap
 from .clauwens import (
     DeltaDatum,
     MatPoly,
@@ -337,7 +339,9 @@ def _expand_ring(arg: str) -> str:
     return _RING_SHORTCUTS.get(arg, arg)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call; later calls return the same one."""
     parser = argparse.ArgumentParser(
         prog="hermkq",
         description="Exact calculator for quadratic and hermitian forms over "
@@ -346,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--cap", type=int,
                         help="override the enumeration cap for this call only; "
-                             "group searches count search nodes against it")
+                             "group searches count search nodes against it: "
+                             "|R|^n columns, then one per inner product formed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ring-check", help="verify the involution axioms of a ring")
@@ -373,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.add_argument("--matrix", required=True)
 
-    p = sub.add_parser("xi", help="the Xi obstruction group")
+    p = sub.add_parser("xi", help="the Xi obstruction group; needs 2*Lambda = 0, as in "
+                       "characteristic 2 or over Z/4, and reports unsupported otherwise")
     p.add_argument("--ring", required=True)
     p.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
     p.add_argument("--char2-oracle", action="store_true")
@@ -428,8 +434,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.cap is not None and args.cap <= 0:
         print(json.dumps({"error": "bad-input",
                           "message": f"--cap must be positive, got {args.cap}"}))
@@ -442,6 +447,9 @@ def main(argv=None) -> int:
             return _DISPATCH[args.command](args, args.format)
     except (CapExceeded,) as exc:
         print(json.dumps({"error": "cap-exhausted", "message": str(exc)}))
+        return 2
+    except Unsupported as exc:
+        print(json.dumps({"error": "unsupported", "message": str(exc)}))
         return 2
     except (ValueError, KeyError, json.JSONDecodeError, DegenerateFormError, OSError) as exc:
         print(json.dumps({"error": "bad-input", "message": str(exc)}))

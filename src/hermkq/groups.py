@@ -104,25 +104,36 @@ def check_min(f: Mat, q: QuadFormEl) -> Mat | None:
     return sols[0] if sols else None
 
 
-def _frame_search(gram: Mat, block_ok, cap: int | None) -> list[Mat]:
-    """Every n x n matrix f all of whose leading Gram blocks pass `block_ok`.
+def _frame_search(diag: Mat, herm: Mat, diag_class, cap: int | None) -> list[Mat]:
+    """Every n x n matrix f with diag_class(f_j^* diag f_j) = diag_class(diag_jj)
+    for each column f_j, and f_j^* herm f_k = herm_jk for each j < k.
 
-    Backtracking over partial frames (Plesken & Souvignier, "Computing
-    isometries of lattices", J. Symbolic Comput. 24, 1997): f is built one
-    column at a time, and the frame F of its first j columns is dropped as
-    soon as block_ok(j, F^* gram F) fails.  The caller's tests are necessary
-    conditions on the leading j x j block, so no member of the group is lost;
-    at j = n the test is the full membership test.
+    Backtracking over partial frames with candidate lists (Plesken &
+    Souvignier, "Computing isometries of lattices", J. Symbolic Comput. 24,
+    1997).  One pass over the |R|^n columns c computes each covector c^* herm
+    and the diagonal class of c^* diag c; the columns that pass position j's
+    diagonal test form its candidate list L_j.  A frame is the columns
+    chosen for the first positions together with the candidate lists of the
+    open ones.  Choosing c at position j refines each later list L_k to the
+    d with (c^* herm) d = herm_jk, one inner product per pair, and a frame
+    with an empty list is dropped.  The (k, j) entry needs no test: herm^* =
+    eps*herm (as `HermForm` enforces), so f_k^* herm f_j = eps*conj(f_j^*
+    herm f_k) = eps*conj(herm_jk) = herm_kj.  The leaves are
+    therefore exactly the f whose Gram matrix f^* herm f equals herm off the
+    diagonal and whose diagonal passes the diagonal tests.  No Mat is built
+    before the output.
 
-    The cap counts search nodes: before each level the frames kept so far,
-    times |R|^n candidate columns, are added to a running count and checked,
-    so no level is evaluated past the cap.  The first level's count, |R|^n,
-    is checked before the columns are built.
+    The cap counts search nodes.  The column pass is |R|^n nodes, checked
+    before any column is built.  Before each level the inner products that
+    level will form, |L_j| * max(1, sum_{k>j} |L_k|) summed over the frames
+    (a candidate at the last position counts one), are added to a running
+    count and checked, so no level is evaluated past the cap.
     """
-    ring, n = gram.ring, gram.rows
+    ring, n = herm.ring, herm.rows
     if ring.size is None:
         raise CapExceeded("ring not enumerable")
-    check_cap(ring.size**n, "matrix enumeration", cap)
+    nodes = ring.size**n
+    check_cap(nodes, "matrix enumeration", cap)
     add, mul, conj, zero = ring.add, ring.mul, ring.conj, ring.zero
 
     def dot(u, v):
@@ -133,36 +144,56 @@ def _frame_search(gram: Mat, block_ok, cap: int | None) -> list[Mat]:
         return acc
 
     cols = list(product(ring.elements(), repeat=n))
-    gram_cols = list(zip(*gram.entries))
-    # entry (i, k) of F^* gram F is covecs[F_i] . F_k, where covecs[v] = v^* gram
-    covecs = [tuple(dot([conj(x) for x in v], gc) for gc in gram_cols) for v in cols]
-    frames = [((), ())]  # (indices of the columns chosen, rows of their Gram block)
-    nodes = 0
-    for j in range(1, n + 1):
-        nodes += len(frames) * len(cols)
+    herm_cols = list(zip(*herm.entries))
+    diag_cols = None if diag is herm else list(zip(*diag.entries))
+    want = [diag_class(diag.entries[j][j]) for j in range(n)]
+    covecs = []
+    lists = [[] for _ in range(n)]
+    for c, col in enumerate(cols):
+        star = [conj(x) for x in col]
+        covec = tuple(dot(star, hc) for hc in herm_cols)
+        covecs.append(covec)
+        value = diag_class(dot(covec if diag_cols is None else
+                               [dot(star, dc) for dc in diag_cols], col))
+        for j in range(n):
+            if value == want[j]:
+                lists[j].append(c)
+    frames = [((), lists)] if all(lists) else []  # (columns chosen, lists of the open positions)
+    for j in range(n):
+        nodes += sum(len(here) * max(1, sum(map(len, later))) for _, (here, *later) in frames)
         check_cap(nodes, "matrix enumeration", cap)
+        targets = herm.entries[j][j + 1:]
         kept = []
-        for chosen, rows in frames:
-            for c, (col, covec) in enumerate(zip(cols, covecs)):
-                right = [dot(covecs[i], col) for i in chosen]
-                bottom = tuple(dot(covec, cols[i]) for i in chosen) + (dot(covec, col),)
-                g = Mat(ring, [r + (x,) for r, x in zip(rows, right)] + [bottom])
-                if block_ok(j, g):
-                    kept.append((chosen + (c,), g.entries))
+        for chosen, (here, *later) in frames:
+            for c in here:
+                covec = covecs[c]
+                refined = []
+                for lst, target in zip(later, targets):
+                    lst = [d for d in lst if dot(covec, cols[d]) == target]
+                    if not lst:
+                        break
+                    refined.append(lst)
+                else:
+                    kept.append((chosen + (c,), refined))
         frames = kept
-    return [Mat(ring, list(zip(*(cols[i] for i in chosen)))) for chosen, _ in frames]
+    return [Mat(ring, list(zip(*(cols[c] for c in chosen)))) for chosen, _ in frames]
 
 
 def enumerate_unitary(h: HermForm, cap: int | None = None) -> list[Mat]:
-    """All f with f^* phi f = phi, by a column-by-column frame search."""
+    """All invertible f with f^* phi f = phi, by a column-by-column frame search.
+
+    The search keeps f when f_j^* phi f_j = phi_jj on the diagonal and
+    f_j^* phi f_k = phi_jk for j < k, which together are f^* phi f = phi (see
+    `_frame_search`).  When phi is invertible every such f is invertible:
+    (phi^-1 f^* phi) f = 1 is a left inverse, and in the finite ring M_n(R)
+    a one-sided inverse is two-sided.  So `invert` is run only on the
+    output for a degenerate phi.
+    """
     if h.n == 0:
         return [Mat(h.ring, [])]
-    lead = {j: h.phi.submatrix(0, j, 0, j) for j in range(1, h.n + 1)}
-    found = _frame_search(h.phi, lambda j, g: g == lead[j], cap)
-    # over a field a solution of f^* phi f = phi with phi invertible is
-    # automatically invertible; other rings get an explicit check
-    field = h.ring.is_field and h.nondegenerate
-    out = [f for f in found if field or invert(f) is not None]
+    out = _frame_search(h.phi, h.phi, lambda x: x, cap)
+    if not h.nondegenerate:
+        out = [f for f in out if invert(f) is not None]
     out.sort(key=Mat.key)
     return out
 
@@ -170,23 +201,25 @@ def enumerate_unitary(h: HermForm, cap: int | None = None) -> list[Mat]:
 def enumerate_orthogonal_min(q: QuadFormEl, cap: int | None = None) -> list[Mat]:
     """All invertible f admitting a witness gamma for identity (S).
 
-    The leading j x j block of gamma - eps*gamma^* is the shift of gamma's
-    leading block, so a frame whose block f^* phi0 f - phi0 leaves the
-    rank-j shift subgroup has no completion.  The test compares canonical
-    coset representatives: the block lies in the coset of phi0's leading
-    block exactly when the two representatives agree.
+    m = f^* phi0 f - phi0 must lie in the shift subgroup S = {gamma -
+    eps*gamma^*}, whose closed form (`ShiftSubgroup`) splits the test.  Each
+    diagonal entry f_j^* phi0 f_j must be phi0_jj modulo Lambda, compared
+    through the rank-1 canonical representatives.  Each off-diagonal pair
+    must be a shift pair, m_kj = -eps*conj(m_jk), which is entry (k, j) of
+    m + eps*m^* = f^* h f - h vanishing, where h = phi0 + eps*phi0^* is the
+    associated hermitian form; as h^* = eps*h, that is f_j^* h f_k = h_jk
+    for j < k.  `_frame_search` runs exactly these tests.  Every member
+    satisfies f^* h f = h, so when h is invertible every member is
+    invertible (see `enumerate_unitary`), and `invert` is run only on the
+    output for a degenerate h.
     """
     if q.n == 0:
         return [Mat(q.ring, [])]
-    shifts = {j: shift_subgroup(q.ring, q.eps, j) for j in range(1, q.n + 1)}
-
-    def canonical(j, m):
-        return shifts[j].canonical_flat([x for row in m.entries for x in row])
-
-    lead = {j: canonical(j, q.phi0.submatrix(0, j, 0, j)) for j in range(1, q.n + 1)}
-    found = _frame_search(q.phi0, lambda j, g: canonical(j, g) == lead[j], cap)
-    field = q.ring.is_field and q.nondegenerate
-    out = [f for f in found if field or invert(f) is not None]
+    shifts = shift_subgroup(q.ring, q.eps, 1)
+    h = q.associated()
+    out = _frame_search(q.phi0, h.phi, lambda x: shifts.canonical_flat((x,)), cap)
+    if not h.nondegenerate:
+        out = [f for f in out if invert(f) is not None]
     out.sort(key=Mat.key)
     return out
 

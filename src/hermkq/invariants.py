@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .additive import additive_basis
-from .caps import CapExceeded, check_cap
+from .caps import CapExceeded, Unsupported, check_cap
 from .forms import (
     QuadFormEl,
     direct_sum,
@@ -62,7 +62,9 @@ class GammaLambda:
 
 
 def gamma_lambda(ring: Ring, eps: int) -> GammaLambda:
-    """Gamma = {a : conj(a) = eps*a}, Lambda = span{b - eps*conj(b)}."""
+    """Gamma = {a : conj(a) = eps*a}, Lambda = span{b - eps*conj(b)}.
+
+    Raises Unsupported unless Lambda lies in Gamma, that is 2*Lambda = 0."""
     if ring.size is None:
         raise CapExceeded("gamma_lambda needs a finite ring")
     check_cap(ring.size, "gamma_lambda scan")
@@ -79,7 +81,9 @@ def gamma_lambda(ring: Ring, eps: int) -> GammaLambda:
                 frontier.append(nxt)
     gamma_set = set(gamma)
     if not lam_set <= gamma_set:
-        raise AssertionError("Lambda is not contained in Gamma")
+        # every generator b - eps*conj(b) of Lambda has conj(x) = -eps*x
+        raise Unsupported("Gamma/Lambda needs Lambda inside Gamma, that is 2*Lambda = 0; "
+                          f"it fails over this ring at epsilon {eps}")
     reps = []
     coset = {}
     for a in gamma:

@@ -127,6 +127,20 @@ def test_xi_command(capsys):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("ring,eps", [
+    ('{"kind":"Fp","p":3}', "-1"),
+    ('{"kind":"Dual","base":{"kind":"Fp","p":3}}', "1"),
+], ids=["F3-eps-1", "Dual-F3"])
+def test_xi_without_two_lambda_zero_is_unsupported(capsys, ring, eps):
+    # Lambda lies in Gamma only when 2*Lambda = 0; elsewhere xi is refused,
+    # not raised as an internal failure
+    code, out = run(capsys, "xi", "--ring", ring, "--epsilon", eps)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "unsupported"
+    assert "2*Lambda = 0" in err["message"]
+
+
 def test_whitehead_command(capsys):
     code, out = run(capsys, "whitehead", "--ring", '{"kind":"Fp","p":7}',
                     "--alpha", '[["2"]]', "--beta", '[["3"]]')

@@ -324,18 +324,43 @@ def test_frame_search_classical_orders():
 
 def test_frame_search_cap_counts_nodes():
     h = hyperbolic(F2(), 1, 2).associated()
-    # 10128 search nodes, where the full scan needed 2^16 candidates
-    assert len(enumerate_unitary(h, cap=2**14)) == 720
-    with pytest.raises(CapExceeded, match="matrix enumeration: search space 10128"):
-        enumerate_unitary(h, cap=10_000)
-    # hyperbolic rank 2 over F2: 4 first columns, then 3 kept frames * 4 = 16
+    # 16 columns, then the inner products of the four levels: 16*48 + 15*8*16
+    # + 90*4*4 + 360*2, where the full scan needed 2^16 candidates
+    assert len(enumerate_unitary(h, cap=4864)) == 720
+    with pytest.raises(CapExceeded, match="matrix enumeration: search space 4864 exceeds cap 4863"):
+        enumerate_unitary(h, cap=4863)
+    # hyperbolic rank 2 over F2: 4 columns, 3 first candidates * 3 second
+    # ones = 9 inner products, then 2 kept frames * 1 candidate = 15
     q = hyperbolic(F2(), 1, 1)
-    assert len(enumerate_orthogonal_min(q, cap=16)) == 2
-    with pytest.raises(CapExceeded, match="search space 16 exceeds cap 15"):
-        enumerate_orthogonal_min(q, cap=15)
+    assert len(enumerate_orthogonal_min(q, cap=15)) == 2
+    with pytest.raises(CapExceeded, match="search space 15 exceeds cap 14"):
+        enumerate_orthogonal_min(q, cap=14)
     ps = PolySRing(F2())
     with pytest.raises(CapExceeded, match="ring not enumerable"):
         enumerate_unitary(HermForm(ps, 1, Mat.identity(ps, 1)))
+
+
+def test_frame_search_order_of_o6_plus_2():
+    # |O+6(2)| = 40 320 (Taylor 1992), under the default cap
+    assert len(enumerate_orthogonal_min(hyperbolic(F2(), 1, 3))) == 40_320
+
+
+@pytest.mark.parametrize("ring", [F2(), Zn(4), DualRing(F2())], ids=["F2", "Z4", "Dual-F2"])
+def test_frame_search_degenerate_forms_match_full_scan(ring):
+    # invert filters the output only where phi (or h) is degenerate; there
+    # the search must still return exactly the invertible solutions
+    units = sorted((f for f in all_matrices(ring, 2, 2) if invert(f) is not None),
+                   key=Mat.key)
+    one, zero = ring.one, ring.zero
+    for eps in (1, -1):
+        for phi in (Mat(ring, [[one, zero], [zero, zero]]), Mat.zero(ring, 2)):
+            if phi.star() == phi.scale_sign(eps):
+                h = HermForm(ring, eps, phi)
+                assert not h.nondegenerate
+                assert enumerate_unitary(h) == _scan_max(h, units), (eps, phi)
+            q = QuadFormEl(ring, eps, phi)
+            assert not q.nondegenerate
+            assert enumerate_orthogonal_min(q) == _scan_min(q, units), (eps, phi)
 
 
 # -- the generator closure against the all-pairs definition -------------------
