@@ -160,8 +160,36 @@ class _EchelonModP:
         return len(self.pivots)
 
 
+def extend_span(span: set, x, limit: int, message: str) -> bool:
+    """Grow `span`, a finite additive subgroup held as a set, to span + Z*x
+    in place; return whether it grew.
+
+    The new elements are listed coset by coset, each layer the last one
+    shifted by x, until the next layer falls back into the span: a coset of
+    a subgroup is either inside it or disjoint from it.  That costs about
+    one addition per new element.  Uses only `+` and hashing, so it serves every
+    ring kind, finite or not.  Raises CapExceeded(message) before the span
+    would hold more than `limit` elements.
+    """
+    if x in span:
+        return False
+    layer = list(span)
+    while True:
+        if len(span) + len(layer) > limit:
+            raise CapExceeded(message)
+        layer = [m + x for m in layer]
+        span.update(layer)
+        if layer[0] + x in span:
+            return True
+
+
 class MatSubgroup:
-    """Additive subgroup of rows x cols matrices spanned by given generators."""
+    """Additive subgroup of rows x cols matrices spanned by given generators.
+
+    In prime characteristic it is a row-echelon basis of coordinate vectors.
+    Otherwise it is the listed span, built by `extend_span` one generator at
+    a time and refused past `cap` elements (2^16 by default).
+    """
 
     def __init__(self, ring: Ring, rows: int, cols: int, generators, cap: int | None = None):
         self.ring = ring
@@ -179,17 +207,9 @@ class MatSubgroup:
             self.size = ring.char**ech.rank
         else:
             span = {Mat.zero(ring, rows, cols)}
-            frontier = list(span)
             limit = cap if cap is not None else 2**16
-            while frontier:
-                cur = frontier.pop()
-                for g in generators:
-                    nxt = cur + g
-                    if nxt not in span:
-                        if len(span) >= limit:
-                            raise CapExceeded("subgroup span exceeds cap")
-                        span.add(nxt)
-                        frontier.append(nxt)
+            for g in generators:
+                extend_span(span, g, limit, "subgroup span exceeds cap")
             self._span = span
             self.size = len(span)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .additive import MatSubgroup, solve_affine
+from .additive import MatSubgroup, extend_span, solve_affine
 from .caps import CapExceeded, check_cap
 from .forms import DegenerateFormError, QuadFormEl, min_equal, psi_normalize
 from .linalg import Mat, _det_comm, block, diag_block, invert, kron, nilpotency_index
@@ -68,9 +68,7 @@ def _as_matpoly(m: Mat) -> MatPoly:
     """A matrix over A[s] typed as a MatPoly; the entries are shared."""
     if isinstance(m, MatPoly):
         return m
-    out = object.__new__(MatPoly)
-    Mat.__init__(out, m.ring, m.entries)
-    return out
+    return MatPoly._trusted(m.ring, m.entries, m.rows, m.cols)
 
 
 def _substitute(p: Mat, phi: Mat, left: Mat) -> Mat:
@@ -608,23 +606,28 @@ def sqrt_one_plus_nu_t(nu: Mat, lam, gram: Mat | None = None):
 
 
 def _generated_subring(ring: Ring, n: int, gens: list[Mat], cap: int = 65536):
-    """Closure of the generators under addition and multiplication."""
-    span = set(gens)
-    span.add(Mat.zero(ring, n))
-    frontier = list(span)
-    while frontier:
-        cur = frontier.pop()
-        new = []
-        for g in list(span):
-            new.append(cur + g)
-            new.append(cur * g)
-            new.append(g * cur)
-        for x in new:
-            if x not in span:
-                if len(span) >= cap:
-                    raise CapExceeded("generated subring exceeds cap")
-                span.add(x)
-                frontier.append(x)
+    """The set S of n x n matrices that the generators span under addition
+    and multiplication: the additive span of every product of generators.
+
+    Built by coset extension (`extend_span`): S starts as the span of the
+    generators, and each element that extended it is multiplied on the
+    right by each generator that did, the product extending S in turn.  S
+    is then spanned by products of generators and S*g lies in S for each
+    generator g, so S is closed under products; neither commutativity nor
+    an identity is assumed.  Raises CapExceeded once S would pass `cap`
+    elements, which refuses an infinite subring after a few products.
+    """
+    message = "generated subring exceeds cap"
+    span = {Mat.zero(ring, n)}
+    # a generator in the span of the earlier ones is a sum of them, and so
+    # are its products
+    spanning = [g for g in gens if extend_span(span, g, cap, message)]
+    queue = list(spanning)
+    for x in queue:  # grows while it is walked
+        for g in spanning:
+            y = x * g
+            if extend_span(span, y, cap, message):
+                queue.append(y)
     return span
 
 

@@ -22,6 +22,24 @@ class Mat:
             raise ValueError("ragged matrix")
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, ring: Ring, entries: tuple, rows: int, cols: int) -> "Mat":
+        """Wrap `entries`, already a tuple of `rows` tuples of length `cols`,
+        without copying or checking them: for results of operations on
+        matrices that were checked when they were built.  A matrix with no
+        rows has no columns, as in `__init__`."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.entries = entries
+        m.rows = rows
+        m.cols = cols if rows else 0
+        m._hash = None
+        return m
+
+    def _check_same_shape(self, other: "Mat") -> None:
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+
     @staticmethod
     def zero(ring: Ring, rows: int, cols: int | None = None) -> "Mat":
         cols = rows if cols is None else cols
@@ -61,28 +79,30 @@ class Mat:
         return self._hash
 
     def __add__(self, other: "Mat") -> "Mat":
+        self._check_same_shape(other)
         add = self.ring.add
-        return Mat(
+        return Mat._trusted(
             self.ring,
-            [
-                [add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
+            tuple([tuple(map(add, ra, rb)) for ra, rb in zip(self.entries, other.entries)]),
+            self.rows,
+            self.cols,
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
+        self._check_same_shape(other)
         sub = self.ring.sub
-        return Mat(
+        return Mat._trusted(
             self.ring,
-            [
-                [sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
+            tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(self.entries, other.entries)]),
+            self.rows,
+            self.cols,
         )
 
     def __neg__(self) -> "Mat":
         neg = self.ring.neg
-        return Mat(self.ring, [[neg(a) for a in row] for row in self.entries])
+        return Mat._trusted(
+            self.ring, tuple([tuple(map(neg, row)) for row in self.entries]), self.rows, self.cols
+        )
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -99,16 +119,26 @@ class Mat:
                     if a != zero and b != zero:
                         acc = add(acc, mul(a, b))
                 orow.append(acc)
-            out.append(orow)
-        return Mat(R, out)
+            out.append(tuple(orow))
+        return Mat._trusted(R, tuple(out), self.rows, other.cols)
 
     def scale_left(self, c) -> "Mat":
         mul = self.ring.mul
-        return Mat(self.ring, [[mul(c, a) for a in row] for row in self.entries])
+        return Mat._trusted(
+            self.ring,
+            tuple([tuple([mul(c, a) for a in row]) for row in self.entries]),
+            self.rows,
+            self.cols,
+        )
 
     def scale_right(self, c) -> "Mat":
         mul = self.ring.mul
-        return Mat(self.ring, [[mul(a, c) for a in row] for row in self.entries])
+        return Mat._trusted(
+            self.ring,
+            tuple([tuple([mul(a, c) for a in row]) for row in self.entries]),
+            self.rows,
+            self.cols,
+        )
 
     def scale_sign(self, eps: int) -> "Mat":
         if eps == 1:
@@ -127,7 +157,12 @@ class Mat:
     def star(self) -> "Mat":
         """Conjugate transpose; realizes the dual of a map once A^n = (A^n)*."""
         conj = self.ring.conj
-        return Mat(self.ring, [[conj(a) for a in col] for col in zip(*self.entries)])
+        return Mat._trusted(
+            self.ring,
+            tuple([tuple(map(conj, col)) for col in zip(*self.entries)]),
+            self.cols,
+            self.rows,
+        )
 
     def is_zero(self) -> bool:
         z = self.ring.zero

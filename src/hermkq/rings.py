@@ -878,8 +878,14 @@ class PolySRing(Ring):
         return json.dumps([self.base.to_str(c) for c in a], separators=(",", ":"))
 
     def from_str(self, s):
-        coeffs = [self.base.from_str(c) for c in json.loads(s)]
-        return _poly_trim_ring(coeffs, self.base)
+        """A JSON list of coefficients, lowest degree first, each written as
+        a base-ring string or an integer: '["1","w"]' or '[1,0,2]'."""
+        coeffs = json.loads(s) if isinstance(s, str) else None
+        if not isinstance(coeffs, list) or any(
+            isinstance(c, bool) or not isinstance(c, (str, int)) for c in coeffs
+        ):
+            raise ValueError(f"bad PolyS element {s!r}: expected a JSON list of coefficients")
+        return _poly_trim_ring([self.base.from_str(str(c)) for c in coeffs], self.base)
 
     def to_json(self):
         out = {"kind": "PolyS", "base": self.base.to_json()}

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from hermkq.additive import solve_affine
@@ -7,6 +10,7 @@ from hermkq.clauwens import (
     DeltaDatum,
     MatPoly,
     PolyQuadForm,
+    _generated_subring,
     _poly_unit,
     cup_product,
     kappa_hermitian_two_ways,
@@ -18,6 +22,7 @@ from hermkq.clauwens import (
     projector_conjugator,
     sqrt_one_plus_nu_t,
 )
+from hermkq.cli import main
 from hermkq.forms import DegenerateFormError, QuadFormEl, hyperbolic, min_equal
 from hermkq.linalg import Mat, _det_comm, all_matrices, block, invert, kron
 from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, PolySRing, Zn
@@ -401,3 +406,99 @@ def test_library_surface_of_the_benchmark():
     assert [s["kind"] for s in transcript] == ["degree_reduction", "constant_elimination"]
     assert hk.linearize_cup_soundness(theta, almost, transcript, delta) is True
     assert almost.index == 3 and almost.g.rows == 6
+
+
+def _subring_oracle(ring, n, gens, cap):
+    """The closure under +, * on both sides, listed element by element."""
+    span = set(gens)
+    span.add(Mat.zero(ring, n))
+    frontier = list(span)
+    while frontier:
+        cur = frontier.pop()
+        new = []
+        for g in list(span):
+            new.append(cur + g)
+            new.append(cur * g)
+            new.append(g * cur)
+        for x in new:
+            if x not in span:
+                if len(span) >= cap:
+                    raise CapExceeded("generated subring exceeds cap")
+                span.add(x)
+                frontier.append(x)
+    return span
+
+
+def _subring_or_refusal(ring, n, gens, cap, closure):
+    try:
+        return closure(ring, n, gens, cap)
+    except CapExceeded as exc:
+        assert str(exc) == "generated subring exceeds cap"
+        return None
+
+
+SUBRING_RINGS = [
+    ("F2", F2_, 3), ("Z4", Zn(4), 2), ("Z8", Zn(8), 2), ("Z9", Zn(9), 2),
+    ("Dual-F2", DualRing(F2_), 2), ("F3", Fp(3), 2), ("Mat2-F2", Mat2Ring(F2_), 1),
+]
+
+
+@pytest.mark.parametrize("ring,n", [(r, n) for _, r, n in SUBRING_RINGS],
+                         ids=[k for k, _, _ in SUBRING_RINGS])
+def test_generated_subring_matches_the_closure_oracle(ring, n):
+    # the oracle costs |S|^2 products, so its cap stays small; refusing at
+    # the same cap is part of the match
+    cap = 128
+    rng = random.Random(n * 1009 + ring.size)
+    elems = ring.elements()
+    sizes = []
+    for k in range(8):
+        gens = [Mat(ring, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
+                for _ in range(1 + k % 2)]
+        if k % 4 == 3:
+            gens.append(Mat.identity(ring, n))
+        expected = _subring_or_refusal(ring, n, gens, cap, _subring_oracle)
+        got = _subring_or_refusal(ring, n, gens, cap, _generated_subring)
+        assert got == expected
+        if got is None:
+            continue
+        sizes.append(len(got))
+        assert _generated_subring(ring, n, gens, cap=len(got)) == got
+        if len(got) == 1:
+            continue  # {0} is never refused, by either
+        with pytest.raises(CapExceeded, match="generated subring exceeds cap"):
+            _generated_subring(ring, n, gens, cap=len(got) - 1)
+    assert max(sizes) > 4
+
+
+def test_generated_subring_of_a_noncommutative_ring_without_identity():
+    m2 = Mat2Ring(F2_)
+    a = Mat(m2, [[m2.from_str('[["0","1"],["0","0"]]')]])
+    b = Mat(m2, [[m2.from_str('[["0","0"],["1","0"]]')]])
+    # e12 and e21 generate all of M2(F2), with no identity among the generators
+    assert _generated_subring(m2, 1, [a, b]) == set(all_matrices(m2, 1, 1))
+    assert _generated_subring(m2, 1, [a]) == {Mat.zero(m2, 1), a}
+
+
+def test_sqrt_over_polys_z9_with_a_constant_split_unit():
+    # nu = 3(s - s^2) is self-adjoint (conj(s) = 1 - s) with nu^2 = 0; the
+    # subring of 1, 5 and nu is Z/9 + Z/3 * nu, which no additive basis of
+    # the infinite ring A[s] describes
+    ps = PolySRing(Zn(9))
+    nu = Mat(ps, [[(0, 3, 6)]])
+    gamma, rep = sqrt_one_plus_nu_t(nu, (5,))
+    assert rep["passed"] and rep["coefficients_in_generated_subring"]
+    ident = Mat.identity(ps, 1)
+    assert len(_generated_subring(ps, 1, [ident, ident.scale_left((5,)), nu])) == 27
+    code = main(["clauwens", "sqrt-nilpotent", "--ring", json.dumps(ps.to_json()),
+                 "--nu", json.dumps(nu.to_strs()), "--split-unit", "[5]"])
+    assert code == 0
+
+
+def test_generated_subring_of_an_infinite_ring_is_refused():
+    # 1 and s span Z/9[s], which has no finite size; the span passes the cap
+    # after a few powers of s
+    ps = PolySRing(Zn(9))
+    gens = [Mat(ps, [[c]]) for c in ((1,), (0, 1), (3,))]
+    with pytest.raises(CapExceeded, match="generated subring exceeds cap"):
+        _generated_subring(ps, 1, gens, cap=4096)

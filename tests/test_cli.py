@@ -285,3 +285,40 @@ def test_form_check_min_over_z9_past_the_span_cap(capsys):
     assert code == 1  # an alternating form of odd rank is degenerate
     assert doc["report"]["nondegenerate"] is False
     assert doc["report"]["min_canonical"] == [["0", "0", "0"], ["7", "0", "0"], ["4", "6", "0"]]
+
+
+def test_malformed_polys_entry_is_bad_input(capsys):
+    # a PolyS element is a JSON list of coefficients; "1" is not one
+    form = json.dumps({"ring": {"kind": "PolyS", "base": {"kind": "Fp", "p": 2}},
+                       "epsilon": 1, "variant": "el", "matrix": [["1"]]})
+    code, out = run(capsys, "form-check", "--form", form)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "bad-input" and "list of coefficients" in err["message"]
+
+
+def test_clauwens_projectors_over_z8192(capsys):
+    # the ideal 4096*M2 has 16 elements in a ring of 8192: its span is
+    # listed from the generators, never from an additive basis of the ring
+    ideal = json.dumps([
+        [["4096", "0"], ["0", "0"]], [["0", "4096"], ["0", "0"]],
+        [["0", "0"], ["4096", "0"]], [["0", "0"], ["0", "4096"]],
+    ])
+    code, out = run(capsys, "clauwens", "conjugate-projectors",
+                    "--ring", '{"kind":"Zn","n":8192}',
+                    "--p0", '[["1","0"],["0","0"]]',
+                    "--p1", '[["1","4096"],["4096","0"]]',
+                    "--ideal", ideal)
+    assert code == 0
+    assert json.loads(out)["report"]["passed"] is True
+
+
+def test_clauwens_sqrt_with_a_polynomial_split_unit_is_refused_by_the_cap(capsys):
+    # lambda = s generates all of Z/9[s]; the subring check stops once its
+    # span passes the cap, after a handful of powers of s
+    code, out = run(capsys, "clauwens", "sqrt-nilpotent",
+                    "--ring", '{"kind":"PolyS","base":{"kind":"Zn","n":9}}',
+                    "--nu", '[["[0,3,6]"]]', "--split-unit", "[0,1]")
+    assert code == 2
+    err = json.loads(out)
+    assert err == {"error": "cap-exhausted", "message": "generated subring exceeds cap"}

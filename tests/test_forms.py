@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from hermkq.additive import MatSubgroup, _basis_mats, additive_basis
+from hermkq.additive import MatSubgroup, _basis_mats, additive_basis, extend_span
+from hermkq.caps import CapExceeded
 from hermkq.forms import (
     DegenerateFormError,
     HermForm,
@@ -312,3 +313,60 @@ def test_min_canonical_over_z9_past_the_span_cap():
     assert shifts.coset_canonical(fresh.phi0).ring is fresh.ring
     assert fresh.min_canonical().ring is fresh.ring
     assert all(m.ring is fresh.ring for m in shift_subgroup(fresh.ring, -1, 2).coset_reps_all())
+
+
+def _span_oracle(ring, rows, cols, generators):
+    """Every sum of generators, reached one addition at a time."""
+    span = {Mat.zero(ring, rows, cols)}
+    frontier = list(span)
+    while frontier:
+        cur = frontier.pop()
+        for g in generators:
+            nxt = cur + g
+            if nxt not in span:
+                span.add(nxt)
+                frontier.append(nxt)
+    return span
+
+
+COMPOSITE_RINGS = [("Z4", Zn(4)), ("Z8", Zn(8)), ("Z9", Zn(9)), ("Dual-Z4", DualRing(Zn(4)))]
+
+
+@pytest.mark.parametrize("ring", [r for _, r in COMPOSITE_RINGS],
+                         ids=[k for k, _ in COMPOSITE_RINGS])
+def test_composite_span_matches_a_plain_search(ring):
+    rng = random.Random(ring.size)
+    elems = ring.elements()
+    zero = Mat.zero(ring, 2, 3)
+
+    def rand():
+        return Mat(ring, [[rng.choice(elems) for _ in range(3)] for _ in range(2)])
+
+    g, h = rand(), rand()
+    cases = [[], [zero], [g, g], [g, zero, h, g + h], [g.scale_left(ring.int_embed(2))]]
+    cases += [[rand() for _ in range(k)] for k in (1, 2, 3)]
+    for gens in cases:
+        sub = MatSubgroup(ring, 2, 3, gens)
+        expected = _span_oracle(ring, 2, 3, gens)
+        assert sub.size == len(expected)
+        assert sub.elements() == sorted(expected, key=Mat.key)
+        assert all(sub.contains(m) == (m in expected) for m in [rand() for _ in range(20)])
+        assert MatSubgroup(ring, 2, 3, gens, cap=sub.size).size == sub.size
+        if sub.size > 1:
+            with pytest.raises(CapExceeded, match="subgroup span exceeds cap"):
+                MatSubgroup(ring, 2, 3, gens, cap=sub.size - 1)
+
+
+def test_extend_span_reports_growth_and_keeps_a_subgroup():
+    z8 = Zn(8)
+
+    def m(*xs):
+        return {Mat(z8, [[x]]) for x in xs}
+
+    span = m(0)
+    assert extend_span(span, Mat(z8, [[4]]), 8, "cap") and span == m(0, 4)
+    assert not extend_span(span, Mat(z8, [[4]]), 8, "cap")
+    assert extend_span(span, Mat(z8, [[6]]), 8, "cap") and span == m(0, 2, 4, 6)
+    with pytest.raises(CapExceeded, match="^too big$"):
+        extend_span(span, Mat(z8, [[1]]), 7, "too big")
+    assert extend_span(span, Mat(z8, [[3]]), 8, "cap") and span == m(*range(8))
