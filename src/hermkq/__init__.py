@@ -30,7 +30,6 @@ from .linalg import (
     kron,
     nilpotency_index,
     rank_over_field,
-    solve_linear,
 )
 from .forms import (
     DegenerateFormError,

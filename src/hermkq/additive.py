@@ -3,18 +3,19 @@
 Every shipped finite ring has additive group isomorphic to (Z/char)^d with a
 basis discoverable by a greedy scan.  That turns additive constraints in
 matrix unknowns (all the "does there exist gamma" conditions) into linear
-systems: mod-p Gaussian elimination when char is prime, integer Smith form
-otherwise.
+systems over Z/char, prime or not, which one Howell-form echelon
+(`snf.Echelon`, `snf.solve_mod`) solves exactly.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import isqrt, prod
 
 from .caps import CapExceeded, check_cap
 from .linalg import Mat
 from .rings import Ring
-from .snf import solve_mod
+from .snf import Echelon, solve_mod
 
 _BASIS_CACHE: dict = {}
 
@@ -108,56 +109,7 @@ def mat_from_coords(basis: AdditiveBasis, rows: int, cols: int, vec) -> Mat:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-class _EchelonModP:
-    """Row-echelon basis of a subspace of (Z/p)^n with reduction."""
-
-    def __init__(self, p: int, n: int):
-        self.p = p
-        self.n = n
-        self.pivots: list[tuple[int, tuple]] = []  # (pivot index, normalized row)
-
-    def reduce(self, vec):
-        v = list(vec)
-        p = self.p
-        for piv, row in self.pivots:
-            c = v[piv] % p
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        return tuple(x % p for x in v)
-
-    def add(self, vec) -> bool:
-        v = self.reduce(vec)
-        for i, x in enumerate(v):
-            if x % self.p:
-                inv = pow(x, -1, self.p)
-                row = tuple((inv * y) % self.p for y in v)
-                # keep existing rows reduced against the new pivot so that
-                # reduction is order-independent and reps are canonical
-                updated = []
-                for piv, old in self.pivots:
-                    c = old[i] % self.p
-                    if c:
-                        old = tuple((x0 - c * y0) % self.p for x0, y0 in zip(old, row))
-                    updated.append((piv, old))
-                self.pivots = updated
-                self.pivots.append((i, row))
-                self.pivots.sort()
-                return True
-        return False
-
-    @property
-    def rank(self):
-        return len(self.pivots)
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def extend_span(span: set, x, limit: int, message: str) -> bool:
@@ -186,9 +138,10 @@ def extend_span(span: set, x, limit: int, message: str) -> bool:
 class MatSubgroup:
     """Additive subgroup of rows x cols matrices spanned by given generators.
 
-    In prime characteristic it is a row-echelon basis of coordinate vectors.
-    Otherwise it is the listed span, built by `extend_span` one generator at
-    a time and refused past `cap` elements (2^16 by default).
+    In prime characteristic it is a Howell echelon (`snf.Echelon`) of
+    coordinate vectors, whose pivots are all 1.  Otherwise it is the listed
+    span, built by `extend_span` one generator at a time and refused past
+    `cap` elements (2^16 by default).
     """
 
     def __init__(self, ring: Ring, rows: int, cols: int, generators, cap: int | None = None):
@@ -200,11 +153,11 @@ class MatSubgroup:
         self._basis = None
         if _is_prime(ring.char):
             self._basis = additive_basis(ring)
-            ech = _EchelonModP(ring.char, rows * cols * self._basis.dim)
+            ech = Echelon(ring.char, rows * cols * self._basis.dim)
             for g in generators:
                 ech.add(mat_coords(self._basis, g))
             self._echelon = ech
-            self.size = ring.char**ech.rank
+            self.size = ech.size
         else:
             span = {Mat.zero(ring, rows, cols)}
             limit = cap if cap is not None else 2**16
@@ -212,6 +165,9 @@ class MatSubgroup:
                 extend_span(span, g, limit, "subgroup span exceeds cap")
             self._span = span
             self.size = len(span)
+
+    def _from_coords(self, vec) -> Mat:
+        return mat_from_coords(self._basis, self.rows, self.cols, vec)
 
     def contains(self, m: Mat) -> bool:
         if self._echelon is not None:
@@ -221,8 +177,7 @@ class MatSubgroup:
     def coset_canonical(self, m: Mat) -> Mat:
         """Deterministic representative of m + span."""
         if self._echelon is not None:
-            vec = self._echelon.reduce(mat_coords(self._basis, m))
-            return mat_from_coords(self._basis, self.rows, self.cols, vec)
+            return self._from_coords(self._echelon.reduce(mat_coords(self._basis, m)))
         best = None
         for s in sorted(self._span, key=Mat.key):
             cand = m + s
@@ -231,21 +186,14 @@ class MatSubgroup:
         return best
 
     def coset_reps_all(self, cap: int | None = None):
-        """Every canonical coset representative (vectors vanishing on the
-        pivot coordinates for prime characteristic)."""
+        """Every canonical coset representative (in prime characteristic the
+        vectors vanishing on the pivot coordinates)."""
         if self._echelon is not None:
-            p = self.ring.char
-            n = self.rows * self.cols * self._basis.dim
-            pivots = {piv for piv, _ in self._echelon.pivots}
-            free = [i for i in range(n) if i not in pivots]
-            check_cap(p ** len(free), "coset representative enumeration", cap)
-            out = []
-            for vals in product(range(p), repeat=len(free)):
-                vec = [0] * n
-                for i, v in zip(free, vals):
-                    vec[i] = v
-                out.append(mat_from_coords(self._basis, self.rows, self.cols, vec))
-            return sorted(out, key=Mat.key)
+            ech = self._echelon
+            ranges = [range(ech.rows[j][j] if j in ech.rows else ech.modulus)
+                      for j in range(ech.n)]
+            check_cap(prod(map(len, ranges)), "coset representative enumeration", cap)
+            return sorted((self._from_coords(vec) for vec in product(*ranges)), key=Mat.key)
         from .linalg import all_matrices
 
         seen = set()
@@ -260,16 +208,12 @@ class MatSubgroup:
     def elements(self):
         if self._span is not None:
             return sorted(self._span, key=Mat.key)
-        p = self.ring.char
-        combos = []
-        rows = [row for _, row in self._echelon.pivots]
-        check_cap(p ** len(rows), "subgroup enumeration")
-        for ks in product(range(p), repeat=len(rows)):
-            vec = [0] * (self.rows * self.cols * self._basis.dim)
-            for k, row in zip(ks, rows):
-                vec = [(x + k * y) % p for x, y in zip(vec, row)]
-            combos.append(mat_from_coords(self._basis, self.rows, self.cols, vec))
-        return sorted(combos, key=Mat.key)
+        check_cap(self.size, "subgroup enumeration")
+        span = {Mat.zero(self.ring, self.rows, self.cols)}
+        for j in self._echelon.pivots:
+            extend_span(span, self._from_coords(self._echelon.rows[j]), self.size,
+                        "subgroup enumeration")
+        return sorted(span, key=Mat.key)
 
 
 def _basis_mats(basis: AdditiveBasis, rows: int, cols: int):
@@ -284,101 +228,42 @@ def _basis_mats(basis: AdditiveBasis, rows: int, cols: int):
     return out
 
 
-def _solve_mod_p(p, columns, target, all_solutions, cap):
-    """Solve sum_k x_k * columns[k] = target over Z/p; deterministic output."""
-    n_rows = len(target)
-    n_cols = len(columns)
-    aug = [[columns[k][r] % p for k in range(n_cols)] + [target[r] % p] for r in range(n_rows)]
-    # Gauss-Jordan
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = None
-        for rr in range(r, n_rows):
-            if aug[rr][c] % p:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(inv * x) % p for x in aug[r]]
-        for rr in range(n_rows):
-            if rr != r and aug[rr][c] % p:
-                f = aug[rr][c]
-                aug[rr] = [(x - f * y) % p for x, y in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    for rr in range(r, n_rows):
-        if aug[rr][n_cols] % p:
-            return None, []
-    particular = [0] * n_cols
-    for row_i, c in enumerate(pivots):
-        particular[c] = aug[row_i][n_cols]
-    free = [c for c in range(n_cols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [0] * n_cols
-        vec[fc] = 1
-        for row_i, c in enumerate(pivots):
-            vec[c] = (-aug[row_i][fc]) % p
-        kernel.append(vec)
-    return particular, kernel
+def _solve_mod_p(modulus, columns, target):
+    """`snf.solve_mod` of sum_k x_k * columns[k] = target, for every modulus.
+    A system without equations gets the equation 0 = 0, which keeps the
+    number of unknowns."""
+    mat = [[col[r] for col in columns] for r in range(len(target))] or [[0] * len(columns)]
+    return solve_mod(mat, list(target) or [0], modulus)
 
 
 def solve_affine(ring, shape, fun, target, all_solutions=True, cap=None):
     """Matrices X with fun(X) = target, fun affine-additive in X.
 
-    Returns a sorted list of Mat (empty when unsolvable).  With
-    all_solutions=False only the canonical particular solution is returned.
+    The system is written in the coordinates of the ring's additive basis,
+    entry by entry in row-major order, and solved over Z/char by
+    `snf.solve_mod`.  Returns a sorted list of Mat (empty when unsolvable).
+    With all_solutions=False only the canonical particular solution is
+    returned: in those coordinates, every unknown without a pivot is 0, and
+    each pivot unknown, from the last to the first, takes the least residue
+    that solves its row.  It depends only on the solution set.
     """
     rows, cols = shape
-    zero = Mat.zero(ring, rows, cols)
-    const = fun(zero)
-    rhs = target - const
-    if ring.size is not None and not _is_prime(ring.char) and ring.size ** (rows * cols) <= 4096:
-        # tiny non-prime cases: honest brute force
-        from .linalg import all_matrices
-
-        sols = [x for x in all_matrices(ring, rows, cols) if fun(x) == target]
-        return sorted(sols, key=Mat.key)
+    const = fun(Mat.zero(ring, rows, cols))
     basis = additive_basis(ring)
-    bmats = _basis_mats(basis, rows, cols)
-    columns = [mat_coords(basis, fun(b) - const) for b in bmats]
-    tvec = mat_coords(basis, rhs)
-    c = ring.char
-    if _is_prime(c):
-        particular, kernel = _solve_mod_p(c, columns, tvec, all_solutions, cap)
-    else:
-        mat_rows = [[col[r] for col in columns] for r in range(len(tvec))]
-        particular, kernel = solve_mod(mat_rows, list(tvec), c)
+    columns = [mat_coords(basis, fun(b) - const) for b in _basis_mats(basis, rows, cols)]
+    particular, kernel = _solve_mod_p(ring.char, columns, mat_coords(basis, target - const))
     if particular is None:
         return []
-
-    def combo_to_mat(coeffs):
-        acc = zero
-        for k, b in zip(coeffs, bmats):
-            k = k % c
-            cur = b
-            while k:
-                if k & 1:
-                    acc = acc + cur
-                cur = cur + cur
-                k >>= 1
-        return acc
-
-    base_sol = combo_to_mat(particular)
-    if not all_solutions:
-        return [base_sol]
-    if not kernel:
-        return [base_sol]
-    check_cap(c ** len(kernel), "solution enumeration", cap)
-    sols = set()
-    for ks in product(range(c), repeat=len(kernel)):
-        coeffs = list(particular)
-        for k, kv in zip(ks, kernel):
-            coeffs = [x + k * y for x, y in zip(coeffs, kv)]
-        sols.add(combo_to_mat(coeffs))
+    sols = [mat_from_coords(basis, rows, cols, particular)]
+    if not all_solutions or not kernel:
+        return sols
+    check_cap(prod(order for _, order in kernel), "solution enumeration", cap)
+    # mixed radix: a generator g of order o adds the layers s + g, ..., s + (o-1)g
+    for vec, order in kernel:
+        g = mat_from_coords(basis, rows, cols, vec)
+        layer = sols
+        sols = list(sols)
+        for _ in range(order - 1):
+            layer = [m + g for m in layer]
+            sols.extend(layer)
     return sorted(sols, key=Mat.key)

@@ -274,9 +274,13 @@ def lemma2_shift(theta: PolyQuadForm, z: Mat, d: DeltaDatum | None = None):
     equal in the min category.
     """
     shifted = theta.theta + z - z.star().scale_sign(theta.eps)
-    theta2 = PolyQuadForm(theta.ring, theta.eps, shifted)
+    theta2 = PolyQuadForm(theta.ring, theta.eps, shifted, check=False)
     if theta2.hermitian() != theta.hermitian():
         raise AssertionError("shift changed the hermitian part")
+    # the same hermitian part, so theta's verdict is theta2's
+    if not theta.nondegenerate():
+        raise DegenerateFormError("hermitian part is not invertible over A[s]")
+    theta2._nondegenerate = True
     witness = None
     if d is not None:
         kappa = cup_product(theta, d).phi0

@@ -62,7 +62,7 @@ class ShiftSubgroup:
     entry to the canonical representative of m_ii + Lambda.
 
     This is the representative the generic MatSubgroup picks.  In prime
-    characteristic that is the reduced echelon form over row-major
+    characteristic that is the echelon reduction over row-major
     coordinates: the pivots of a pair sit at (i, j), which comes first, so
     t = 0, and the pieces have disjoint coordinates, so the diagonal pivots
     are those of Lambda alone.  In composite characteristic it is the least

@@ -226,33 +226,38 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(R, out)
 
 
+def _gauss_jordan(R: Ring, a: list, width: int) -> int:
+    """Bring the rows `a` (lists over the field R) to reduced row echelon form
+    in the first `width` columns, in place; return the rank."""
+    zero, mul, sub = R.zero, R.mul, R.sub
+    rank = 0
+    for col in range(width):
+        if rank == len(a):
+            break
+        for r in range(rank, len(a)):
+            if a[r][col] != zero:
+                break
+        else:
+            continue
+        a[rank], a[r] = a[r], a[rank]
+        pinv = R.inv(a[rank][col])
+        prow = a[rank] = [mul(pinv, x) for x in a[rank]]
+        for i, row in enumerate(a):
+            f = row[col]
+            if i != rank and f != zero:
+                a[i] = [sub(x, mul(f, y)) for x, y in zip(row, prow)]
+        rank += 1
+    return rank
+
+
 def _field_inverse(m: Mat) -> Mat | None:
+    """Gauss-Jordan on [m | 1]: the right half becomes m^-1 when m has full rank."""
     R = m.ring
     n = m.rows
-    a = [list(row) for row in m.entries]
-    inv = [list(row) for row in Mat.identity(R, n).entries]
-    zero = R.zero
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != zero:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        pinv = R.inv(a[col][col])
-        if pinv is None:
-            return None
-        a[col] = [R.mul(pinv, x) for x in a[col]]
-        inv[col] = [R.mul(pinv, x) for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != zero:
-                f = a[r][col]
-                a[r] = [R.sub(x, R.mul(f, y)) for x, y in zip(a[r], a[col])]
-                inv[r] = [R.sub(x, R.mul(f, y)) for x, y in zip(inv[r], inv[col])]
-    return Mat(R, inv)
+    a = [list(row) + list(ident) for row, ident in zip(m.entries, Mat.identity(R, n).entries)]
+    if _gauss_jordan(R, a, n) < n:
+        return None
+    return Mat(R, [row[n:] for row in a])
 
 
 def _det_comm(m: Mat):
@@ -315,9 +320,11 @@ def _adjugate_inverse(m: Mat) -> Mat | None:
 def invert(m: Mat, cap: int | None = None) -> Mat | None:
     """Two-sided inverse of m, or None.
 
-    Fields use Gauss-Jordan; other commutative rings the adjugate (the
-    matrix is invertible iff its determinant is a unit); noncommutative
-    rings solve the additive system m*X = 1 exactly and confirm X*m = 1.
+    Fields use Gauss-Jordan on [m | 1]; other commutative rings the
+    adjugate (the matrix is invertible iff its determinant is a unit);
+    noncommutative rings solve the additive system m*X = 1 over Z/char with
+    `additive.solve_affine` (a Howell echelon, exact in every
+    characteristic) and confirm X*m = 1.
     """
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
@@ -392,32 +399,9 @@ def nilpotency_index(m: Mat) -> int | None:
 
 def rank_over_field(m: Mat) -> int:
     """Row rank by Gaussian elimination; the ring must be a field."""
-    R = m.ring
-    if not R.is_field:
+    if not m.ring.is_field:
         raise ValueError("rank needs a field")
-    a = [list(row) for row in m.entries]
-    zero = R.zero
-    rank = 0
-    col = 0
-    while rank < m.rows and col < m.cols:
-        pivot = None
-        for r in range(rank, m.rows):
-            if a[r][col] != zero:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pinv = R.inv(a[rank][col])
-        a[rank] = [R.mul(pinv, x) for x in a[rank]]
-        for r in range(m.rows):
-            if r != rank and a[r][col] != zero:
-                f = a[r][col]
-                a[r] = [R.sub(x, R.mul(f, y)) for x, y in zip(a[r], a[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return _gauss_jordan(m.ring, [list(row) for row in m.entries], m.cols)
 
 
 def all_matrices(ring: Ring, rows: int, cols: int, cap: int | None = None):
@@ -428,22 +412,3 @@ def all_matrices(ring: Ring, rows: int, cols: int, cap: int | None = None):
     elems = ring.elements()
     for flat in product(elems, repeat=rows * cols):
         yield Mat(ring, [flat[i * cols: (i + 1) * cols] for i in range(rows)])
-
-
-def solve_linear(ring, shape, fun, target=None, all_solutions=True, cap=None):
-    """All matrices X of the given shape with fun(X) = target.
-
-    fun must be additive up to a constant (an affine matrix expression such
-    as A*X*B + C*X.star()*D + E); target defaults to zero.  Fields and
-    prime-characteristic rings are solved by linearization; other finite
-    rings fall back to capped brute force.  The result is sorted, hence
-    deterministic.
-    """
-    from .additive import solve_affine
-
-    rows, cols = shape
-    if target is None:
-        target = Mat.zero(ring, 1, 1)
-        probe = fun(Mat.zero(ring, rows, cols))
-        target = Mat.zero(ring, probe.rows, probe.cols)
-    return solve_affine(ring, shape, fun, target, all_solutions=all_solutions, cap=cap)

@@ -19,6 +19,13 @@ from .caps import CapExceeded, check_cap
 _TABLE_LIMIT = 256  # build full add/mul lookup tables for rings up to this size
 
 
+def _text(s, kind: str) -> str:
+    """s itself; every element encoding is a string, anything else is bad input."""
+    if not isinstance(s, str):
+        raise ValueError(f"bad {kind} element {s!r}: expected a string")
+    return s
+
+
 @dataclass
 class InvolutionReport:
     """Result of checking the four involution axioms on a pair sample."""
@@ -281,7 +288,7 @@ class Fp(Ring):
         return str(a)
 
     def from_str(self, s):
-        return int(s) % self.p
+        return int(_text(s, self.kind)) % self.p
 
     def to_json(self):
         return {"kind": "Fp", "p": self.p}
@@ -334,7 +341,7 @@ class Zn(Ring):
         return str(a)
 
     def from_str(self, s):
-        return int(s) % self.n
+        return int(_text(s, self.kind)) % self.n
 
     def to_json(self):
         return {"kind": "Zn", "n": self.n}
@@ -514,7 +521,7 @@ class Fq(Ring):
     _TERM_RE = re.compile(r"^(?:(\d+)\*)?w(?:\^(\d+))?$|^(\d+)$")
 
     def from_str(self, s):
-        s = s.strip()
+        s = _text(s, self.kind).strip()
         digits = [0] * self.deg
         if s == "0":
             return 0
@@ -618,7 +625,7 @@ class DualRing(Ring):
         return f"{_wrap(sa)}+{_wrap(sb)}*e"
 
     def from_str(self, s):
-        s = s.strip()
+        s = _text(s, self.kind).strip()
         B = self.base
         if s.endswith("*e"):
             body = s[:-2]
@@ -710,7 +717,10 @@ class Mat2Ring(Ring):
         )
 
     def from_str(self, s):
-        rows = json.loads(s)
+        rows = json.loads(_text(s, self.kind))
+        if not (isinstance(rows, list) and len(rows) == 2
+                and all(isinstance(r, list) and len(r) == 2 for r in rows)):
+            raise ValueError(f"bad Mat2 element {s!r}: expected a 2x2 JSON list")
         B = self.base
         return (
             B.from_str(rows[0][0]),
@@ -771,7 +781,7 @@ class ProductOpRing(Ring):
         return f"({self.base.to_str(a[0])}|{self.base.to_str(a[1])})"
 
     def from_str(self, s):
-        s = s.strip()
+        s = _text(s, self.kind).strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise ValueError(f"bad ProductOp element: {s!r}")
         body = s[1:-1]
@@ -968,7 +978,10 @@ class TruncPolyRing(Ring):
         return json.dumps([self.base.to_str(c) for c in a], separators=(",", ":"))
 
     def from_str(self, s):
-        coeffs = [self.base.from_str(c) for c in json.loads(s)]
+        coeffs = json.loads(_text(s, self.kind))
+        if not isinstance(coeffs, list):
+            raise ValueError(f"bad TruncPoly element {s!r}: expected a JSON list")
+        coeffs = [self.base.from_str(c) for c in coeffs]
         if len(coeffs) > self.k:
             raise ValueError("too many coefficients")
         coeffs += [self.base.zero] * (self.k - len(coeffs))

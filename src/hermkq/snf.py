@@ -1,9 +1,12 @@
-"""Integer Smith normal form with unimodular transforms, plus lattice solvers.
-
-Small dense matrices only; everything is exact Python-int arithmetic.
+"""Integer Smith normal form, for invariant factors of finitely presented
+abelian groups, and the Howell-form echelon over Z/N that solves every
+linear system mod N, prime or not.  Small dense matrices, exact Python ints.
 """
 
 from __future__ import annotations
+
+from bisect import insort
+from math import gcd, prod
 
 
 def smith_normal_form(mat):
@@ -95,51 +98,135 @@ def invariant_factors(mat):
     return factors, free
 
 
-def _mat_vec(mat, vec):
-    return [sum(r * x for r, x in zip(row, vec)) for row in mat]
+class Echelon:
+    """Howell form of a subgroup of (Z/N)^n, grown one generator at a time
+    (Howell, Linear Algebra Appl. 1986; Storjohann & Mulders, ESA 1998).
+
+    `rows[j]` is the row leading at column j: zero before j, a divisor d of
+    N at j.  Howell property: every element of the span that is zero before
+    column j is a combination of the rows leading at j or later; it holds
+    because (N/d) * row, zero through j, is put in the span too.  Rows are
+    combined only by unimodular 2x2 steps from the extended gcd: dividing by
+    a pivot that is not a unit would be wrong over Z/6.  So `reduce`, which
+    takes each pivot coordinate to [0, d), gives one representative per
+    coset whatever the order of the generators, and the span has prod(N/d)
+    elements.  Over a prime every pivot is 1 and no gcd is taken.
+    """
+
+    def __init__(self, modulus: int, n: int):
+        self.modulus = modulus
+        self.n = n
+        self.rows: dict[int, list[int]] = {}
+        self.pivots: list[int] = []  # the columns of `rows`, ascending
+
+    @property
+    def size(self) -> int:
+        return prod(self.modulus // self.rows[j][j] for j in self.pivots)
+
+    def add(self, vec) -> None:
+        """Put vec in the span."""
+        N, rows = self.modulus, self.rows
+        pending = [[x % N for x in vec]]
+        while pending:
+            v = pending.pop()
+            for j in range(self.n):
+                a = v[j]
+                if not a:
+                    continue
+                row = rows.get(j)
+                if row is not None and a % row[j] == 0:
+                    q = a // row[j]
+                    v = [(x - q * y) % N for x, y in zip(v, row)]
+                    continue
+                if row is None:
+                    # lead with g = gcd(a, N); the rest of v, (N/g)*v, is zero through j
+                    try:
+                        g, s = 1, pow(a, -1, N)
+                    except ValueError:
+                        g = gcd(a, N)
+                        s = pow(a // g, -1, N // g)
+                    rows[j] = [s * x % N for x in v]
+                    insort(self.pivots, j)
+                    if g == 1:
+                        break
+                    v = [(N // g) * x % N for x in v]
+                    continue
+                # (v, row) -> (s*v + t*row, (d/g)*v - (a/g)*row), determinant -1
+                d = row[j]
+                g = gcd(a, d)
+                s = pow(a // g, -1, d // g)
+                t = (g - s * a) // d
+                rows[j] = [(s * x + t * y) % N for x, y in zip(v, row)]
+                v = [((d // g) * x - (a // g) * y) % N for x, y in zip(v, row)]
+                if g != 1:
+                    pending.append([(N // g) * x % N for x in rows[j]])
+
+    def reduce(self, vec) -> tuple:
+        """The canonical representative of vec + span."""
+        N = self.modulus
+        v = [x % N for x in vec]
+        for j in self.pivots:
+            row = self.rows[j]
+            q = v[j] // row[j]
+            if q:
+                v = [(x - q * y) % N for x, y in zip(v, row)]
+        return tuple(v)
 
 
-def solve_integer(mat, target):
-    """One integer solution x of mat*x = target, or None; also a kernel basis."""
-    d, u, v = smith_normal_form(mat)
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    b = _mat_vec(u, list(target))
-    y = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < n else 0
-        if di == 0:
-            if b[i] != 0:
-                return None, []
-        else:
-            if b[i] % di != 0:
-                return None, []
-            y[i] = b[i] // di
-    for i in range(m, len(b)):
-        if b[i] != 0:
-            return None, []
-    x = _mat_vec(v, y)
-    kernel = []
-    for j in range(n):
-        dj = d[j][j] if j < m else 0
-        if j >= m or dj == 0:
-            kernel.append([v[i][j] for i in range(n)])
-    return x, kernel
+def _back_substitute(ech: Echelon, presets) -> list:
+    """The x that holds the (coordinate, value) `presets` and is orthogonal
+    to every row, its pivot coordinates set from the last pivot up to the
+    least residue that solves their row (plus a preset there, a multiple of
+    N/d).  The Howell property makes each step solvable.  The rows must be
+    reduced above their pivots, so a unit pivot's column is zero in every
+    other row and adds no term to the dot products."""
+    N = ech.modulus
+    x = [0] * ech.n
+    terms = list(presets)  # the nonzero terms of x the rows still to come can see
+    for l, v in presets:
+        x[l] = v
+    for j in reversed(ech.pivots):
+        row = ech.rows[j]
+        c = 0
+        for l, v in terms:
+            c -= row[l] * v
+        c %= N
+        if c:
+            d = row[j]
+            x[j] = (x[j] + c // d) % N
+            if d != 1:
+                terms.append((j, c // d))
+    return x
 
 
 def solve_mod(mat, target, modulus):
-    """Solutions of mat*x = target (mod modulus): (particular, kernel gens mod modulus)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [list(mat[i]) + [modulus if j == i else 0 for j in range(m)] for i in range(m)]
-    x, kernel = solve_integer(aug, target)
-    if x is None:
+    """Solutions of mat*x = target over Z/modulus, mat given by rows.
+
+    Returns (particular, kernel), or (None, []) when a row of the Howell
+    echelon of [mat | target] leads in the target column.  The particular
+    solution is 0 at every non-pivot unknown and the least residue at each
+    pivot, from the last pivot up; it depends only on the solution set.
+    `kernel` holds (generator, order) pairs: order modulus for each
+    non-pivot unknown, order d for each pivot d > 1.  particular +
+    sum c_i * generator_i over 0 <= c_i < order_i lists every solution once.
+    """
+    n = len(mat[0]) if mat else 0
+    ech = Echelon(modulus, n + 1)
+    for row, b in zip(mat, target):
+        ech.add([*row, b])
+    rows = ech.rows
+    if n in rows:
         return None, []
-    part = [xi % modulus for xi in x[:n]]
-    gens = []
-    for k in kernel:
-        g = [ki % modulus for ki in k[:n]]
-        if any(g):
-            gens.append(g)
-    # reductions of the trivial modulus shifts e_i * modulus are already 0 mod modulus
-    return part, gens
+    for k, j in enumerate(ech.pivots):  # reduce the rows above each pivot
+        for i in ech.pivots[:k]:
+            q = rows[i][j] // rows[j][j]
+            if q:
+                rows[i] = [(x - q * y) % modulus for x, y in zip(rows[i], rows[j])]
+    particular = _back_substitute(ech, [(n, modulus - 1)])[:n]
+    kernel = []
+    for j in range(n):
+        order = rows[j][j] if j in rows else modulus
+        if order > 1:
+            start = 1 if j not in rows else modulus // order
+            kernel.append((_back_substitute(ech, [(j, start)])[:n], order))
+    return particular, kernel

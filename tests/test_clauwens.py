@@ -152,6 +152,13 @@ def test_lemma2_zero_shift():
     assert witness["gamma"].is_zero()
 
 
+def test_lemma2_refuses_degenerate_theta_built_unchecked():
+    # H(theta) = 0: the shift takes its verdict from theta itself
+    theta = PolyQuadForm.from_coeff_mats(F2_, 1, [Mat.zero(F2_, 2)], check=False)
+    with pytest.raises(DegenerateFormError):
+        lemma2_shift(theta, MatPoly(F2_, 2, 2, []), DELTA)
+
+
 def test_lemma2_monomial_and_degree2_shifts():
     g = HYP.associated().phi
     theta = PolyQuadForm.from_coeff_mats(F2_, 1, [Mat.zero(F2_, 2), g])

@@ -297,6 +297,42 @@ def test_malformed_polys_entry_is_bad_input(capsys):
     assert err["error"] == "bad-input" and "list of coefficients" in err["message"]
 
 
+_F2_SPEC = {"kind": "Fp", "p": 2}
+_EVERY_KIND = {
+    "Fp": _F2_SPEC,
+    "Zn": {"kind": "Zn", "n": 4},
+    "Fq": json.loads(RING_F4),
+    "Dual": {"kind": "Dual", "base": _F2_SPEC},
+    "Mat2": {"kind": "Mat2", "base": _F2_SPEC},
+    "ProductOp": {"kind": "ProductOp", "base": _F2_SPEC},
+    "TruncPoly": {"kind": "TruncPoly", "base": _F2_SPEC, "k": 2},
+    "PolyS": {"kind": "PolyS", "base": _F2_SPEC},
+}
+
+
+@pytest.mark.parametrize("entry", [["1"], None, {"a": 1}, 1, 1.5, True],
+                         ids=["list", "null", "object", "int", "float", "bool"])
+@pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+def test_non_string_entry_is_bad_input(capsys, kind, entry):
+    # every element encoding is a string (for PolyS, a string holding a list)
+    form = json.dumps({"ring": _EVERY_KIND[kind], "epsilon": 1, "variant": "el",
+                       "matrix": [[entry]]})
+    code, out = run(capsys, "form-check", "--form", form)
+    assert code == 2
+    assert json.loads(out)["error"] == "bad-input"
+
+
+@pytest.mark.parametrize("kind,entry", [("Mat2", '"1"'), ("Mat2", "[1]"), ("Mat2", '[["0","0"]]'),
+                                        ("TruncPoly", "5")])
+def test_malformed_json_element_is_bad_input(capsys, kind, entry):
+    # Mat2 and TruncPoly elements are strings holding a JSON list of a fixed shape
+    form = json.dumps({"ring": _EVERY_KIND[kind], "epsilon": 1, "variant": "el",
+                       "matrix": [[entry]]})
+    code, out = run(capsys, "form-check", "--form", form)
+    assert code == 2
+    assert json.loads(out)["error"] == "bad-input"
+
+
 def test_clauwens_projectors_over_z8192(capsys):
     # the ideal 4096*M2 has 16 elements in a ring of 8192: its span is
     # listed from the generators, never from an additive basis of the ring

@@ -357,6 +357,41 @@ def test_composite_span_matches_a_plain_search(ring):
                 MatSubgroup(ring, 2, 3, gens, cap=sub.size - 1)
 
 
+PRIME_RINGS = [("F2", F2()), ("F3", Fp(3)), ("F4", F4()), ("Dual-F2", DualRing(F2())),
+               ("Mat2-F2", Mat2Ring(F2()))]
+
+
+@pytest.mark.parametrize("ring", [r for _, r in PRIME_RINGS], ids=[k for k, _ in PRIME_RINGS])
+def test_prime_echelon_subgroup_matches_the_listed_span(ring):
+    # prime characteristic: membership, size, elements and coset
+    # representatives of the echelon against the listed span
+    rng = random.Random(ring.size)
+    elems = ring.elements()
+    zero = Mat.zero(ring, 2, 2)
+
+    def rand():
+        return Mat(ring, [[rng.choice(elems) for _ in range(2)] for _ in range(2)])
+
+    g, h = rand(), rand()
+    cases = [[], [zero], [g, g], [g, zero, h, g + h]]
+    cases += [[rand() for _ in range(k)] for k in (1, 2, 3)]
+    for gens in cases:
+        sub = MatSubgroup(ring, 2, 2, gens)
+        expected = _span_oracle(ring, 2, 2, gens)
+        assert sub.size == len(expected)
+        assert sub.elements() == sorted(expected, key=Mat.key)
+        probes = [rand() for _ in range(20)] + sorted(expected, key=Mat.key)[:3]
+        for m in probes:
+            assert sub.contains(m) == (m in expected)
+            rep = sub.coset_canonical(m)
+            assert rep - m in expected
+            assert all(sub.coset_canonical(m + s) == rep for s in expected)
+        if ring.size ** 4 <= 256:
+            reps = sub.coset_reps_all()
+            assert len(reps) * sub.size == ring.size ** 4
+            assert all(sub.coset_canonical(r) == r for r in reps)
+
+
 def test_extend_span_reports_growth_and_keeps_a_subgroup():
     z8 = Zn(8)
 

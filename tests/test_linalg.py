@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermkq.additive import solve_affine
 from hermkq.caps import scoped_cap
 from hermkq.linalg import (
     Mat,
@@ -12,10 +14,9 @@ from hermkq.linalg import (
     kron,
     nilpotency_index,
     rank_over_field,
-    solve_linear,
 )
 from hermkq.rings import DualRing, F2, F4, Fp, Mat2Ring, PolySRing, TruncPolyRing, Zn
-from hermkq.snf import invariant_factors, smith_normal_form, solve_integer, solve_mod
+from hermkq.snf import Echelon, invariant_factors, smith_normal_form, solve_mod
 
 
 def test_conj_transpose_examples():
@@ -79,27 +80,27 @@ def test_nilpotency_examples():
 
 def test_solve_linear_examples():
     f2 = F2()
-    sym = solve_linear(f2, (2, 2), lambda g: g - g.transpose())
+    sym = solve_affine(f2, (2, 2), lambda g: g - g.transpose(), Mat.zero(f2, 2))
     assert len(sym) == 8
     target = Mat.from_strs(f2, [["0", "1"], ["1", "0"]])
-    coset = solve_linear(f2, (2, 2), lambda g: g - g.transpose(), target)
+    coset = solve_affine(f2, (2, 2), lambda g: g - g.transpose(), target)
     assert len(coset) == 8
     for g in coset:
         assert g - g.transpose() == target
-    unsat = solve_linear(f2, (1, 1), lambda g: Mat.zero(f2, 1), Mat.from_strs(f2, [["1"]]))
+    unsat = solve_affine(f2, (1, 1), lambda g: Mat.zero(f2, 1), Mat.from_strs(f2, [["1"]]))
     assert unsat == []
 
 
 def test_solve_linear_deterministic_order():
     f2 = F2()
-    a = solve_linear(f2, (2, 2), lambda g: g - g.transpose())
-    b = solve_linear(f2, (2, 2), lambda g: g - g.transpose())
+    a = solve_affine(f2, (2, 2), lambda g: g - g.transpose(), Mat.zero(f2, 2))
+    b = solve_affine(f2, (2, 2), lambda g: g - g.transpose(), Mat.zero(f2, 2))
     assert [m.key() for m in a] == [m.key() for m in b]
 
 
 def test_solve_linear_non_prime_char():
     z4 = Zn(4)
-    sols = solve_linear(z4, (1, 1), lambda g: g + g, Mat.from_strs(z4, [["2"]]))
+    sols = solve_affine(z4, (1, 1), lambda g: g + g, Mat.from_strs(z4, [["2"]]))
     assert sorted(s.entries[0][0] for s in sols) == [1, 3]
 
 
@@ -151,13 +152,124 @@ def test_invariant_factors():
     assert factors == [] and free == 2
 
 
-def test_solve_integer_and_mod():
-    x, kernel = solve_integer([[2, 0], [0, 3]], [4, 9])
-    assert x == [2, 3] and kernel == []
-    x, _ = solve_integer([[2]], [3])
-    assert x is None
+def test_solve_mod():
     x, gens = solve_mod([[2]], [2], 4)
     assert x is not None and (2 * x[0]) % 4 == 2
+
+
+# the Howell echelon over Z/N against brute force
+
+def _span_mod(n_mod, width, gens):
+    span = {(0,) * width}
+    frontier = list(span)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((x + y) % n_mod for x, y in zip(cur, g))
+            if nxt not in span:
+                span.add(nxt)
+                frontier.append(nxt)
+    return span
+
+
+def _listed_solutions(n_mod, particular, kernel):
+    out = []
+    for ks in product(*(range(order) for _, order in kernel)):
+        x = list(particular)
+        for k, (g, _) in zip(ks, kernel):
+            x = [(a + k * b) % n_mod for a, b in zip(x, g)]
+        out.append(tuple(x))
+    return out
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4, 5, 6, 8, 9, 12])
+def test_echelon_and_solve_mod_against_brute_force(n_mod):
+    rng = random.Random(n_mod)
+    for _ in range(40):
+        width = rng.randrange(1, 4)
+        gens = [[rng.randrange(n_mod) for _ in range(width)] for _ in range(rng.randrange(4))]
+        span = _span_mod(n_mod, width, gens)
+        forward, backward = Echelon(n_mod, width), Echelon(n_mod, width)
+        for g in gens:
+            forward.add(g)
+        for g in reversed(gens):
+            backward.add(g)
+        assert forward.size == len(span)
+        vecs = list(product(range(n_mod), repeat=width))
+        for v in rng.sample(vecs, min(len(vecs), 30)):
+            rep = forward.reduce(v)
+            assert rep == backward.reduce(v)
+            assert (not any(rep)) == (v in span)
+            assert tuple((a - b) % n_mod for a, b in zip(v, rep)) in span
+
+        mat = [[rng.randrange(n_mod) for _ in range(width)] for _ in range(rng.randrange(1, 4))]
+        x0 = [rng.randrange(n_mod) for _ in range(width)]
+        for target in ([sum(a * x for a, x in zip(row, x0)) % n_mod for row in mat],
+                       [rng.randrange(n_mod) for _ in mat]):
+            expected = {x for x in product(range(n_mod), repeat=width)
+                        if all(sum(a * b for a, b in zip(row, x)) % n_mod == t
+                               for row, t in zip(mat, target))}
+            particular, kernel = solve_mod(mat, target, n_mod)
+            if particular is None:
+                assert not expected
+                continue
+            listed = _listed_solutions(n_mod, particular, kernel)
+            assert len(listed) == len(expected) and set(listed) == expected
+            order = list(range(len(mat)))
+            rng.shuffle(order)
+            again, _ = solve_mod([mat[i] for i in order], [target[i] for i in order], n_mod)
+            assert again == particular
+
+
+def _scan_solutions(ring, n, fun, targets):
+    """The sorted solutions of fun(x) = t for each target t, over every n x n x.
+
+    Up to 6561 matrices each x is evaluated.  Past that (2 x 2 over a ring
+    of 16) the scan is row by row: fun is affine, so fun(x) is fun(0) plus
+    the images of x's rows, each row placed alone in a zero matrix, and every
+    pair of rows is matched through a table of the second row's images."""
+    zero = Mat.zero(ring, n, n)
+    if ring.size ** (n * n) <= 6561:
+        images = [(x, fun(x)) for x in all_matrices(ring, n, n)]
+    else:
+        def placed(row, i):
+            entries = [[ring.zero] * n for _ in range(n)]
+            entries[i] = list(row.entries[0])
+            return Mat(ring, entries)
+
+        base = fun(zero)
+        rows = list(all_matrices(ring, 1, n))
+        second = {}
+        for r in rows:
+            second.setdefault(fun(placed(r, 1)) - base, []).append(r)
+        images = []
+        for r in rows:
+            first = placed(r, 0)
+            part = fun(first)
+            for t in targets:
+                for r2 in second.get(t - part, []):
+                    images.append((first + placed(r2, 1), t))
+    return [sorted((x for x, y in images if y == t), key=Mat.key) for t in targets]
+
+
+@pytest.mark.parametrize("ring", [Zn(4), Zn(6), Zn(9), DualRing(Zn(4)), Mat2Ring(F2())],
+                         ids=["Z4", "Z6", "Z9", "DualZ4", "Mat2F2"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_solve_affine_against_a_scan(ring, n):
+    rng = random.Random(ring.size + n)
+    elems = ring.elements()
+
+    def rand():
+        return Mat(ring, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
+
+    a, c = rand(), rand()
+    for fun in (lambda x: x + x.star(), lambda x: a * x - x.star() + c,
+                lambda x: x * a + a * x):
+        targets = [fun(rand()), rand()]
+        for target, expected in zip(targets, _scan_solutions(ring, n, fun, targets)):
+            assert solve_affine(ring, (n, n), fun, target) == expected
+            first = solve_affine(ring, (n, n), fun, target, all_solutions=False)
+            assert first[0] in expected if expected else first == []
 
 
 @settings(max_examples=60, deadline=None)
