@@ -336,6 +336,19 @@ def _hyp_block(ring, n) -> Mat:
     return block(ring, [[zero, Mat.identity(ring, n)], [zero, zero]])
 
 
+def _congruent_hermitian_parts(eps: int, middle: Mat, q_factor: Mat, new_theta: Mat) -> bool:
+    """H(new theta) = Q^* (H(theta) (+) H_hyp) Q, where H(x) = x + eps*x^*
+    and `middle` is theta (+) the hyperbolic block.  The right side is
+    computed from the hermitian part of `middle`, not from the product
+    that gave `new_theta`, so a wrong `new_theta` with a different
+    hermitian part fails it."""
+
+    def hermitian(x: Mat) -> Mat:
+        return x + x.star().scale_sign(eps)
+
+    return hermitian(new_theta) == q_factor.star() * hermitian(middle) * q_factor
+
+
 def linearize(theta: PolyQuadForm):
     """Reduce theta to an equivalent linear form g*s, stabilizing by
     hyperbolics: each degree-reduction step conjugates theta (+) H by the
@@ -360,9 +373,7 @@ def linearize(theta: PolyQuadForm):
         new_theta = _as_matpoly(p_factor * middle * q_factor)
         if new_theta.degree > max(big - 1, 1):
             raise AssertionError("degree reduction failed to drop the degree")
-        # the step is p * middle * q with p the s-adjoint of q: verify both
-        recheck = q_factor.star() * middle * q_factor
-        if recheck != new_theta:
+        if not _congruent_hermitian_parts(eps, middle, q_factor, new_theta):
             raise AssertionError("transcript step failed its exact recheck")
         work = PolyQuadForm(R, eps, new_theta)
         transcript.append(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .additive import solve_affine
-from .caps import CapExceeded, check_cap
+from .caps import Unsupported, check_cap
 from .forms import (
     HermForm,
     QuadFormEl,
@@ -131,17 +131,28 @@ def _frame_search(diag: Mat, herm: Mat, diag_class, cap: int | None) -> list[Mat
     """
     ring, n = herm.ring, herm.rows
     if ring.size is None:
-        raise CapExceeded("ring not enumerable")
+        raise Unsupported("ring not enumerable")
     nodes = ring.size**n
     check_cap(nodes, "matrix enumeration", cap)
-    add, mul, conj, zero = ring.add, ring.mul, ring.conj, ring.zero
+    conj, tables = ring.conj, ring.tables
+    if tables is not None:
+        add_t, mul_t = tables.add, tables.mul
 
-    def dot(u, v):
-        acc = zero
-        for a, b in zip(u, v):
-            if a != zero and b != zero:
-                acc = add(acc, mul(a, b))
-        return acc
+        def dot(u, v):
+            acc = 0
+            for a, b in zip(u, v):
+                if a and b:
+                    acc = add_t[acc][mul_t[a][b]]
+            return acc
+    else:
+        add, mul, zero = ring.add, ring.mul, ring.zero
+
+        def dot(u, v):
+            acc = zero
+            for a, b in zip(u, v):
+                if a != zero and b != zero:
+                    acc = add(acc, mul(a, b))
+            return acc
 
     cols = list(product(ring.elements(), repeat=n))
     herm_cols = list(zip(*herm.entries))
@@ -495,9 +506,12 @@ def section_homomorphism_report(q: QuadFormEl, lam=None, cap=None) -> dict:
     }
 
 
-def _embed_dual(ring_e: DualRing, m: Mat) -> Mat:
-    base_zero = ring_e.base.zero
-    return m.map_entries(lambda a: (a, base_zero), ring=ring_e)
+def _embed_dual(ring_e: DualRing, m: Mat, degree: int = 0) -> Mat:
+    """m over A as a matrix over A(e): m itself (degree 0) or m*e (degree 1)."""
+    zero = ring_e.base.zero
+    if degree == 0:
+        return m.map_entries(lambda a: ring_e.pair(a, zero), ring=ring_e)
+    return m.map_entries(lambda a: ring_e.pair(zero, a), ring=ring_e)
 
 
 def enumerate_unitary_dual(q: QuadFormEl, cap=None):
@@ -531,8 +545,7 @@ def enumerate_unitary_dual(q: QuadFormEl, cap=None):
     for f0 in unitaries:
         f0_e = _embed_dual(ring_e, f0)
         for v in vs:
-            ve = v.map_entries(lambda a: (ring.zero, a), ring=ring_e)
-            cand = f0_e * (ident_e + ve)
+            cand = f0_e * (ident_e + _embed_dual(ring_e, v, 1))
             if not check_max(cand, herm_e):
                 raise AssertionError("dual-number unitary candidate failed")
             out.append(cand)
@@ -558,13 +571,11 @@ def dual_numbers_iso(q: QuadFormEl, lam=None, cap=None) -> dict:
     elems, omin, se = el_elements(q, cap)
     dual_unitaries, herm_e, ring_e = enumerate_unitary_dual(q, cap)
     ident_e = Mat.identity(ring_e, q.n)
-    zero = ring.zero
 
     def image(m: ElMorphism) -> Mat:
         gamma_s = (m.f.star() * q.phi0 * m.f - q.phi0).scale_left(lam)
         u1 = inv_phi * (m.gamma - gamma_s)
-        u1e = u1.map_entries(lambda a: (zero, a), ring=ring_e)
-        return _embed_dual(ring_e, m.f) * (ident_e + u1e)
+        return _embed_dual(ring_e, m.f) * (ident_e + _embed_dual(ring_e, u1, 1))
 
     images = {m.key(): image(m) for m in elems}
     target = {f.key() for f in dual_unitaries}
@@ -612,8 +623,7 @@ def dual_numbers_iso(q: QuadFormEl, lam=None, cap=None) -> dict:
     kernel_ok = True
     for s in se:
         u = inv_phi * s
-        ue = u.map_entries(lambda a: (zero, a), ring=ring_e)
-        if not check_max(ident_e + ue, herm_e):
+        if not check_max(ident_e + _embed_dual(ring_e, u, 1), herm_e):
             kernel_ok = False
     report["kernel_selfadjoint_unitary"] = kernel_ok
     report["passed"] = all(v for v in report.values() if isinstance(v, bool))

@@ -111,7 +111,7 @@ class AbelianGroupPresentation:
         self.relations = [list(r) for r in relations]
         k = len(labels)
         rel = self.relations if self.relations else [[0] * k]
-        d, _, v = smith_normal_form(rel)
+        d, _, v = smith_normal_form(rel, row_transform=False)
         m = len(rel)
         diag = [d[i][i] for i in range(min(m, k))] + [0] * max(0, k - m)
         self._diag = diag[:k]

@@ -108,9 +108,25 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         R = self.ring
-        add, mul, zero = R.add, R.mul, R.zero
         bcols = list(zip(*other.entries))
         out = []
+        tables = R.tables
+        if tables is not None:  # a coded ring: its zero is 0
+            add_t, mul_t = tables.add, tables.mul
+            for row in self.entries:
+                # the nonzero entries a of the row, each with its row a * _ of mul_t
+                terms = [(k, mul_t[a]) for k, a in enumerate(row) if a]
+                orow = []
+                for col in bcols:
+                    acc = 0
+                    for k, a_times in terms:
+                        b = col[k]
+                        if b:
+                            acc = add_t[acc][a_times[b]]
+                    orow.append(acc)
+                out.append(tuple(orow))
+            return Mat._trusted(R, tuple(out), self.rows, other.cols)
+        add, mul, zero = R.add, R.mul, R.zero
         for row in self.entries:
             orow = []
             for col in bcols:

@@ -2,8 +2,22 @@
 
 Every ring exposes exact arithmetic (add/neg/mul/conj), a deterministic
 enumeration when finite, canonical string encodings, and involution
-verification.  Elements are plain hashable Python values (ints, tuples),
-so they can be shared freely and used as dict keys.
+verification.  Elements are plain hashable Python values, so they can be
+shared freely and used as dict keys.
+
+A finite ring of at most `_TABLE_LIMIT` (256) elements is coded: its
+elements are the ints 0..|R|-1, its codes, and its operations are lookups
+in Cayley tables (`Ring.tables`), built once per ring key.
+
+- Fp, Zn and Fq elements are their own codes at every size (an Fq element
+  is the index sum c_i p^i of its coefficient digits).
+- Dual, Mat2, ProductOp and TruncPoly are defined by formulas on tuples
+  over their base: the hooks `_add`, `_mul`, ... of their classes.  Such
+  a ring is coded when its base is; the code of an element is the index of its tuple in the
+  kind's enumeration order, so zero is 0 and `elements()` keeps that order.
+  `encode` and `decode` turn tuples into codes and back.  Above the limit,
+  or over a base that is not coded, the tuples themselves are the elements.
+- PolyS is infinite; its elements are tuples of coefficients.
 """
 
 from __future__ import annotations
@@ -13,10 +27,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
-from .caps import CapExceeded, check_cap
+from .caps import Unsupported, check_cap
 
-_TABLE_LIMIT = 256  # build full add/mul lookup tables for rings up to this size
+_TABLE_LIMIT = 256  # a finite ring of at most this many elements is coded
+_TABLES: dict = {}  # ring key -> RingTables, shared by the rings with that key
 
 
 def _text(s, kind: str) -> str:
@@ -49,6 +65,105 @@ class InvolutionReport:
         }
 
 
+class RingTables:
+    """The Cayley tables of a coded ring, whose elements are the codes
+    0..size-1: `add[a][b]`, `mul[a][b]`, `neg[a]` and `conj[a]` are codes,
+    and `strs[a]` is the canonical string of code a.
+
+    For a tuple kind, `decode[a]` is the tuple over the base that code a
+    stands for, the a-th of the kind's enumeration, and `encode` maps the
+    tuples back to codes; for Fp, Zn and Fq both are None.  Every entry
+    comes from the definition of the ring's kind: its arithmetic before the
+    ring reads any table.  Fp and Zn are filled by one operation per pair;
+    Fq and the tuple kinds, whose codes are numerals, by `_fill_numerals`.
+    """
+
+    __slots__ = ("add", "mul", "neg", "conj", "strs", "decode", "encode")
+
+    def __init__(self, ring: "Ring"):
+        self.decode = self.encode = None
+        elems = range(ring.size)
+        code_of = int  # the elements of Fp, Zn and Fq are their own codes
+        if isinstance(ring, _TupleRing):
+            elems = self.decode = ring._tuples()
+            code = self.encode = {t: i for i, t in enumerate(elems)}
+            code_of = code.__getitem__
+            width = len(elems[0])
+
+            def unit(j, v):
+                t = [0] * width
+                t[j] = v
+                return tuple(t)
+
+            weight = [code[unit(j, 1)] for j in range(width)]
+            self._fill_numerals(ring.base.size, weight, ring.base.tables.add,
+                                lambda i, d, j, v: code[ring._mul(unit(i, d), unit(j, v))])
+        elif isinstance(ring, Fq):
+            p = ring.p
+            weight = [p**j for j in range(ring.deg)]
+            self._fill_numerals(p, weight, [[(a + b) % p for b in range(p)] for a in range(p)],
+                                lambda i, d, j, v: ring._mul(d * weight[i], v * weight[j]))
+        else:
+            add, mul = ring.add, ring.mul
+            self.add = [[add(a, b) for b in elems] for a in elems]
+            self.mul = [[mul(a, b) for b in elems] for a in elems]
+        self.neg = [code_of(ring.neg(x)) for x in elems]
+        self.conj = [code_of(ring.conj(x)) for x in elems]
+        self.strs = [ring._to_str(x) for x in elems]
+
+    def _fill_numerals(self, q: int, weight: list, digit_add, unit_product) -> None:
+        """Fill `add` and `mul` of a ring whose codes are numerals in base q.
+
+        The code of the element with digits t_j is sum_j t_j * weight[j],
+        and addition is digitwise by `digit_add`, the addition table of the
+        digits (Z/p for Fq, the base ring for a tuple kind).  With u_j(v)
+        the element holding digit v at j and zero elsewhere,
+        `unit_product(i, d, j, v)` is the code of u_i(d) * u_j(v), by the
+        ring's definition.
+
+        A code c > 0 splits into its leading term l = d * w, the code of a
+        unit u_j(d), and the rest c - l.  The row of a unit in `add` changes
+        one digit, and every other row is add[c][y] = add[c - l][add[l][y]].
+        By distributivity the row of u_i(d) in `mul` is sum_j u_i(d) *
+        u_j(y_j), and every other row is mul[c][y] = add[mul[l][y]][mul[c -
+        l][y]].  That is about |R|^2 lookups and (width * q)^2 products.
+        """
+        size, digits = q ** len(weight), range(q)
+        codes = range(size)
+        order = sorted(range(len(weight)), key=weight.__getitem__, reverse=True)  # leading first
+        add, mul = [None] * size, [None] * size
+        add[0], mul[0] = tuple(codes), (0,) * size
+        for w in weight:
+            for d in digits[1:]:
+                plus_d = digit_add[d]
+                add[d * w] = tuple([y + w * (plus_d[y // w % q] - y // w % q) for y in codes])
+        self._fill_rows(add, q, lambda lead, rest: itemgetter(*lead)(rest))
+        for i, w in enumerate(weight):
+            for d in digits[1:]:
+                row = [0]
+                for j in order:
+                    part = [unit_product(i, d, j, v) for v in digits]
+                    row = [add[s][t] for s in row for t in part]
+                mul[d * w] = tuple(row)
+
+        def sum_rows(lead, rest):  # y -> add[lead[y]][rest[y]]
+            return tuple(map(tuple.__getitem__, map(add.__getitem__, lead), rest))
+
+        self._fill_rows(mul, q, sum_rows)
+        self.add, self.mul = add, mul
+
+    @staticmethod
+    def _fill_rows(rows: list, q: int, combine) -> None:
+        """Fill each missing row c from the rows of its leading term l and of
+        c - l, both smaller codes, as combine(rows[l], rows[c - l])."""
+        w = 1
+        for c in range(1, len(rows)):
+            if c == w * q:
+                w = c
+            if rows[c] is None:
+                rows[c] = combine(rows[c - c % w], rows[c % w])
+
+
 class Ring:
     """Base class: a ring with involution and canonical encodings."""
 
@@ -59,31 +174,81 @@ class Ring:
     char: int = 0
     _key: str | None = None
     _poly_s: "PolySRing | None" = None
+    tables: RingTables | None = None
+    """The ring's Cayley tables when it is coded (see the module docstring),
+    else None.  Hot loops may read them directly instead of calling the
+    element operations."""
 
     def __init__(self):
         self.zero = self._zero()
         self.one = self._one()
         self.split_unit = None
         self._elements_cache = None
+        if self.size is not None and self.size <= _TABLE_LIMIT and self._codable():
+            self._code()
 
-    # subclass arithmetic hooks
+    def _codable(self) -> bool:
+        """Whether the ring is coded when it has at most _TABLE_LIMIT elements."""
+        return True
+
+    def _code(self) -> None:
+        """Make the ring coded: its tables come from the cache, built for the
+        first ring with this key.  A tuple kind's `zero` and `one` become
+        codes."""
+        key = self.key()
+        tables = _TABLES.get(key)
+        if tables is None:
+            tables = _TABLES[key] = RingTables(self)
+        self.tables = tables
+        if tables.encode is not None:
+            self.zero, self.one = tables.encode[self.zero], tables.encode[self.one]
+
+    # Each kind defines its elements by these hooks.  The element operations
+    # below read the tables of a coded ring instead, except `from_str`, which
+    # parses by the definition and then encodes.  Fp and Zn define the
+    # operations themselves, which cost no more than a lookup.
     def _zero(self):
         raise NotImplementedError
 
     def _one(self):
         raise NotImplementedError
 
-    def add(self, a, b):
+    def _add(self, a, b):
         raise NotImplementedError
+
+    def _neg(self, a):
+        raise NotImplementedError
+
+    def _mul(self, a, b):
+        raise NotImplementedError
+
+    def _conj(self, a):
+        raise NotImplementedError
+
+    def _contains(self, a) -> bool:
+        raise NotImplementedError
+
+    def _to_str(self, a) -> str:
+        raise NotImplementedError
+
+    def _from_str(self, s: str):
+        raise NotImplementedError
+
+    def add(self, a, b):
+        tables = self.tables
+        return self._add(a, b) if tables is None else tables.add[a][b]
 
     def neg(self, a):
-        raise NotImplementedError
+        tables = self.tables
+        return self._neg(a) if tables is None else tables.neg[a]
 
     def mul(self, a, b):
-        raise NotImplementedError
+        tables = self.tables
+        return self._mul(a, b) if tables is None else tables.mul[a][b]
 
     def conj(self, a):
-        raise NotImplementedError
+        tables = self.tables
+        return self._conj(a) if tables is None else tables.conj[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -116,7 +281,7 @@ class Ring:
     def inv(self, a):
         """Multiplicative inverse, or None.  Generic scan for small rings."""
         if self.size is None:
-            raise CapExceeded("inverse scan needs a finite ring")
+            raise Unsupported("inverse scan needs a finite ring")
         check_cap(self.size, "unit scan")
         one = self.one
         for b in self.elements():
@@ -125,15 +290,22 @@ class Ring:
         return None
 
     def contains(self, a) -> bool:
-        raise NotImplementedError
+        """Whether a is an element of the ring.  A coded ring holds exactly
+        the ints 0..size-1: over a coded tuple kind, a tuple is not an
+        element, its code is."""
+        if self.tables is not None:
+            return isinstance(a, int) and 0 <= a < self.size
+        return self._contains(a)
 
     def _enumerate(self):
-        raise CapExceeded(f"{self.kind} ring is not enumerable")
+        raise Unsupported(f"{self.kind} ring is not enumerable")
 
     def elements(self) -> list:
         """All elements, each exactly once, in a fixed deterministic order."""
         if self._elements_cache is None:
-            self._elements_cache = list(self._enumerate())
+            self._elements_cache = (
+                list(range(self.size)) if self.tables is not None else list(self._enumerate())
+            )
         return self._elements_cache
 
     def is_central(self, a) -> bool:
@@ -202,14 +374,17 @@ class Ring:
         )
 
     def sample_elements(self) -> list:
-        raise CapExceeded(f"{self.kind} ring has no default sample")
+        raise Unsupported(f"{self.kind} ring has no default sample")
 
     # encodings
     def to_str(self, a) -> str:
-        raise NotImplementedError
+        tables = self.tables
+        return self._to_str(a) if tables is None else tables.strs[a]
 
     def from_str(self, s: str):
-        raise NotImplementedError
+        x = self._from_str(s)
+        tables = self.tables
+        return x if tables is None or tables.encode is None else tables.encode[x]
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -261,6 +436,7 @@ class Fp(Ring):
     def _one(self):
         return 1
 
+    # the element operations themselves: as fast as a lookup
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -278,16 +454,16 @@ class Fp(Ring):
             return None
         return pow(a, -1, self.p)
 
-    def contains(self, a):
+    def _contains(self, a):
         return isinstance(a, int) and 0 <= a < self.p
 
     def _enumerate(self):
         return range(self.p)
 
-    def to_str(self, a):
+    def _to_str(self, a):
         return str(a)
 
-    def from_str(self, s):
+    def _from_str(self, s):
         return int(_text(s, self.kind)) % self.p
 
     def to_json(self):
@@ -314,6 +490,7 @@ class Zn(Ring):
     def _one(self):
         return 1
 
+    # the element operations themselves: as fast as a lookup
     def add(self, a, b):
         return (a + b) % self.n
 
@@ -331,16 +508,16 @@ class Zn(Ring):
             return None
         return pow(a, -1, self.n)
 
-    def contains(self, a):
+    def _contains(self, a):
         return isinstance(a, int) and 0 <= a < self.n
 
     def _enumerate(self):
         return range(self.n)
 
-    def to_str(self, a):
+    def _to_str(self, a):
         return str(a)
 
-    def from_str(self, s):
+    def _from_str(self, s):
         return int(_text(s, self.kind)) % self.n
 
     def to_json(self):
@@ -415,10 +592,6 @@ class Fq(Ring):
         self.size = p**deg
         self.char = p
         super().__init__()
-        self._mul_table = None
-        self._conj_table = None
-        if self.size <= _TABLE_LIMIT:
-            self._build_tables()
 
     def _digits(self, a):
         out = []
@@ -439,18 +612,18 @@ class Fq(Ring):
     def _one(self):
         return 1
 
-    def add(self, a, b):
+    def _add(self, a, b):
         if self.p == 2:
             return a ^ b
         da, db = self._digits(a), self._digits(b)
         return self._index([(x + y) % self.p for x, y in zip(da, db)])
 
-    def neg(self, a):
+    def _neg(self, a):
         if self.p == 2:
             return a
         return self._index([(-x) % self.p for x in self._digits(a)])
 
-    def _mul_raw(self, a, b):
+    def _mul(self, a, b):
         da = _poly_trim(self._digits(a))
         db = _poly_trim(self._digits(b))
         if not da or not db:
@@ -458,52 +631,23 @@ class Fq(Ring):
         prod_ = _poly_mul_mod(da, db, self.modulus, self.p)
         return self._index(list(prod_) + [0] * (self.deg - len(prod_)))
 
-    def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a * self.size + b]
-        return self._mul_raw(a, b)
-
-    def _conj_raw(self, a):
+    def _conj(self, a):
         if self.involution == "trivial":
             return a
         return self.pow(a, self.p ** (self.deg // 2))
-
-    def conj(self, a):
-        if self._conj_table is not None:
-            return self._conj_table[a]
-        return self._conj_raw(a)
-
-    def _build_tables(self):
-        q = self.size
-        self._mul_table = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
-        if self.involution == "frobenius":
-            self._conj_table = [self._conj_raw_power(a) for a in range(q)]
-        else:
-            self._conj_table = list(range(q))
-
-    def _conj_raw_power(self, a):
-        e = self.p ** (self.deg // 2)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return result
 
     def inv(self, a):
         if a == 0:
             return None
         return self.pow(a, self.size - 2)
 
-    def contains(self, a):
+    def _contains(self, a):
         return isinstance(a, int) and 0 <= a < self.size
 
     def _enumerate(self):
         return range(self.size)
 
-    def to_str(self, a):
+    def _to_str(self, a):
         digits = self._digits(a)
         terms = []
         for i in range(self.deg - 1, -1, -1):
@@ -520,7 +664,7 @@ class Fq(Ring):
 
     _TERM_RE = re.compile(r"^(?:(\d+)\*)?w(?:\^(\d+))?$|^(\d+)$")
 
-    def from_str(self, s):
+    def _from_str(self, s):
         s = _text(s, self.kind).strip()
         digits = [0] * self.deg
         if s == "0":
@@ -564,7 +708,44 @@ def _unwrap(s: str) -> str:
     return s
 
 
-class DualRing(Ring):
+class _TupleRing(Ring):
+    """A kind whose elements are tuples over `base`: Dual, Mat2, ProductOp
+    and TruncPoly.  The hooks of the kind's class (`_add`, `_mul`, ...) are
+    its formulas on the tuples.  When the base is coded and there are at
+    most _TABLE_LIMIT elements, the ring is coded too, and the formulas
+    serve only to build its tables and, through `encode` and `decode`, to
+    read and write its strings."""
+
+    base: Ring
+
+    def _add(self, a, b):
+        """Componentwise, in every tuple kind."""
+        add = self.base.add
+        return tuple(map(add, a, b))
+
+    def _neg(self, a):
+        return tuple(map(self.base.neg, a))
+
+    def _codable(self) -> bool:
+        return self.base.tables is not None
+
+    def _tuples(self) -> list:
+        """Every tuple, in the kind's enumeration order."""
+        raise NotImplementedError
+
+    def _enumerate(self):
+        return self._tuples()
+
+    def encode(self, t: tuple):
+        """The element whose tuple over the base is t."""
+        return t if self.tables is None else self.tables.encode[t]
+
+    def decode(self, a) -> tuple:
+        """The tuple over the base of the element a."""
+        return a if self.tables is None else self.tables.decode[a]
+
+
+class DualRing(_TupleRing):
     """Dual numbers base[e]/(e^2) with conj(e) = +e or -e; elements are pairs."""
 
     kind = "Dual"
@@ -585,24 +766,18 @@ class DualRing(Ring):
     def _one(self):
         return (self.base.one, self.base.zero)
 
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def mul(self, a, b):
+    def _mul(self, a, b):
         B = self.base
         return (B.mul(a[0], b[0]), B.add(B.mul(a[0], b[1]), B.mul(a[1], b[0])))
 
-    def conj(self, a):
+    def _conj(self, a):
         B = self.base
         cb = B.conj(a[1])
         if self.conj_e == "-e":
             cb = B.neg(cb)
         return (B.conj(a[0]), cb)
 
-    def contains(self, a):
+    def _contains(self, a):
         return (
             isinstance(a, tuple)
             and len(a) == 2
@@ -610,10 +785,14 @@ class DualRing(Ring):
             and self.base.contains(a[1])
         )
 
-    def _enumerate(self):
+    def _tuples(self):
         return [(x, y) for y in self.base.elements() for x in self.base.elements()]
 
-    def to_str(self, a):
+    def pair(self, a0, a1):
+        """The element a0 + a1*e, for a0 and a1 in the base."""
+        return self.encode((a0, a1))
+
+    def _to_str(self, a):
         B = self.base
         sa, sb = B.to_str(a[0]), B.to_str(a[1])
         if a[1] == B.zero:
@@ -624,7 +803,7 @@ class DualRing(Ring):
             return f"{_wrap(sa)}+e"
         return f"{_wrap(sa)}+{_wrap(sb)}*e"
 
-    def from_str(self, s):
+    def _from_str(self, s):
         s = _text(s, self.kind).strip()
         B = self.base
         if s.endswith("*e"):
@@ -649,7 +828,7 @@ class DualRing(Ring):
         return {"kind": "Dual", "base": self.base.to_json(), "conj_e": self.conj_e}
 
 
-class Mat2Ring(Ring):
+class Mat2Ring(_TupleRing):
     """2x2 matrices over the base with the swap involution [[a,b],[c,d]] -> [[db],[ca]] bar."""
 
     kind = "Mat2"
@@ -669,14 +848,7 @@ class Mat2Ring(Ring):
         z, o = self.base.zero, self.base.one
         return (o, z, z, o)
 
-    def add(self, x, y):
-        B = self.base
-        return tuple(B.add(x[i], y[i]) for i in range(4))
-
-    def neg(self, x):
-        return tuple(self.base.neg(c) for c in x)
-
-    def mul(self, x, y):
+    def _mul(self, x, y):
         B = self.base
         a, b, c, d = x
         e, f, g, h = y
@@ -687,19 +859,19 @@ class Mat2Ring(Ring):
             B.add(B.mul(c, f), B.mul(d, h)),
         )
 
-    def conj(self, x):
+    def _conj(self, x):
         a, b, c, d = x
         B = self.base
         return (B.conj(d), B.conj(b), B.conj(c), B.conj(a))
 
-    def contains(self, x):
+    def _contains(self, x):
         return (
             isinstance(x, tuple)
             and len(x) == 4
             and all(self.base.contains(c) for c in x)
         )
 
-    def _enumerate(self):
+    def _tuples(self):
         elems = self.base.elements()
         return [
             (a, b, c, d)
@@ -709,14 +881,14 @@ class Mat2Ring(Ring):
             for d in elems
         ]
 
-    def to_str(self, x):
+    def _to_str(self, x):
         B = self.base
         return json.dumps(
             [[B.to_str(x[0]), B.to_str(x[1])], [B.to_str(x[2]), B.to_str(x[3])]],
             separators=(",", ":"),
         )
 
-    def from_str(self, s):
+    def _from_str(self, s):
         rows = json.loads(_text(s, self.kind))
         if not (isinstance(rows, list) and len(rows) == 2
                 and all(isinstance(r, list) and len(r) == 2 for r in rows)):
@@ -733,7 +905,7 @@ class Mat2Ring(Ring):
         return {"kind": "Mat2", "base": self.base.to_json()}
 
 
-class ProductOpRing(Ring):
+class ProductOpRing(_TupleRing):
     """B x B^op with the swap involution (a|b) -> (b|a)."""
 
     kind = "ProductOp"
@@ -744,8 +916,7 @@ class ProductOpRing(Ring):
         self.char = base.char
         self.is_commutative = base.is_commutative
         super().__init__()
-        lam = (base.one, base.zero)
-        self.split_unit = lam
+        self.split_unit = self.encode((base.one, base.zero))
 
     def _zero(self):
         return (self.base.zero, self.base.zero)
@@ -753,20 +924,14 @@ class ProductOpRing(Ring):
     def _one(self):
         return (self.base.one, self.base.one)
 
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def mul(self, a, b):
+    def _mul(self, a, b):
         # second slot carries the opposite multiplication
         return (self.base.mul(a[0], b[0]), self.base.mul(b[1], a[1]))
 
-    def conj(self, a):
+    def _conj(self, a):
         return (a[1], a[0])
 
-    def contains(self, a):
+    def _contains(self, a):
         return (
             isinstance(a, tuple)
             and len(a) == 2
@@ -774,13 +939,13 @@ class ProductOpRing(Ring):
             and self.base.contains(a[1])
         )
 
-    def _enumerate(self):
+    def _tuples(self):
         return [(x, y) for y in self.base.elements() for x in self.base.elements()]
 
-    def to_str(self, a):
+    def _to_str(self, a):
         return f"({self.base.to_str(a[0])}|{self.base.to_str(a[1])})"
 
-    def from_str(self, s):
+    def _from_str(self, s):
         s = _text(s, self.kind).strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise ValueError(f"bad ProductOp element: {s!r}")
@@ -804,7 +969,8 @@ class PolySRing(Ring):
 
     The ring is infinite; enumerate() walks the polynomials of degree at most
     degree_bound when one is configured (a sample of the ring, used by the
-    involution checker and split-unit search).
+    involution checker and split-unit search).  It is never coded, so it
+    defines the element operations themselves rather than the hooks.
     """
 
     kind = "PolyS"
@@ -866,12 +1032,12 @@ class PolySRing(Ring):
 
     def _enumerate(self):
         if self.degree_bound is None:
-            raise CapExceeded("PolyS is infinite; set a degree bound to sample it")
+            raise Unsupported("PolyS is infinite; set a degree bound to sample it")
         return self._polys_up_to(self.degree_bound)
 
     def _polys_up_to(self, bound: int) -> list:
         if self.base.size is None:
-            raise CapExceeded("PolyS base not enumerable")
+            raise Unsupported("PolyS base not enumerable")
         check_cap(self.base.size ** (bound + 1), "PolyS sample")
         out = []
         for coeffs in product(self.base.elements(), repeat=bound + 1):
@@ -882,7 +1048,7 @@ class PolySRing(Ring):
         bound = self.degree_bound if self.degree_bound is not None else 2
         if self.base.size is not None and self.base.size ** (bound + 1) <= 4096:
             return self._polys_up_to(bound)
-        raise CapExceeded("PolyS sample too large")
+        raise Unsupported("PolyS sample too large")
 
     def to_str(self, a):
         return json.dumps([self.base.to_str(c) for c in a], separators=(",", ":"))
@@ -910,7 +1076,7 @@ def _poly_trim_ring(coeffs, base):
     return tuple(coeffs)
 
 
-class TruncPolyRing(Ring):
+class TruncPolyRing(_TupleRing):
     """A[t]/(t^k) with conj(t) = +t or -t; elements are length-k tuples."""
 
     kind = "TruncPoly"
@@ -934,14 +1100,7 @@ class TruncPolyRing(Ring):
     def _one(self):
         return (self.base.one,) + (self.base.zero,) * (self.k - 1)
 
-    def add(self, a, b):
-        B = self.base
-        return tuple(B.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(c) for c in a)
-
-    def mul(self, a, b):
+    def _mul(self, a, b):
         B = self.base
         out = [B.zero] * self.k
         for i, x in enumerate(a):
@@ -953,7 +1112,7 @@ class TruncPolyRing(Ring):
                 out[i + j] = B.add(out[i + j], B.mul(x, y))
         return tuple(out)
 
-    def conj(self, a):
+    def _conj(self, a):
         B = self.base
         out = []
         for i, c in enumerate(a):
@@ -963,21 +1122,24 @@ class TruncPolyRing(Ring):
             out.append(cc)
         return tuple(out)
 
-    def contains(self, a):
+    def _contains(self, a):
         return (
             isinstance(a, tuple)
             and len(a) == self.k
             and all(self.base.contains(c) for c in a)
         )
 
-    def _enumerate(self):
-        check_cap(self.size, "TruncPoly enumeration")
+    def _tuples(self):
         return [tuple(c) for c in product(self.base.elements(), repeat=self.k)]
 
-    def to_str(self, a):
+    def _enumerate(self):
+        check_cap(self.size, "TruncPoly enumeration")
+        return self._tuples()
+
+    def _to_str(self, a):
         return json.dumps([self.base.to_str(c) for c in a], separators=(",", ":"))
 
-    def from_str(self, s):
+    def _from_str(self, s):
         coeffs = json.loads(_text(s, self.kind))
         if not isinstance(coeffs, list):
             raise ValueError(f"bad TruncPoly element {s!r}: expected a JSON list")

@@ -9,17 +9,22 @@ from bisect import insort
 from math import gcd, prod
 
 
-def smith_normal_form(mat):
-    """Return (D, U, V) with U*mat*V = D, U and V unimodular, D in Smith form."""
+def smith_normal_form(mat, row_transform: bool = True):
+    """Return (D, U, V) with U*mat*V = D, U and V unimodular, D in Smith form.
+
+    With row_transform=False the m x m transform U, the larger one for a
+    presentation with more relations than generators, is not kept, and None
+    stands in its place."""
     a = [list(map(int, row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if row_transform else None
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        if u is not None:
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in a:
@@ -29,7 +34,8 @@ def smith_normal_form(mat):
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -39,7 +45,8 @@ def smith_normal_form(mat):
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < m and t < n:
@@ -88,7 +95,7 @@ def smith_normal_form(mat):
 
 def invariant_factors(mat):
     """Nontrivial invariant factors (d > 1) and the free rank of coker."""
-    d, _, _ = smith_normal_form(mat)
+    d, _, _ = smith_normal_form(mat, row_transform=False)
     m = len(d)
     n = len(d[0]) if m else 0
     diag = [d[i][i] for i in range(min(m, n))]

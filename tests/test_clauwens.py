@@ -10,8 +10,11 @@ from hermkq.clauwens import (
     DeltaDatum,
     MatPoly,
     PolyQuadForm,
+    _congruent_hermitian_parts,
+    _degree_reduction_factor,
     _generated_subring,
     _poly_unit,
+    _stabilize_theta,
     cup_product,
     kappa_hermitian_two_ways,
     kappa_nondegenerate,
@@ -207,6 +210,21 @@ def test_linearize_degree2_rank1():
     assert almost.index is not None
     ident = Mat.identity(F2_, 3)
     assert almost.g.star() == (almost.g * (ident + almost.nilpotent)).scale_sign(1)
+
+
+def test_linearize_step_recheck_catches_a_wrong_theta():
+    theta = PolyQuadForm.from_coeff_mats(
+        F2_, 1, [Mat.identity(F2_, 1), Mat.zero(F2_, 1), Mat.identity(F2_, 1)]
+    )
+    q = _degree_reduction_factor(theta)
+    middle = _stabilize_theta(theta)
+    new_theta = q.star() * middle * q
+    assert _congruent_hermitian_parts(1, middle, q, new_theta)
+    # one off-diagonal constant entry changes the hermitian part by E01 + E10
+    ps, n = new_theta.ring, new_theta.rows
+    wrong = new_theta + Mat(ps, [[ps.one if (i, j) == (0, 1) else ps.zero for j in range(n)]
+                                 for i in range(n)])
+    assert not _congruent_hermitian_parts(1, middle, q, wrong)
 
 
 def test_linearize_soundness_small():

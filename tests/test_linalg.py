@@ -145,6 +145,14 @@ def test_snf_transforms_and_oracle():
         assert [abs(x) for x in diag] == [abs(x) for x in exp_diag]
 
 
+def test_snf_without_row_transform_keeps_d_and_v():
+    rng = random.Random(17)
+    for _ in range(10):
+        m = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(rng.randrange(1, 6))]
+        d, _, v = smith_normal_form(m)
+        assert smith_normal_form(m, row_transform=False) == (d, None, v)
+
+
 def test_invariant_factors():
     factors, free = invariant_factors([[2, 0], [0, 4]])
     assert factors == [2, 4] and free == 0

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermkq.caps import CapExceeded
+from hermkq.caps import Unsupported
 from hermkq.rings import (
     DualRing,
     F2,
@@ -81,7 +81,7 @@ def test_split_units():
     assert Fp(3).find_split_unit() == 2
     assert Zn(9).find_split_unit() == 5
     po = ProductOpRing(F2())
-    assert po.split_unit == (1, 0)
+    assert po.split_unit == po.encode((1, 0))
     lam = f4.find_split_unit()
     assert f4.add(lam, f4.conj(lam)) == f4.one
 
@@ -110,7 +110,7 @@ def test_enumerate_lengths_composites():
 
 
 def test_polys_requires_bound():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(Unsupported):
         PolySRing(F2()).elements()
 
 
@@ -128,7 +128,7 @@ def test_polys_conj_is_one_minus_s():
 def test_truncpoly_conj_sign():
     tp = TruncPolyRing(Fp(5), 3, "-t")
     t = tp.from_str('["0","1","0"]')
-    assert tp.conj(t) == (0, 4, 0)
+    assert tp.conj(t) == tp.from_str('["0","4","0"]')
     assert tp.conj(tp.conj(t)) == t
 
 
@@ -181,13 +181,13 @@ def test_productop_is_anti_multiplicative():
 
 def test_dual_e_square_zero():
     d = DualRing(F4())
-    e = (d.base.zero, d.base.one)
+    e = d.pair(d.base.zero, d.base.one)
     assert d.mul(e, e) == d.zero
     # conj(e) = -e collapses to e in characteristic 2 but the flag stays
-    assert d.conj(e) == (d.base.zero, d.base.neg(d.base.one))
+    assert d.conj(e) == d.pair(d.base.zero, d.base.neg(d.base.one))
     d5 = DualRing(Fp(5), "-e")
-    e5 = (0, 1)
-    assert d5.conj(e5) == (0, 4)
+    e5 = d5.pair(0, 1)
+    assert d5.conj(e5) == d5.pair(0, 4)
 
 
 def test_key_is_stable_and_shared_by_equal_rings():
@@ -212,5 +212,78 @@ def test_polys_sample_leaves_the_ring_unchanged():
     key = ps.key()
     assert len(ps.sample_elements()) == 8  # degree <= 2 over F2
     assert ps.degree_bound is None and ps.key() == key
-    with pytest.raises(CapExceeded):
+    with pytest.raises(Unsupported):
         ps.elements()
+
+
+CODED_RINGS = {
+    "Dual-F2": lambda: DualRing(F2()),
+    "Dual-Z4": lambda: DualRing(Zn(4)),
+    "Dual-F4-e": lambda: DualRing(F4(), "-e"),
+    "Mat2-F2": lambda: Mat2Ring(F2()),
+    "ProductOp-F2": lambda: ProductOpRing(F2()),
+    "ProductOp-Mat2-F2": lambda: ProductOpRing(Mat2Ring(F2())),
+    "TruncPoly-F2-3": lambda: TruncPolyRing(F2(), 3),
+    "TruncPoly-F3-2-t": lambda: TruncPolyRing(Fp(3), 2, "-t"),
+}
+
+
+@pytest.mark.parametrize("name", list(CODED_RINGS))
+def test_coded_ring_tables_match_the_tuple_formulas(name):
+    ring = CODED_RINGS[name]()
+    assert ring.tables is not None
+    elems = ring.elements()
+    tuples = ring._tuples()
+    assert elems == list(range(ring.size)) and ring.zero == 0
+    assert [ring.decode(a) for a in elems] == tuples
+    assert [ring.to_str(a) for a in elems] == [ring._to_str(t) for t in tuples]
+    assert ring.decode(ring.one) == ring._one()
+    for a in elems:
+        x = tuples[a]
+        assert ring.from_str(ring.to_str(a)) == a
+        assert tuples[ring.neg(a)] == ring._neg(x)
+        assert tuples[ring.conj(a)] == ring._conj(x)
+        for b in elems:
+            y = tuples[b]
+            assert tuples[ring.add(a, b)] == ring._add(x, y)
+            assert tuples[ring.mul(a, b)] == ring._mul(x, y)
+    assert ring.verify_involution().passed
+
+
+@pytest.mark.parametrize("ring", [F4(), Fq(2, 3, (1, 1, 0, 1)), Fq(3, 2, (2, 2, 1), "frobenius"),
+                                  Fq(2, 4, (1, 1, 0, 0, 1), "frobenius")],
+                         ids=["F4", "F8", "F9-frobenius", "F16-frobenius"])
+def test_fq_tables_match_the_digit_formulas(ring):
+    elems = ring.elements()
+    assert elems == list(range(ring.size))
+    for a in elems:
+        assert ring.neg(a) == ring._neg(a) and ring.conj(a) == ring._conj(a)
+        for b in elems:
+            assert ring.add(a, b) == ring._add(a, b)
+            assert ring.mul(a, b) == ring._mul(a, b)
+
+
+def test_coded_ring_contains_codes_only():
+    d = DualRing(Zn(4))
+    assert all(d.contains(a) for a in range(16))
+    assert not d.contains(16) and not d.contains(-1) and not d.contains((0, 1))
+    assert d.pair(0, 1) == d.from_str("e") and d.decode(d.pair(3, 2)) == (3, 2)
+
+
+def test_rings_above_the_limit_keep_tuples():
+    for ring in (DualRing(Zn(32)), Mat2Ring(Fp(5)), DualRing(Fp(257))):
+        assert ring.tables is None
+        e = ring.from_str("e") if ring.kind == "Dual" else ring.one
+        assert isinstance(e, tuple) and ring.contains(e)
+        assert ring.from_str(ring.to_str(e)) == e
+    d = DualRing(Zn(32))
+    e = d.pair(0, 1)
+    assert d.mul(e, e) == d.zero and d.conj(e) == d.pair(0, 31)
+
+
+def test_tables_are_shared_by_key_but_split_units_are_not():
+    doc = {"kind": "Dual", "base": {"kind": "Fp", "p": 3}, "conj_e": "+e"}
+    plain = ring_from_json(doc)
+    split = ring_from_json({**doc, "split_unit": "2"})
+    assert plain is not split and plain.tables is split.tables
+    assert split.split_unit == split.from_str("2") and plain.split_unit is None
