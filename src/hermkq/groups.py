@@ -506,11 +506,15 @@ def section_homomorphism_report(q: QuadFormEl, lam=None, cap=None) -> dict:
     }
 
 
-def _embed_dual(ring_e: DualRing, m: Mat, degree: int = 0) -> Mat:
-    """m over A as a matrix over A(e): m itself (degree 0) or m*e (degree 1)."""
+def _embed_dual(ring_e: DualRing, m: Mat) -> Mat:
+    """m over A as a matrix over A(e)."""
     zero = ring_e.base.zero
-    if degree == 0:
-        return m.map_entries(lambda a: ring_e.pair(a, zero), ring=ring_e)
+    return m.map_entries(lambda a: ring_e.pair(a, zero), ring=ring_e)
+
+
+def _times_e(ring_e: DualRing, m: Mat) -> Mat:
+    """m*e over A(e), for m over A."""
+    zero = ring_e.base.zero
     return m.map_entries(lambda a: ring_e.pair(zero, a), ring=ring_e)
 
 
@@ -545,7 +549,7 @@ def enumerate_unitary_dual(q: QuadFormEl, cap=None):
     for f0 in unitaries:
         f0_e = _embed_dual(ring_e, f0)
         for v in vs:
-            cand = f0_e * (ident_e + _embed_dual(ring_e, v, 1))
+            cand = f0_e * (ident_e + _times_e(ring_e, v))
             if not check_max(cand, herm_e):
                 raise AssertionError("dual-number unitary candidate failed")
             out.append(cand)
@@ -575,7 +579,7 @@ def dual_numbers_iso(q: QuadFormEl, lam=None, cap=None) -> dict:
     def image(m: ElMorphism) -> Mat:
         gamma_s = (m.f.star() * q.phi0 * m.f - q.phi0).scale_left(lam)
         u1 = inv_phi * (m.gamma - gamma_s)
-        return _embed_dual(ring_e, m.f) * (ident_e + _embed_dual(ring_e, u1, 1))
+        return _embed_dual(ring_e, m.f) * (ident_e + _times_e(ring_e, u1))
 
     images = {m.key(): image(m) for m in elems}
     target = {f.key() for f in dual_unitaries}
@@ -623,7 +627,7 @@ def dual_numbers_iso(q: QuadFormEl, lam=None, cap=None) -> dict:
     kernel_ok = True
     for s in se:
         u = inv_phi * s
-        if not check_max(ident_e + _embed_dual(ring_e, u, 1), herm_e):
+        if not check_max(ident_e + _times_e(ring_e, u), herm_e):
             kernel_ok = False
     report["kernel_selfadjoint_unitary"] = kernel_ok
     report["passed"] = all(v for v in report.values() if isinstance(v, bool))

@@ -5,18 +5,23 @@ enumeration when finite, canonical string encodings, and involution
 verification.  Elements are plain hashable Python values, so they can be
 shared freely and used as dict keys.
 
-A finite ring of at most `_TABLE_LIMIT` (256) elements is coded: its
-elements are the ints 0..|R|-1, its codes, and its operations are lookups
-in Cayley tables (`Ring.tables`), built once per ring key.
+A coded ring has the ints 0..|R|-1, its codes, as elements, and its
+operations are lookups in Cayley tables (`Ring.tables`), built once per
+ring key from |R|^2 evaluations of the ring's definition.  A finite ring of
+at most `_TABLE_LIMIT` (16) elements is coded, and an Fq of at most
+`_FQ_TABLE_LIMIT` (256): its multiplication is polynomial arithmetic, so
+its table pays for itself, while for the other kinds a larger table costs
+more to build than a short computation spends on arithmetic.
 
-- Fp, Zn and Fq elements are their own codes at every size (an Fq element
-  is the index sum c_i p^i of its coefficient digits).
+- Fp, Zn and Fq elements are ints at every size, their own codes when
+  coded (an Fq element is the index sum c_i p^i of its coefficient digits).
 - Dual, Mat2, ProductOp and TruncPoly are defined by formulas on tuples
   over their base: the hooks `_add`, `_mul`, ... of their classes.  Such
-  a ring is coded when its base is; the code of an element is the index of its tuple in the
-  kind's enumeration order, so zero is 0 and `elements()` keeps that order.
-  `encode` and `decode` turn tuples into codes and back.  Above the limit,
-  or over a base that is not coded, the tuples themselves are the elements.
+  a ring is coded when its base is and it is small enough; the code of an
+  element is the index of its tuple in the kind's enumeration order, so
+  zero is 0 and `elements()` keeps that order.  `encode` and `decode` turn
+  tuples into codes and back.  Above the limit the tuples themselves are
+  the elements.
 - PolyS is infinite; its elements are tuples of coefficients.
 """
 
@@ -27,11 +32,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from operator import itemgetter
 
 from .caps import Unsupported, check_cap
 
-_TABLE_LIMIT = 256  # a finite ring of at most this many elements is coded
+_TABLE_LIMIT = 16  # a finite ring of at most this many elements is coded
+_FQ_TABLE_LIMIT = 256  # and an Fq of at most this many
 _TABLES: dict = {}  # ring key -> RingTables, shared by the rings with that key
 
 
@@ -72,96 +77,29 @@ class RingTables:
 
     For a tuple kind, `decode[a]` is the tuple over the base that code a
     stands for, the a-th of the kind's enumeration, and `encode` maps the
-    tuples back to codes; for Fp, Zn and Fq both are None.  Every entry
-    comes from the definition of the ring's kind: its arithmetic before the
-    ring reads any table.  Fp and Zn are filled by one operation per pair;
-    Fq and the tuple kinds, whose codes are numerals, by `_fill_numerals`.
+    tuples back to codes; for Fp, Zn and Fq both are None.  Every entry is
+    one evaluation of the ring's definition, the hooks `_add`, `_mul`, ...
+    of its kind, on the elements the codes stand for.
     """
 
     __slots__ = ("add", "mul", "neg", "conj", "strs", "decode", "encode")
 
     def __init__(self, ring: "Ring"):
         self.decode = self.encode = None
-        elems = range(ring.size)
-        code_of = int  # the elements of Fp, Zn and Fq are their own codes
+        elems = range(ring.size)  # the elements of Fp, Zn and Fq are their own codes
         if isinstance(ring, _TupleRing):
             elems = self.decode = ring._tuples()
-            code = self.encode = {t: i for i, t in enumerate(elems)}
-            code_of = code.__getitem__
-            width = len(elems[0])
+            self.encode = {t: i for i, t in enumerate(elems)}
 
-            def unit(j, v):
-                t = [0] * width
-                t[j] = v
-                return tuple(t)
+        def codes(values: list) -> list:
+            return values if self.encode is None else list(map(self.encode.__getitem__, values))
 
-            weight = [code[unit(j, 1)] for j in range(width)]
-            self._fill_numerals(ring.base.size, weight, ring.base.tables.add,
-                                lambda i, d, j, v: code[ring._mul(unit(i, d), unit(j, v))])
-        elif isinstance(ring, Fq):
-            p = ring.p
-            weight = [p**j for j in range(ring.deg)]
-            self._fill_numerals(p, weight, [[(a + b) % p for b in range(p)] for a in range(p)],
-                                lambda i, d, j, v: ring._mul(d * weight[i], v * weight[j]))
-        else:
-            add, mul = ring.add, ring.mul
-            self.add = [[add(a, b) for b in elems] for a in elems]
-            self.mul = [[mul(a, b) for b in elems] for a in elems]
-        self.neg = [code_of(ring.neg(x)) for x in elems]
-        self.conj = [code_of(ring.conj(x)) for x in elems]
+        add, mul = ring._add, ring._mul
+        self.add = [codes([add(x, y) for y in elems]) for x in elems]
+        self.mul = [codes([mul(x, y) for y in elems]) for x in elems]
+        self.neg = codes([ring._neg(x) for x in elems])
+        self.conj = codes([ring._conj(x) for x in elems])
         self.strs = [ring._to_str(x) for x in elems]
-
-    def _fill_numerals(self, q: int, weight: list, digit_add, unit_product) -> None:
-        """Fill `add` and `mul` of a ring whose codes are numerals in base q.
-
-        The code of the element with digits t_j is sum_j t_j * weight[j],
-        and addition is digitwise by `digit_add`, the addition table of the
-        digits (Z/p for Fq, the base ring for a tuple kind).  With u_j(v)
-        the element holding digit v at j and zero elsewhere,
-        `unit_product(i, d, j, v)` is the code of u_i(d) * u_j(v), by the
-        ring's definition.
-
-        A code c > 0 splits into its leading term l = d * w, the code of a
-        unit u_j(d), and the rest c - l.  The row of a unit in `add` changes
-        one digit, and every other row is add[c][y] = add[c - l][add[l][y]].
-        By distributivity the row of u_i(d) in `mul` is sum_j u_i(d) *
-        u_j(y_j), and every other row is mul[c][y] = add[mul[l][y]][mul[c -
-        l][y]].  That is about |R|^2 lookups and (width * q)^2 products.
-        """
-        size, digits = q ** len(weight), range(q)
-        codes = range(size)
-        order = sorted(range(len(weight)), key=weight.__getitem__, reverse=True)  # leading first
-        add, mul = [None] * size, [None] * size
-        add[0], mul[0] = tuple(codes), (0,) * size
-        for w in weight:
-            for d in digits[1:]:
-                plus_d = digit_add[d]
-                add[d * w] = tuple([y + w * (plus_d[y // w % q] - y // w % q) for y in codes])
-        self._fill_rows(add, q, lambda lead, rest: itemgetter(*lead)(rest))
-        for i, w in enumerate(weight):
-            for d in digits[1:]:
-                row = [0]
-                for j in order:
-                    part = [unit_product(i, d, j, v) for v in digits]
-                    row = [add[s][t] for s in row for t in part]
-                mul[d * w] = tuple(row)
-
-        def sum_rows(lead, rest):  # y -> add[lead[y]][rest[y]]
-            return tuple(map(tuple.__getitem__, map(add.__getitem__, lead), rest))
-
-        self._fill_rows(mul, q, sum_rows)
-        self.add, self.mul = add, mul
-
-    @staticmethod
-    def _fill_rows(rows: list, q: int, combine) -> None:
-        """Fill each missing row c from the rows of its leading term l and of
-        c - l, both smaller codes, as combine(rows[l], rows[c - l])."""
-        w = 1
-        for c in range(1, len(rows)):
-            if c == w * q:
-                w = c
-            if rows[c] is None:
-                rows[c] = combine(rows[c - c % w], rows[c % w])
 
 
 class Ring:
@@ -184,12 +122,15 @@ class Ring:
         self.one = self._one()
         self.split_unit = None
         self._elements_cache = None
-        if self.size is not None and self.size <= _TABLE_LIMIT and self._codable():
+        if self._codable():
             self._code()
+        else:  # the definition is the operation: no table to try first
+            self.add, self.neg, self.mul, self.conj = self._add, self._neg, self._mul, self._conj
+            self.contains, self.to_str, self.from_str = self._contains, self._to_str, self._from_str
 
     def _codable(self) -> bool:
-        """Whether the ring is coded when it has at most _TABLE_LIMIT elements."""
-        return True
+        """Whether the ring is coded (see the module docstring)."""
+        return self.size is not None and self.size <= _TABLE_LIMIT
 
     def _code(self) -> None:
         """Make the ring coded: its tables come from the cache, built for the
@@ -203,10 +144,11 @@ class Ring:
         if tables.encode is not None:
             self.zero, self.one = tables.encode[self.zero], tables.encode[self.one]
 
-    # Each kind defines its elements by these hooks.  The element operations
-    # below read the tables of a coded ring instead, except `from_str`, which
-    # parses by the definition and then encodes.  Fp and Zn define the
-    # operations themselves, which cost no more than a lookup.
+    # Each kind defines its elements by these hooks.  A ring that is not
+    # coded takes them as its element operations (`__init__`); those of a
+    # coded ring, below, read its tables instead, except `from_str`, which
+    # parses by the definition and then encodes.  Fp and Zn take the hooks
+    # as their operations either way, as they cost no more than a lookup.
     def _zero(self):
         raise NotImplementedError
 
@@ -235,20 +177,16 @@ class Ring:
         raise NotImplementedError
 
     def add(self, a, b):
-        tables = self.tables
-        return self._add(a, b) if tables is None else tables.add[a][b]
+        return self.tables.add[a][b]
 
     def neg(self, a):
-        tables = self.tables
-        return self._neg(a) if tables is None else tables.neg[a]
+        return self.tables.neg[a]
 
     def mul(self, a, b):
-        tables = self.tables
-        return self._mul(a, b) if tables is None else tables.mul[a][b]
+        return self.tables.mul[a][b]
 
     def conj(self, a):
-        tables = self.tables
-        return self._conj(a) if tables is None else tables.conj[a]
+        return self.tables.conj[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -293,9 +231,7 @@ class Ring:
         """Whether a is an element of the ring.  A coded ring holds exactly
         the ints 0..size-1: over a coded tuple kind, a tuple is not an
         element, its code is."""
-        if self.tables is not None:
-            return isinstance(a, int) and 0 <= a < self.size
-        return self._contains(a)
+        return isinstance(a, int) and 0 <= a < self.size
 
     def _enumerate(self):
         raise Unsupported(f"{self.kind} ring is not enumerable")
@@ -378,13 +314,12 @@ class Ring:
 
     # encodings
     def to_str(self, a) -> str:
-        tables = self.tables
-        return self._to_str(a) if tables is None else tables.strs[a]
+        return self.tables.strs[a]
 
     def from_str(self, s: str):
         x = self._from_str(s)
-        tables = self.tables
-        return x if tables is None or tables.encode is None else tables.encode[x]
+        encode = self.tables.encode
+        return x if encode is None else encode[x]
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -436,18 +371,21 @@ class Fp(Ring):
     def _one(self):
         return 1
 
-    # the element operations themselves: as fast as a lookup
-    def add(self, a, b):
+    def _add(self, a, b):
         return (a + b) % self.p
 
-    def neg(self, a):
+    def _neg(self, a):
         return (-a) % self.p
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         return (a * b) % self.p
 
-    def conj(self, a):
+    def _conj(self, a):
         return a
+
+    # a lookup costs no less than the definition, so the element operations
+    # are the hooks themselves
+    add, neg, mul, conj = _add, _neg, _mul, _conj
 
     def inv(self, a):
         if a % self.p == 0:
@@ -490,18 +428,21 @@ class Zn(Ring):
     def _one(self):
         return 1
 
-    # the element operations themselves: as fast as a lookup
-    def add(self, a, b):
+    def _add(self, a, b):
         return (a + b) % self.n
 
-    def neg(self, a):
+    def _neg(self, a):
         return (-a) % self.n
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         return (a * b) % self.n
 
-    def conj(self, a):
+    def _conj(self, a):
         return a
+
+    # a lookup costs no less than the definition, so the element operations
+    # are the hooks themselves
+    add, neg, mul, conj = _add, _neg, _mul, _conj
 
     def inv(self, a):
         if math.gcd(a, self.n) != 1:
@@ -634,7 +575,16 @@ class Fq(Ring):
     def _conj(self, a):
         if self.involution == "trivial":
             return a
-        return self.pow(a, self.p ** (self.deg // 2))
+        result, e = 1, self.p ** (self.deg // 2)
+        while e:  # a^e by squaring, in the definition's product
+            if e & 1:
+                result = self._mul(result, a)
+            a = self._mul(a, a)
+            e >>= 1
+        return result
+
+    def _codable(self) -> bool:
+        return self.size <= _FQ_TABLE_LIMIT
 
     def inv(self, a):
         if a == 0:
@@ -719,7 +669,7 @@ class _TupleRing(Ring):
     base: Ring
 
     def _add(self, a, b):
-        """Componentwise, in every tuple kind."""
+        """Componentwise, in every tuple kind; `_PairRing` spells it out for pairs."""
         add = self.base.add
         return tuple(map(add, a, b))
 
@@ -727,7 +677,7 @@ class _TupleRing(Ring):
         return tuple(map(self.base.neg, a))
 
     def _codable(self) -> bool:
-        return self.base.tables is not None
+        return super()._codable() and self.base.tables is not None
 
     def _tuples(self) -> list:
         """Every tuple, in the kind's enumeration order."""
@@ -745,7 +695,31 @@ class _TupleRing(Ring):
         return a if self.tables is None else self.tables.decode[a]
 
 
-class DualRing(_TupleRing):
+class _PairRing(_TupleRing):
+    """A tuple kind whose elements are pairs over the base: Dual and ProductOp."""
+
+    def _add(self, a, b):
+        add = self.base.add
+        return (add(a[0], b[0]), add(a[1], b[1]))
+
+    def _neg(self, a):
+        neg = self.base.neg
+        return (neg(a[0]), neg(a[1]))
+
+    def _contains(self, a):
+        return (
+            isinstance(a, tuple)
+            and len(a) == 2
+            and self.base.contains(a[0])
+            and self.base.contains(a[1])
+        )
+
+    def _tuples(self):
+        elems = self.base.elements()
+        return [(x, y) for y in elems for x in elems]
+
+
+class DualRing(_PairRing):
     """Dual numbers base[e]/(e^2) with conj(e) = +e or -e; elements are pairs."""
 
     kind = "Dual"
@@ -776,17 +750,6 @@ class DualRing(_TupleRing):
         if self.conj_e == "-e":
             cb = B.neg(cb)
         return (B.conj(a[0]), cb)
-
-    def _contains(self, a):
-        return (
-            isinstance(a, tuple)
-            and len(a) == 2
-            and self.base.contains(a[0])
-            and self.base.contains(a[1])
-        )
-
-    def _tuples(self):
-        return [(x, y) for y in self.base.elements() for x in self.base.elements()]
 
     def pair(self, a0, a1):
         """The element a0 + a1*e, for a0 and a1 in the base."""
@@ -905,7 +868,7 @@ class Mat2Ring(_TupleRing):
         return {"kind": "Mat2", "base": self.base.to_json()}
 
 
-class ProductOpRing(_TupleRing):
+class ProductOpRing(_PairRing):
     """B x B^op with the swap involution (a|b) -> (b|a)."""
 
     kind = "ProductOp"
@@ -930,17 +893,6 @@ class ProductOpRing(_TupleRing):
 
     def _conj(self, a):
         return (a[1], a[0])
-
-    def _contains(self, a):
-        return (
-            isinstance(a, tuple)
-            and len(a) == 2
-            and self.base.contains(a[0])
-            and self.base.contains(a[1])
-        )
-
-    def _tuples(self):
-        return [(x, y) for y in self.base.elements() for x in self.base.elements()]
 
     def _to_str(self, a):
         return f"({self.base.to_str(a[0])}|{self.base.to_str(a[1])})"
@@ -969,8 +921,7 @@ class PolySRing(Ring):
 
     The ring is infinite; enumerate() walks the polynomials of degree at most
     degree_bound when one is configured (a sample of the ring, used by the
-    involution checker and split-unit search).  It is never coded, so it
-    defines the element operations themselves rather than the hooks.
+    involution checker and split-unit search).  It is never coded.
     """
 
     kind = "PolyS"
@@ -989,7 +940,7 @@ class PolySRing(Ring):
     def _one(self):
         return (self.base.one,)
 
-    def add(self, a, b):
+    def _add(self, a, b):
         B = self.base
         n = max(len(a), len(b))
         out = []
@@ -999,10 +950,10 @@ class PolySRing(Ring):
             out.append(B.add(x, y))
         return _poly_trim_ring(out, B)
 
-    def neg(self, a):
+    def _neg(self, a):
         return tuple(self.base.neg(c) for c in a)
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         B = self.base
         if not a or not b:
             return ()
@@ -1012,7 +963,7 @@ class PolySRing(Ring):
                 out[i + j] = B.add(out[i + j], B.mul(x, y))
         return _poly_trim_ring(out, B)
 
-    def conj(self, a):
+    def _conj(self, a):
         """conj(sum c_i s^i) = sum conj(c_i) (1-s)^i, expanded binomially."""
         B = self.base
         out = [B.zero] * (len(a) or 1)
@@ -1025,7 +976,7 @@ class PolySRing(Ring):
                 out[k] = B.add(out[k], B.mul(cc, coeff))
         return _poly_trim_ring(out, B)
 
-    def contains(self, a):
+    def _contains(self, a):
         return isinstance(a, tuple) and all(self.base.contains(c) for c in a) and (
             not a or a[-1] != self.base.zero
         )
@@ -1050,10 +1001,10 @@ class PolySRing(Ring):
             return self._polys_up_to(bound)
         raise Unsupported("PolyS sample too large")
 
-    def to_str(self, a):
+    def _to_str(self, a):
         return json.dumps([self.base.to_str(c) for c in a], separators=(",", ":"))
 
-    def from_str(self, s):
+    def _from_str(self, s):
         """A JSON list of coefficients, lowest degree first, each written as
         a base-ring string or an integer: '["1","w"]' or '[1,0,2]'."""
         coeffs = json.loads(s) if isinstance(s, str) else None

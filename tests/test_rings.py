@@ -128,7 +128,7 @@ def test_polys_conj_is_one_minus_s():
 def test_truncpoly_conj_sign():
     tp = TruncPolyRing(Fp(5), 3, "-t")
     t = tp.from_str('["0","1","0"]')
-    assert tp.conj(t) == tp.from_str('["0","4","0"]')
+    assert tp.decode(tp.conj(t)) == (0, 4, 0)
     assert tp.conj(tp.conj(t)) == t
 
 
@@ -222,7 +222,7 @@ CODED_RINGS = {
     "Dual-F4-e": lambda: DualRing(F4(), "-e"),
     "Mat2-F2": lambda: Mat2Ring(F2()),
     "ProductOp-F2": lambda: ProductOpRing(F2()),
-    "ProductOp-Mat2-F2": lambda: ProductOpRing(Mat2Ring(F2())),
+    "ProductOp-ProductOp-F2": lambda: ProductOpRing(ProductOpRing(F2())),
     "TruncPoly-F2-3": lambda: TruncPolyRing(F2(), 3),
     "TruncPoly-F3-2-t": lambda: TruncPolyRing(Fp(3), 2, "-t"),
 }
@@ -271,7 +271,7 @@ def test_coded_ring_contains_codes_only():
 
 
 def test_rings_above_the_limit_keep_tuples():
-    for ring in (DualRing(Zn(32)), Mat2Ring(Fp(5)), DualRing(Fp(257))):
+    for ring in (DualRing(Zn(32)), Mat2Ring(Fp(5)), DualRing(Fp(257)), DualRing(Zn(5))):
         assert ring.tables is None
         e = ring.from_str("e") if ring.kind == "Dual" else ring.one
         assert isinstance(e, tuple) and ring.contains(e)
@@ -279,6 +279,16 @@ def test_rings_above_the_limit_keep_tuples():
     d = DualRing(Zn(32))
     e = d.pair(0, 1)
     assert d.mul(e, e) == d.zero and d.conj(e) == d.pair(0, 31)
+
+
+def test_uncoded_ring_over_a_coded_base():
+    # 256 elements: pairs of codes of the coded Mat2(F2)
+    ring = ProductOpRing(Mat2Ring(F2()))
+    assert ring.tables is None and ring.base.tables is not None
+    elems = ring.elements()
+    assert elems == ring._tuples() and len(set(elems)) == 256
+    assert all(ring.from_str(ring.to_str(x)) == x for x in elems)
+    assert ring.verify_involution(elems[::17]).passed
 
 
 def test_tables_are_shared_by_key_but_split_units_are_not():
