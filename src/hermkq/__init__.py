@@ -23,7 +23,6 @@ from .linalg import (
     Mat,
     all_matrices,
     block,
-    conj_transpose,
     diag_block,
     invert,
     is_invertible_by_enumeration,

@@ -12,21 +12,23 @@ from __future__ import annotations
 from itertools import product
 from math import isqrt, prod
 
-from .caps import CapExceeded, check_cap
+from .caps import CapExceeded, Unsupported, check_cap
 from .linalg import Mat
 from .rings import Ring
 from .snf import Echelon, solve_mod
 
 _BASIS_CACHE: dict = {}
+# fixed bound on the ring size an additive basis is built for, not the search cap
+BASIS_CAP = 4096
 
 
 class AdditiveBasis:
     """Free Z/char-module basis of a finite ring, with coordinate tables."""
 
-    def __init__(self, ring: Ring, cap: int = 4096):
+    def __init__(self, ring: Ring):
         if ring.size is None:
-            raise CapExceeded("additive basis needs a finite ring")
-        check_cap(ring.size, "additive basis", cap)
+            raise Unsupported("additive basis needs a finite ring")
+        check_cap(ring.size, "additive basis", BASIS_CAP)
         self.ring = ring
         self.char = ring.char
         coords = {ring.zero: ()}
@@ -52,7 +54,7 @@ class AdditiveBasis:
                     coords[cur] = vec + ((k, mult),)
             basis.append(elem)
         if len(coords) != ring.size:
-            raise CapExceeded("ring additive group is not a free Z/char module")
+            raise Unsupported("ring additive group is not a free Z/char module")
         self.basis = basis
         self.dim = len(basis)
         self.coords = {}
@@ -185,20 +187,20 @@ class MatSubgroup:
                 best = cand
         return best
 
-    def coset_reps_all(self, cap: int | None = None):
+    def coset_reps_all(self):
         """Every canonical coset representative (in prime characteristic the
         vectors vanishing on the pivot coordinates)."""
         if self._echelon is not None:
             ech = self._echelon
             ranges = [range(ech.rows[j][j] if j in ech.rows else ech.modulus)
                       for j in range(ech.n)]
-            check_cap(prod(map(len, ranges)), "coset representative enumeration", cap)
+            check_cap(prod(map(len, ranges)), "coset representative enumeration")
             return sorted((self._from_coords(vec) for vec in product(*ranges)), key=Mat.key)
         from .linalg import all_matrices
 
         seen = set()
         out = []
-        for m in all_matrices(self.ring, self.rows, self.cols, cap):
+        for m in all_matrices(self.ring, self.rows, self.cols):
             c = self.coset_canonical(m)
             if c not in seen:
                 seen.add(c)
@@ -236,7 +238,7 @@ def _solve_mod_p(modulus, columns, target):
     return solve_mod(mat, list(target) or [0], modulus)
 
 
-def solve_affine(ring, shape, fun, target, all_solutions=True, cap=None):
+def solve_affine(ring, shape, fun, target, all_solutions=True):
     """Matrices X with fun(X) = target, fun affine-additive in X.
 
     The system is written in the coordinates of the ring's additive basis,
@@ -257,7 +259,7 @@ def solve_affine(ring, shape, fun, target, all_solutions=True, cap=None):
     sols = [mat_from_coords(basis, rows, cols, particular)]
     if not all_solutions or not kernel:
         return sols
-    check_cap(prod(order for _, order in kernel), "solution enumeration", cap)
+    check_cap(prod(order for _, order in kernel), "solution enumeration")
     # mixed radix: a generator g of order o adds the layers s + g, ..., s + (o-1)g
     for vec, order in kernel:
         g = mat_from_coords(basis, rows, cols, vec)

@@ -1,4 +1,12 @@
-"""Enumeration guard rails shared by every search in the package."""
+"""Enumeration guard rails shared by every search in the package.
+
+The search cap is set in one place only: the innermost `scoped_cap` block,
+else the HERMKQ_CAP environment variable, else DEFAULT_CAP.  No search takes
+it as an argument; the span limits of `additive.MatSubgroup` and
+`clauwens._generated_subring` are separate fixed bounds.  A search that would
+pass a cap raises CapExceeded; an input a computation does not cover raises
+Unsupported, whatever the cap.
+"""
 
 import contextlib
 import contextvars
@@ -60,6 +68,11 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     A node there is one unit of that search's work: each of the |R|^n
     columns of its first pass, and each inner product of a chosen column
     with a candidate for a later position.
+
+    The limit is the search cap (`global_cap`) unless `cap` is given.  That
+    third argument is for a fixed internal limit that is not the search cap,
+    namely the ring size an additive basis is built for
+    (`additive.BASIS_CAP`).
     """
     limit = cap if cap is not None else global_cap()
     if size > limit:

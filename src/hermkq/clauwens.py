@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .additive import MatSubgroup, extend_span, solve_affine
-from .caps import CapExceeded, check_cap
+from .caps import Unsupported
 from .forms import DegenerateFormError, QuadFormEl, min_equal, psi_normalize
 from .linalg import Mat, _det_comm, block, diag_block, invert, kron, nilpotency_index
 from .rings import Ring, _poly_trim_ring
@@ -129,7 +129,7 @@ class PolyQuadForm:
         """Whether det H(s) is a unit of A[s]; computed once per form."""
         if self._nondegenerate is None:
             if self.n and not self.ring.is_commutative:
-                raise CapExceeded("polynomial determinant needs a commutative ring")
+                raise Unsupported("polynomial determinant needs a commutative ring")
             self._nondegenerate = self.n == 0 or _poly_unit(
                 self.ring, _det_comm(self.hermitian())
             )
@@ -456,7 +456,7 @@ def lemma4_recursion(
     """
     R = sigma.ring
     if not R.is_commutative:
-        raise CapExceeded("the recursion uses Kronecker products")
+        raise Unsupported("the recursion uses Kronecker products")
     n = sigma.rows
     m = d.m
     sig_inv = invert(sigma)

@@ -3,8 +3,12 @@
 Every command reads JSON (inline or @file), runs the requested computation,
 and prints a single report document embedding the input and the package
 version.  Exit codes: 0 success, 1 a verified property failed (the report
-carries the counterexample), 2 malformed input, an input the computation
-does not cover (`unsupported`), or a cap was exhausted.
+carries the counterexample), 2 a refusal, reported as one of three errors:
+`bad-input` (malformed input), `unsupported` (well-formed input that the
+computation does not cover) or `cap-exhausted` (a search would pass the
+cap set by --cap, else HERMKQ_CAP, else the default, or a fixed internal
+limit that --cap does not raise: the additive basis size and the subgroup
+and subring spans).  `python -m hermkq` runs this interface.
 JSON output is deterministic; --format table renders a flat text view.
 """
 
@@ -13,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import sys
 
 from . import __version__
 from .caps import CapExceeded, Unsupported, scoped_cap
@@ -445,7 +448,7 @@ def main(argv=None) -> int:
     try:
         with scoped_cap(args.cap):
             return _DISPATCH[args.command](args, args.format)
-    except (CapExceeded,) as exc:
+    except CapExceeded as exc:
         print(json.dumps({"error": "cap-exhausted", "message": str(exc)}))
         return 2
     except Unsupported as exc:
@@ -454,7 +457,3 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError, DegenerateFormError, OSError) as exc:
         print(json.dumps({"error": "bad-input", "message": str(exc)}))
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

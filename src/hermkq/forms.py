@@ -117,14 +117,14 @@ class ShiftSubgroup:
                     return False
         return True
 
-    def coset_reps_all(self, cap: int | None = None) -> list[Mat]:
+    def coset_reps_all(self) -> list[Mat]:
         """Every canonical representative, sorted by Mat.key: the diagonal
         over the representatives of R/Lambda, the strict upper triangle t and
         the strict lower triangle free."""
         R, n = self.ring, self.rows
         diag = set(self._canon.values())
         lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
-        check_cap(len(diag) ** n * R.size ** len(lower), "coset representative enumeration", cap)
+        check_cap(len(diag) ** n * R.size ** len(lower), "coset representative enumeration")
         out = []
         for d in product(diag, repeat=n):
             for low in product(R.elements(), repeat=len(lower)):
@@ -181,7 +181,8 @@ class HermForm:
         return self.n == 0 or self.inverse() is not None
 
     def adjoint(self, f: Mat) -> Mat:
-        """f^* = phi^{-1} . conj_transpose(f) . phi, taken against this form."""
+        """f^* = phi^{-1} . f.star() . phi, with f.star() the conjugate transpose,
+        taken against this form."""
         inv = self.inverse()
         if inv is None:
             raise DegenerateFormError("adjoint needs a nondegenerate form")
@@ -295,7 +296,7 @@ def associated_hermitian(q: QuadFormEl) -> HermForm:
     return q.associated()
 
 
-def is_even(h: HermForm, cap=None) -> Mat | None:
+def is_even(h: HermForm) -> Mat | None:
     """Some phi0 with phi0 + eps*phi0^* = phi, or None."""
     sols = solve_affine(
         h.ring,
@@ -303,7 +304,6 @@ def is_even(h: HermForm, cap=None) -> Mat | None:
         lambda g: g + g.star().scale_sign(h.eps),
         h.phi,
         all_solutions=False,
-        cap=cap,
     )
     return sols[0] if sols else None
 

@@ -104,7 +104,7 @@ def check_min(f: Mat, q: QuadFormEl) -> Mat | None:
     return sols[0] if sols else None
 
 
-def _frame_search(diag: Mat, herm: Mat, diag_class, cap: int | None) -> list[Mat]:
+def _frame_search(diag: Mat, herm: Mat, diag_class) -> list[Mat]:
     """Every n x n matrix f with diag_class(f_j^* diag f_j) = diag_class(diag_jj)
     for each column f_j, and f_j^* herm f_k = herm_jk for each j < k.
 
@@ -133,7 +133,7 @@ def _frame_search(diag: Mat, herm: Mat, diag_class, cap: int | None) -> list[Mat
     if ring.size is None:
         raise Unsupported("ring not enumerable")
     nodes = ring.size**n
-    check_cap(nodes, "matrix enumeration", cap)
+    check_cap(nodes, "matrix enumeration")
     conj, tables = ring.conj, ring.tables
     if tables is not None:
         add_t, mul_t = tables.add, tables.mul
@@ -172,7 +172,7 @@ def _frame_search(diag: Mat, herm: Mat, diag_class, cap: int | None) -> list[Mat
     frames = [((), lists)] if all(lists) else []  # (columns chosen, lists of the open positions)
     for j in range(n):
         nodes += sum(len(here) * max(1, sum(map(len, later))) for _, (here, *later) in frames)
-        check_cap(nodes, "matrix enumeration", cap)
+        check_cap(nodes, "matrix enumeration")
         targets = herm.entries[j][j + 1:]
         kept = []
         for chosen, (here, *later) in frames:
@@ -190,7 +190,7 @@ def _frame_search(diag: Mat, herm: Mat, diag_class, cap: int | None) -> list[Mat
     return [Mat(ring, list(zip(*(cols[c] for c in chosen)))) for chosen, _ in frames]
 
 
-def enumerate_unitary(h: HermForm, cap: int | None = None) -> list[Mat]:
+def enumerate_unitary(h: HermForm) -> list[Mat]:
     """All invertible f with f^* phi f = phi, by a column-by-column frame search.
 
     The search keeps f when f_j^* phi f_j = phi_jj on the diagonal and
@@ -202,14 +202,14 @@ def enumerate_unitary(h: HermForm, cap: int | None = None) -> list[Mat]:
     """
     if h.n == 0:
         return [Mat(h.ring, [])]
-    out = _frame_search(h.phi, h.phi, lambda x: x, cap)
+    out = _frame_search(h.phi, h.phi, lambda x: x)
     if not h.nondegenerate:
         out = [f for f in out if invert(f) is not None]
     out.sort(key=Mat.key)
     return out
 
 
-def enumerate_orthogonal_min(q: QuadFormEl, cap: int | None = None) -> list[Mat]:
+def enumerate_orthogonal_min(q: QuadFormEl) -> list[Mat]:
     """All invertible f admitting a witness gamma for identity (S).
 
     m = f^* phi0 f - phi0 must lie in the shift subgroup S = {gamma -
@@ -228,16 +228,16 @@ def enumerate_orthogonal_min(q: QuadFormEl, cap: int | None = None) -> list[Mat]
         return [Mat(q.ring, [])]
     shifts = shift_subgroup(q.ring, q.eps, 1)
     h = q.associated()
-    out = _frame_search(q.phi0, h.phi, lambda x: shifts.canonical_flat((x,)), cap)
+    out = _frame_search(q.phi0, h.phi, lambda x: shifts.canonical_flat((x,)))
     if not h.nondegenerate:
         out = [f for f in out if invert(f) is not None]
     out.sort(key=Mat.key)
     return out
 
 
-def el_elements(q: QuadFormEl, cap: int | None = None):
+def el_elements(q: QuadFormEl):
     """All (f, gamma): for each orthogonal f the witnesses form a coset of S(E)."""
-    omin = enumerate_orthogonal_min(q, cap)
+    omin = enumerate_orthogonal_min(q)
     se = selfadjoint_subgroup(q.ring, q.eps, q.n).elements()
     out = []
     for f in omin:
@@ -356,11 +356,11 @@ def verify_group_axioms(elements, compose, inverse, identity):
     }
 
 
-def enumerate_group(variant: str, form, cap: int | None = None) -> EnumeratedGroup:
+def enumerate_group(variant: str, form) -> EnumeratedGroup:
     """Exhaustive orthogonal group of the given variant, axioms verified."""
     if variant == "max":
         h = form if isinstance(form, HermForm) else form.associated()
-        elems = enumerate_unitary(h, cap)
+        elems = enumerate_unitary(h)
         checks = verify_group_axioms(
             elems,
             lambda a, b: a * b,
@@ -370,7 +370,7 @@ def enumerate_group(variant: str, form, cap: int | None = None) -> EnumeratedGro
         return EnumeratedGroup("max", len(elems), elems, checks=checks)
     if variant == "min":
         q = form
-        elems = enumerate_orthogonal_min(q, cap)
+        elems = enumerate_orthogonal_min(q)
         checks = verify_group_axioms(
             elems,
             lambda a, b: a * b,
@@ -380,14 +380,13 @@ def enumerate_group(variant: str, form, cap: int | None = None) -> EnumeratedGro
         return EnumeratedGroup("min", len(elems), elems, checks=checks)
     if variant == "el":
         q = form
-        elems, omin, se = el_elements(q, cap)
+        elems, omin, se = el_elements(q)
         checks = verify_group_axioms(elems, compose_el, el_inverse, el_identity(q))
         return EnumeratedGroup("el", len(elems), elems, checks, base=omin, kernel=se)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def extension_check(q: QuadFormEl, cap: int | None = None,
-                    group: EnumeratedGroup | None = None) -> dict:
+def extension_check(q: QuadFormEl, group: EnumeratedGroup | None = None) -> dict:
     """Verify 1 -> S(E) -> O^el -> O^min -> 1 on the enumerated groups.
 
     `group` is the enlarged group `enumerate_group("el", q)` returned; without
@@ -397,7 +396,7 @@ def extension_check(q: QuadFormEl, cap: int | None = None,
     factorisation of every element as lift(f).(1, s).
     """
     if group is None:
-        group = enumerate_group("el", q, cap)
+        group = enumerate_group("el", q)
     elems, omin, se = group.elements, group.base, group.kernel
     lifts = {}
     for m in elems:
@@ -488,9 +487,9 @@ def split_section(g: Mat, q: QuadFormEl, lam=None) -> ElMorphism:
     return ElMorphism(q, g, gamma, check=True)
 
 
-def section_homomorphism_report(q: QuadFormEl, lam=None, cap=None) -> dict:
+def section_homomorphism_report(q: QuadFormEl, lam=None) -> dict:
     """Exhaustively verify s(g.h) = s(g).s(h) and projection.s = id."""
-    omin = enumerate_orthogonal_min(q, cap)
+    omin = enumerate_orthogonal_min(q)
     sections = {g: split_section(g, q, lam) for g in omin}
     hom = all(
         compose_el(sections[g], sections[h]) == sections[g * h]
@@ -518,7 +517,7 @@ def _times_e(ring_e: DualRing, m: Mat) -> Mat:
     return m.map_entries(lambda a: ring_e.pair(zero, a), ring=ring_e)
 
 
-def enumerate_unitary_dual(q: QuadFormEl, cap=None):
+def enumerate_unitary_dual(q: QuadFormEl):
     """O^max over the dual numbers, enumerated without citing the extension.
 
     Writing f = f0 + f1 e over A(e) (conj e = -e), the unitarity equation
@@ -533,7 +532,7 @@ def enumerate_unitary_dual(q: QuadFormEl, cap=None):
     herm = q.associated()
     ring = q.ring
     ring_e = DualRing(ring, "-e")
-    unitaries = enumerate_unitary(herm, cap)
+    unitaries = enumerate_unitary(herm)
     inv_phi = herm.inverse()
     vs = solve_affine(
         ring,
@@ -557,7 +556,7 @@ def enumerate_unitary_dual(q: QuadFormEl, cap=None):
     return out, herm_e, ring_e
 
 
-def dual_numbers_iso(q: QuadFormEl, lam=None, cap=None) -> dict:
+def dual_numbers_iso(q: QuadFormEl, lam=None) -> dict:
     """Identify O^el(E) with O^max(E(e)) via (f, gamma) -> f.(1 + u1 e).
 
     u1 = phi^{-1}(gamma - gamma_s(f)) is the kernel coordinate of (f, gamma)
@@ -572,8 +571,8 @@ def dual_numbers_iso(q: QuadFormEl, lam=None, cap=None) -> dict:
         raise ValueError("ring has no split unit")
     herm = q.associated()
     inv_phi = herm.inverse()
-    elems, omin, se = el_elements(q, cap)
-    dual_unitaries, herm_e, ring_e = enumerate_unitary_dual(q, cap)
+    elems, omin, se = el_elements(q)
+    dual_unitaries, herm_e, ring_e = enumerate_unitary_dual(q)
     ident_e = Mat.identity(ring_e, q.n)
 
     def image(m: ElMorphism) -> Mat:

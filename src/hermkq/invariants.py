@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .additive import additive_basis
-from .caps import CapExceeded, Unsupported, check_cap
+from .caps import Unsupported, check_cap
 from .forms import (
     QuadFormEl,
     direct_sum,
@@ -66,7 +66,7 @@ def gamma_lambda(ring: Ring, eps: int) -> GammaLambda:
 
     Raises Unsupported unless Lambda lies in Gamma, that is 2*Lambda = 0."""
     if ring.size is None:
-        raise CapExceeded("gamma_lambda needs a finite ring")
+        raise Unsupported("gamma_lambda needs a finite ring")
     check_cap(ring.size, "gamma_lambda scan")
     gamma = [a for a in ring.elements() if ring.conj(a) == _scale(ring, eps, a)]
     gens = {_sub_scaled(ring, b, eps) for b in ring.elements()}
@@ -163,7 +163,7 @@ class AbelianGroupPresentation:
         }
 
 
-def xi_group(ring: Ring, eps: int, cap: int | None = None) -> AbelianGroupPresentation:
+def xi_group(ring: Ring, eps: int) -> AbelianGroupPresentation:
     """Bak's 2-torsion obstruction group, presented on Gamma/Lambda pairs.
 
     Quotient of (Gamma/Lambda) tensor_A (Gamma/Lambda) by the symmetry
@@ -172,11 +172,11 @@ def xi_group(ring: Ring, eps: int, cap: int | None = None) -> AbelianGroupPresen
     (right) and gamma -> x gamma conj(x) (left).
     """
     if not ring.is_commutative:
-        raise CapExceeded("xi_group is restricted to commutative rings")
+        raise Unsupported("xi_group is restricted to commutative rings")
     gl = gamma_lambda(ring, eps)
     reps = gl.reps
     k = len(reps)
-    check_cap(k * k, "xi generators", cap)
+    check_cap(k * k, "xi generators")
     idx = {r: i for i, r in enumerate(reps)}
     ngen = k * k
 
@@ -234,7 +234,7 @@ def xi_group(ring: Ring, eps: int, cap: int | None = None) -> AbelianGroupPresen
     return AbelianGroupPresentation(labels, relations)
 
 
-def xi_char2_field(ring: Ring, cap: int | None = None) -> AbelianGroupPresentation:
+def xi_char2_field(ring: Ring) -> AbelianGroupPresentation:
     """Independent char-2 presentation: A tensor_Z A modulo a@b - b@a,
     a@b - a@(b^2 a) and (c^2 a)@b - a@(c^2 b)."""
     if not ring.is_field or ring.char != 2:
@@ -243,7 +243,7 @@ def xi_char2_field(ring: Ring, cap: int | None = None) -> AbelianGroupPresentati
         raise ValueError("xi_char2_field needs the trivial involution")
     elems = ring.elements()
     k = len(elems)
-    check_cap(k * k, "xi generators", cap)
+    check_cap(k * k, "xi generators")
     idx = {e: i for i, e in enumerate(elems)}
     ngen = k * k
 
@@ -542,7 +542,7 @@ def _congruence(ring: Ring, n: int, flat: tuple, move: tuple) -> list:
     return out
 
 
-def _min_class_reps(ring: Ring, eps: int, rank: int, cap=None) -> list[Mat]:
+def _min_class_reps(ring: Ring, eps: int, rank: int) -> list[Mat]:
     """Canonical representatives of nondegenerate min classes at one rank.
 
     Representatives that differ only inside the kernel of a -> a + eps*conj(a)
@@ -552,7 +552,7 @@ def _min_class_reps(ring: Ring, eps: int, rank: int, cap=None) -> list[Mat]:
         return [Mat(ring, [])]
     nondegenerate = {}
     out = []
-    for rep in shift_subgroup(ring, eps, rank).coset_reps_all(cap):
+    for rep in shift_subgroup(ring, eps, rank).coset_reps_all():
         phi = rep + rep.star().scale_sign(eps)
         if phi not in nondegenerate:
             nondegenerate[phi] = invert(phi) is not None
@@ -561,7 +561,7 @@ def _min_class_reps(ring: Ring, eps: int, rank: int, cap=None) -> list[Mat]:
     return out
 
 
-def _max_class_reps(ring: Ring, eps: int, rank: int, cap=None) -> list[Mat]:
+def _max_class_reps(ring: Ring, eps: int, rank: int) -> list[Mat]:
     """Even nondegenerate hermitian forms at one rank (the max objects).
 
     phi with phi^* = eps*phi is even, phi = phi0 + eps*phi0^*, exactly when
@@ -573,11 +573,11 @@ def _max_class_reps(ring: Ring, eps: int, rank: int, cap=None) -> list[Mat]:
     if rank == 0:
         return [Mat(ring, [])]
     if ring.size is None:
-        raise CapExceeded("ring not enumerable")
+        raise Unsupported("ring not enumerable")
     n = rank
     even = {ring.add(a, _scale(ring, eps, ring.conj(a))) for a in ring.elements()}
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    check_cap(len(even) ** n * ring.size ** len(upper), "matrix enumeration", cap)
+    check_cap(len(even) ** n * ring.size ** len(upper), "matrix enumeration")
     out = []
     for diag in product(even, repeat=n):
         for vals in product(ring.elements(), repeat=len(upper)):
@@ -593,7 +593,7 @@ def _max_class_reps(ring: Ring, eps: int, rank: int, cap=None) -> list[Mat]:
     return sorted(out, key=Mat.key)
 
 
-def _orbits(ring, eps, rank, reps, variant, cap=None):
+def _orbits(ring, eps, rank, reps, variant):
     """Partition class representatives into congruence orbits by BFS.
 
     The walk runs on row-major tuples: each generator acts by one row and one
@@ -682,7 +682,7 @@ def _canonicalize(ring, eps, variant, rank, mat):
     return mat
 
 
-def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int, cap=None) -> WittTable:
+def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int) -> WittTable:
     """Stable classes of nondegenerate forms modulo hyperbolics, rank <= max_rank.
 
     Enumerates forms rank by rank, partitions each rank into congruence
@@ -696,11 +696,11 @@ def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int, cap=None) -
     ranks = {}
     for r in range(max_rank + 1):
         reps = (
-            _min_class_reps(ring, eps, r, cap)
+            _min_class_reps(ring, eps, r)
             if variant == "min"
-            else _max_class_reps(ring, eps, r, cap)
+            else _max_class_reps(ring, eps, r)
         )
-        ranks[r] = _orbits(ring, eps, r, reps, variant, cap) if reps else []
+        ranks[r] = _orbits(ring, eps, r, reps, variant) if reps else []
     table = WittTable(ring, eps, variant, max_rank, ranks)
 
     # union-find over (rank, orbit index)
@@ -789,11 +789,11 @@ class GWTable:
         }
 
 
-def grothendieck_witt_monoid(ring, eps, variant, max_rank, cap=None) -> GWTable:
+def grothendieck_witt_monoid(ring, eps, variant, max_rank) -> GWTable:
     """Isomorphism classes with their partial direct-sum table, rank-bounded."""
     if variant == "el":
         variant = "min"
-    table = witt_classify(ring, eps, variant, max_rank, cap)
+    table = witt_classify(ring, eps, variant, max_rank)
     classes = []
     lookup = {}
     for r, orbits in table.ranks.items():

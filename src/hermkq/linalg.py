@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .caps import CapExceeded, check_cap
+from .caps import Unsupported, check_cap
 from .rings import PolySRing, Ring
 
 
@@ -147,15 +147,6 @@ class Mat:
             self.cols,
         )
 
-    def scale_right(self, c) -> "Mat":
-        mul = self.ring.mul
-        return Mat._trusted(
-            self.ring,
-            tuple([tuple([mul(a, c) for a in row]) for row in self.entries]),
-            self.rows,
-            self.cols,
-        )
-
     def scale_sign(self, eps: int) -> "Mat":
         if eps == 1:
             return self
@@ -165,10 +156,6 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat(self.ring, list(zip(*self.entries)))
-
-    def conj_entries(self) -> "Mat":
-        conj = self.ring.conj
-        return Mat(self.ring, [[conj(a) for a in row] for row in self.entries])
 
     def star(self) -> "Mat":
         """Conjugate transpose; realizes the dual of a map once A^n = (A^n)*."""
@@ -195,10 +182,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.key()})"
-
-
-def conj_transpose(m: Mat) -> Mat:
-    return m.star()
 
 
 def block(ring: Ring, grid) -> Mat:
@@ -333,7 +316,7 @@ def _adjugate_inverse(m: Mat) -> Mat | None:
     return inv
 
 
-def invert(m: Mat, cap: int | None = None) -> Mat | None:
+def invert(m: Mat) -> Mat | None:
     """Two-sided inverse of m, or None.
 
     Fields use Gauss-Jordan on [m | 1]; other commutative rings the
@@ -354,19 +337,19 @@ def invert(m: Mat, cap: int | None = None) -> Mat | None:
     from .additive import solve_affine  # local import to avoid a cycle
 
     ident = Mat.identity(R, m.rows)
-    sols = solve_affine(R, (m.rows, m.rows), lambda x: m * x, ident, cap=cap)
+    sols = solve_affine(R, (m.rows, m.rows), lambda x: m * x, ident)
     for x in sols:
         if x * m == ident:
             return x
     return None
 
 
-def is_invertible_by_enumeration(m: Mat, cap: int | None = None) -> bool:
+def is_invertible_by_enumeration(m: Mat) -> bool:
     """Bijectivity of x -> m*x on A^n by full enumeration (independent oracle)."""
     R = m.ring
     if R.size is None:
-        raise CapExceeded("ring not enumerable")
-    check_cap(R.size**m.rows, "bijectivity enumeration", cap)
+        raise Unsupported("ring not enumerable")
+    check_cap(R.size**m.rows, "bijectivity enumeration")
     seen = set()
     for vec in product(R.elements(), repeat=m.rows):
         col = Mat(R, [[v] for v in vec])
@@ -420,11 +403,11 @@ def rank_over_field(m: Mat) -> int:
     return _gauss_jordan(m.ring, [list(row) for row in m.entries], m.cols)
 
 
-def all_matrices(ring: Ring, rows: int, cols: int, cap: int | None = None):
+def all_matrices(ring: Ring, rows: int, cols: int):
     """Deterministic stream of every rows x cols matrix over a finite ring."""
     if ring.size is None:
-        raise CapExceeded("ring not enumerable")
-    check_cap(ring.size ** (rows * cols), "matrix enumeration", cap)
+        raise Unsupported("ring not enumerable")
+    check_cap(ring.size ** (rows * cols), "matrix enumeration")
     elems = ring.elements()
     for flat in product(elems, repeat=rows * cols):
         yield Mat(ring, [flat[i * cols: (i + 1) * cols] for i in range(rows)])

@@ -1,0 +1,67 @@
+"""The search cap is set by `scoped_cap` (else HERMKQ_CAP, else the default)
+and bounds every search that used to take a cap argument."""
+
+import pytest
+
+from hermkq.additive import MatSubgroup, solve_affine
+from hermkq.caps import CapExceeded, global_cap, scoped_cap
+from hermkq.forms import hyperbolic, shift_subgroup
+from hermkq.groups import (
+    dual_numbers_iso,
+    enumerate_group,
+    extension_check,
+    section_homomorphism_report,
+)
+from hermkq.invariants import grothendieck_witt_monoid, witt_classify, xi_char2_field, xi_group
+from hermkq.linalg import Mat, all_matrices, is_invertible_by_enumeration
+from hermkq.rings import F2, F4, Zn
+
+_F2 = F2()
+_HYP_F2 = hyperbolic(_F2, 1, 1)
+_HYP_F4 = hyperbolic(F4(), 1, 1)
+_ZERO_2x2 = Mat.zero(_F2, 2, 2)
+
+# name -> (cap, call, message); each message is the first check_cap the call
+# reaches, one step past the cap
+_CASES = {
+    "group-max": (3, lambda: enumerate_group("max", _HYP_F2),
+                  "matrix enumeration: search space 4 exceeds cap 3"),
+    "group-min": (3, lambda: enumerate_group("min", _HYP_F2),
+                  "matrix enumeration: search space 4 exceeds cap 3"),
+    "group-el": (3, lambda: enumerate_group("el", _HYP_F2),
+                 "matrix enumeration: search space 4 exceeds cap 3"),
+    "extension": (3, lambda: extension_check(_HYP_F2),
+                  "matrix enumeration: search space 4 exceeds cap 3"),
+    "section": (15, lambda: section_homomorphism_report(_HYP_F4),
+                "matrix enumeration: search space 16 exceeds cap 15"),
+    "dual-numbers": (15, lambda: dual_numbers_iso(_HYP_F4),
+                     "matrix enumeration: search space 16 exceeds cap 15"),
+    "witt-min": (1, lambda: witt_classify(_F2, 1, "min", 2),
+                 "coset representative enumeration: search space 2 exceeds cap 1"),
+    "gw-max": (1, lambda: grothendieck_witt_monoid(_F2, 1, "max", 2),
+               "matrix enumeration: search space 2 exceeds cap 1"),
+    "xi": (3, lambda: xi_group(_F2, 1), "xi generators: search space 4 exceeds cap 3"),
+    "xi-char2": (3, lambda: xi_char2_field(_F2), "xi generators: search space 4 exceeds cap 3"),
+    "all-matrices": (15, lambda: list(all_matrices(_F2, 2, 2)),
+                     "matrix enumeration: search space 16 exceeds cap 15"),
+    "bijectivity": (7, lambda: is_invertible_by_enumeration(Mat.identity(_F2, 3)),
+                    "bijectivity enumeration: search space 8 exceeds cap 7"),
+    "solve-affine": (15, lambda: solve_affine(_F2, (2, 2), lambda x: _ZERO_2x2, _ZERO_2x2),
+                     "solution enumeration: search space 16 exceeds cap 15"),
+    "shift-cosets": (7, lambda: shift_subgroup(_F2, 1, 2).coset_reps_all(),
+                     "coset representative enumeration: search space 8 exceeds cap 7"),
+    "subgroup-cosets-prime": (3, lambda: MatSubgroup(_F2, 1, 2, []).coset_reps_all(),
+                              "coset representative enumeration: search space 4 exceeds cap 3"),
+    "subgroup-cosets-composite": (15, lambda: MatSubgroup(Zn(4), 1, 2, []).coset_reps_all(),
+                                  "matrix enumeration: search space 16 exceeds cap 15"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CASES))
+def test_scoped_cap_bounds_every_search(name):
+    cap, call, message = _CASES[name]
+    before = global_cap()
+    with scoped_cap(cap), pytest.raises(CapExceeded) as exc:
+        call()
+    assert str(exc.value) == message
+    assert global_cap() == before

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +144,31 @@ def test_xi_without_two_lambda_zero_is_unsupported(capsys, ring, eps):
     assert "2*Lambda = 0" in err["message"]
 
 
+_M2_F2 = {"kind": "Mat2", "base": {"kind": "Fp", "p": 2}}
+_POLYS_F2 = {"kind": "PolyS", "base": {"kind": "Fp", "p": 2}}
+_ONE_M2 = json.dumps([["1", "0"], ["0", "1"]])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["xi", "--ring", json.dumps(_M2_F2)], "xi_group is restricted to commutative rings"),
+    (["xi", "--ring", json.dumps(_POLYS_F2)], "gamma_lambda needs a finite ring"),
+    (["witt", "--ring", json.dumps(_POLYS_F2), "--variant", "max", "--max-rank", "1"],
+     "ring not enumerable"),
+    (["group", "--form", json.dumps({"ring": _POLYS_F2, "epsilon": 1, "variant": "el",
+                                     "matrix": [["[1]"]]})],
+     "additive basis needs a finite ring"),
+    (["clauwens", "linearize", "--theta",
+      json.dumps({"ring": _M2_F2, "epsilon": 1, "coefficients": [[[_ONE_M2]], [[_ONE_M2]]]})],
+     "polynomial determinant needs a commutative ring"),
+], ids=["xi-noncommutative", "xi-infinite", "witt-max-infinite", "group-infinite",
+        "linearize-noncommutative"])
+def test_refusal_without_a_cap_is_unsupported(capsys, argv, message):
+    # these inputs are refused whatever the cap, so they are not cap-exhausted
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "unsupported", "message": message}
+
+
 def test_whitehead_command(capsys):
     code, out = run(capsys, "whitehead", "--ring", '{"kind":"Fp","p":7}',
                     "--alpha", '[["2"]]', "--beta", '[["3"]]')
@@ -217,6 +245,16 @@ def test_verify_single_suite(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["suites"][0]["passed"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "hermkq", "verify", "projector-conjugation"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout)["passed"] is True
 
 
 def test_verify_unknown_suite(capsys):

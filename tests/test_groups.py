@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hermkq.caps import CapExceeded, Unsupported
+from hermkq.caps import CapExceeded, Unsupported, scoped_cap
 from hermkq.forms import (
     HermForm,
     QuadFormEl,
@@ -326,15 +326,18 @@ def test_frame_search_cap_counts_nodes():
     h = hyperbolic(F2(), 1, 2).associated()
     # 16 columns, then the inner products of the four levels: 16*48 + 15*8*16
     # + 90*4*4 + 360*2, where the full scan needed 2^16 candidates
-    assert len(enumerate_unitary(h, cap=4864)) == 720
-    with pytest.raises(CapExceeded, match="matrix enumeration: search space 4864 exceeds cap 4863"):
-        enumerate_unitary(h, cap=4863)
+    with scoped_cap(4864):
+        assert len(enumerate_unitary(h)) == 720
+    with scoped_cap(4863), pytest.raises(
+            CapExceeded, match="matrix enumeration: search space 4864 exceeds cap 4863"):
+        enumerate_unitary(h)
     # hyperbolic rank 2 over F2: 4 columns, 3 first candidates * 3 second
     # ones = 9 inner products, then 2 kept frames * 1 candidate = 15
     q = hyperbolic(F2(), 1, 1)
-    assert len(enumerate_orthogonal_min(q, cap=15)) == 2
-    with pytest.raises(CapExceeded, match="search space 15 exceeds cap 14"):
-        enumerate_orthogonal_min(q, cap=14)
+    with scoped_cap(15):
+        assert len(enumerate_orthogonal_min(q)) == 2
+    with scoped_cap(14), pytest.raises(CapExceeded, match="search space 15 exceeds cap 14"):
+        enumerate_orthogonal_min(q)
     ps = PolySRing(F2())
     with pytest.raises(Unsupported, match="ring not enumerable"):
         enumerate_unitary(HermForm(ps, 1, Mat.identity(ps, 1)))
