@@ -583,7 +583,7 @@ def sqrt_one_plus_nu_t(nu: Mat, lam, gram: Mat | None = None):
     if idx is None:
         raise ValueError("nu must be nilpotent")
     if lam is None:
-        raise ValueError("the ring has no split unit (central lambda, lambda + conj(lambda) = 1)")
+        raise Unsupported("the ring has no split unit (central lambda, lambda + conj(lambda) = 1)")
     if R.add(lam, R.conj(lam)) != R.one or not R.is_central(lam):
         raise ValueError("lambda must be a central split unit")
 

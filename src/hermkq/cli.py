@@ -8,7 +8,9 @@ carries the counterexample), 2 a refusal, reported as one of three errors:
 computation does not cover) or `cap-exhausted` (a search would pass the
 cap set by --cap, else HERMKQ_CAP, else the default, or a fixed internal
 limit that --cap does not raise: the additive basis size and the subgroup
-and subring spans).  `python -m hermkq` runs this interface.
+and subring spans), 3 `internal-check-failed` (an identity the program
+checks on its own result failed: a fault in the program, not in the
+input).  `python -m hermkq` runs this interface.
 JSON output is deterministic; --format table renders a flat text view.
 """
 
@@ -457,3 +459,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError, DegenerateFormError, OSError) as exc:
         print(json.dumps({"error": "bad-input", "message": str(exc)}))
         return 2
+    except AssertionError as exc:
+        print(json.dumps({"error": "internal-check-failed", "message": str(exc)}))
+        return 3

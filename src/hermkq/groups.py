@@ -69,7 +69,7 @@ def el_identity(q: QuadFormEl) -> ElMorphism:
 
 def compose_el(a: ElMorphism, b: ElMorphism) -> ElMorphism:
     """(f, gamma).(g, zeta) = (f.g, zeta + g^* gamma g)."""
-    if a.form != b.form:
+    if a.form is not b.form and a.form != b.form:
         raise ValueError("morphisms live on different forms")
     f, g = a.f, b.f
     gamma = b.gamma + g.star() * a.gamma * g
@@ -254,8 +254,9 @@ class EnumeratedGroup:
 
     `checks` is the report of `verify_group_axioms`: the booleans `identity`,
     `inverses` and `closure`, all exact, and the closure's cost as
-    `closure_products` (products h.g formed) and `closure_generators` (size
-    of the generating set it picked).
+    `closure_products` (the coset products h.r and representative products
+    r.s formed, at most 2(|G| - 1)) and `closure_generators` (size of the
+    generating set it picked).
     """
 
     variant: str
@@ -286,27 +287,49 @@ class EnumeratedGroup:
 
 
 def verify_group_axioms(elements, compose, inverse, identity):
-    """Exact identity / inverse / closure checks by a generator closure.
+    """Exact identity / inverse / closure checks by Dimino's coset closure.
 
+    `compose` must be associative with `identity` as its neutral element.
     The reached set starts at the identity.  The elements are walked in
-    order; each one not yet reached becomes a generator, and the reached set
-    is grown by right multiplication: every element reached before by the
-    new generator, every newly reached element by all generators, as in
-    Dimino's algorithm (G. Butler, Fundamental Algorithms for Permutation
-    Groups, LNCS 559, 1991).  A product outside the set proves `closure`
-    false and ends the walk.
+    order; each one x not yet reached becomes a generator and opens a stage
+    (Dimino's algorithm; G. Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559, 1991).  Let H be the set reached before x.  The stage
+    forms the coset H.x; then, for each representative r (x and those found
+    after it) and each generator s, it forms r.s, and an r.s not yet reached
+    becomes a new representative whose coset H.(r.s) is formed.  Elements
+    already reached are skipped.  Every product formed must lie in the set;
+    one outside proves `closure` false and ends the walk.
 
-    Exactness: `compose` is associative, so when the walk completes the
-    reached set holds every word in the generators, and each nonempty word
-    was formed as some h.g and found in the set.  The reached set covers the
-    set, so the product of two elements is a nonempty word, hence in the
-    set.  A newly reached p = h.g has the inverse g^-1 h^-1, one `compose`;
-    `inverse` is called on the generators only, and on the unreached
-    elements when the walk ends early.
+    Exactness.  H is closed under the product: for the first stage H = {1},
+    and the stage that reached H proved it.  Every element reached in a
+    stage is h.r, and every r.s is some h'.r' with r' a representative or
+    1, so (h.r).s = (h.h').r' lies in H.r', which was formed, or in H.
+    So the reached set R is closed under right multiplication by the
+    generators, and, each member being a word in them, under the product.
+    Only associativity and the closure of H are used, so this holds when
+    cosets overlap or a generator has no inverse.  R covers the set, and
+    every member of R but 1 was formed and found in the set, so the set is
+    closed when it holds 1.  When it does not, it is closed unless a.b = 1
+    for two members.  In the finite closed R the powers of a repeat and
+    a^n.b^n = 1, so a^k = 1 for some k >= 2: a is a unit, and then so is
+    some generator.  In the first stage whose generator x is a unit, H
+    holds no unit but 1, so a unit h.r of the stage has h = 1: each unit of
+    the stage but 1 is a representative.  With x^k = 1, the representative
+    product x^(k-1).x = 1 was then formed, and the walk stopped there.
 
-    Cost on a group G: each generator lies outside the subgroup reached
-    before it, so it at least doubles it (Lagrange).  So there are at most
-    log2|G| generators and at most |G|.(log2|G| + 1) products h.g.
+    Inverses: a newly reached h.r has the inverse r^-1 h^-1, and a new
+    representative r.s the inverse s^-1 r^-1, one `compose` each; `inverse`
+    is called on the generators only, and on the unreached elements when
+    the walk ends early.
+
+    Cost on a group G: the cosets of H in the stage's subgroup H' are
+    disjoint, so the stage forms |H'| - |H| - (its representatives) coset
+    products (1.r = r is not formed).  Each generator lies outside the
+    subgroup reached before it, so it at least doubles it (Lagrange): there
+    are at most log2|G| generators, and H of stage i has at least 2^(i-1)
+    >= i elements.  So the i representative products of each of the
+    stage's [H' : H] - 1 representatives number at most |H'| - |H|, and
+    over all stages `closure_products` is at most 2(|G| - 1).
     """
     elem_set = set(elements)
     inv = {identity: identity}  # reached element -> its inverse, None if a factor has none
@@ -315,31 +338,54 @@ def verify_group_axioms(elements, compose, inverse, identity):
     products = 0
     inverses = True
 
-    def reach(h, g, ginv):
-        nonlocal products, inverses
-        p = compose(h, g)
-        products += 1
-        if p not in elem_set:
-            return False
-        if p not in inv:
-            hinv = inv[h]
-            pinv = None if hinv is None or ginv is None else compose(ginv, hinv)
-            inverses = inverses and pinv in elem_set
-            inv[p] = pinv
-            reached.append(p)
+    def add(p, pinv):
+        nonlocal inverses
+        inverses = inverses and pinv in elem_set
+        inv[p] = pinv
+        reached.append(p)
+
+    def product_inverse(a, b):
+        # (a.b)^-1 = b^-1 a^-1, or None when a factor has none
+        ainv, binv = inv[a], inv[b]
+        return None if ainv is None or binv is None else compose(binv, ainv)
+
+    def coset(stage, r):
+        # H.r for the stage's H; 1.r = r is reached already
+        nonlocal products
+        for h in stage[1:]:
+            p = compose(h, r)
+            products += 1
+            if p not in elem_set:
+                return False
+            if p not in inv:
+                add(p, product_inverse(h, r))
         return True
+
+    def represent(stage, reps, r, s):
+        # r.s, which opens a new coset when it is not yet reached
+        nonlocal products
+        t = compose(r, s)
+        products += 1
+        if t not in elem_set:
+            return False
+        if t in inv:
+            return True
+        add(t, product_inverse(r, s))
+        reps.append(t)
+        return coset(stage, t)
 
     closure = True
     for x in elements:
         if x in inv:
             continue
-        xinv = inverse(x)
-        gens.append((x, xinv))
-        old = len(reached)
-        closure = all(reach(h, x, xinv) for h in reached[:old])
-        i = old
-        while closure and i < len(reached):
-            closure = all(reach(reached[i], g, ginv) for g, ginv in gens)
+        gens.append(x)
+        stage = reached[:]
+        add(x, inverse(x))
+        reps = [x]
+        closure = coset(stage, x)
+        i = 0
+        while closure and i < len(reps):
+            closure = all(represent(stage, reps, reps[i], s) for s in gens)
             i += 1
         if not closure:
             break

@@ -509,7 +509,7 @@ def run_suites(names=None):
     results = []
     shared_sweep = None
     for name in chosen:
-        start = time.time()
+        start = time.perf_counter()
         fn = SUITES[name]
         if name in ("clauwens-lemma-1-2", "linearization"):
             if shared_sweep is None:
@@ -517,7 +517,7 @@ def run_suites(names=None):
             rep = fn(shared_sweep)
         else:
             rep = fn()
-        rep["seconds"] = round(time.time() - start, 3)
+        rep["seconds"] = round(time.perf_counter() - start, 3)
         results.append(rep)
     return {
         "version": __version__,

@@ -77,7 +77,7 @@ def test_group_closure_is_exact(capsys, form, variant, order):
     assert report["order"] == order
     assert checks["identity"] and checks["inverses"] and checks["closure"]
     assert "closure_sampled" not in checks and "closure_pairs" not in checks
-    assert checks["closure_products"] <= order * (math.log2(order) + 1)
+    assert checks["closure_products"] <= 2 * (order - 1)
     assert 1 <= checks["closure_generators"] <= math.log2(order)
 
 
@@ -200,6 +200,21 @@ def test_clauwens_linearize_command(capsys):
     assert all(s["check"] == "pass" for s in doc["report"]["transcript"])
 
 
+def test_internal_check_failure_is_reported(capsys, monkeypatch):
+    # make linearize's exact recheck of a degree-reduction step fail
+    from hermkq import clauwens
+
+    monkeypatch.setattr(clauwens, "_congruent_hermitian_parts", lambda *args: False)
+    theta = json.dumps(
+        {"ring": {"kind": "Fp", "p": 2}, "epsilon": 1,
+         "coefficients": [[["0"]], [["0"]], [["1"]]]}
+    )
+    code, out = run(capsys, "clauwens", "linearize", "--theta", theta)
+    assert code == 3
+    assert json.loads(out) == {"error": "internal-check-failed",
+                               "message": "transcript step failed its exact recheck"}
+
+
 def test_clauwens_sqrt_command(capsys):
     code, out = run(capsys, "clauwens", "sqrt-nilpotent", "--ring", "F4",
                     "--nu", '[["1","w"],["w+1","1"]]')
@@ -207,12 +222,12 @@ def test_clauwens_sqrt_command(capsys):
     assert json.loads(out)["report"]["identity_exact"] is True
 
 
-def test_clauwens_sqrt_without_split_unit_is_bad_input(capsys):
+def test_clauwens_sqrt_without_split_unit_is_unsupported(capsys):
     # Z/4 has no split unit; the refusal is a report, not a traceback
     code, out = run(capsys, "clauwens", "sqrt-nilpotent", "--ring", '{"kind":"Zn","n":4}',
                     "--nu", '[["2"]]')
     assert code == 2
-    assert json.loads(out)["error"] == "bad-input"
+    assert json.loads(out)["error"] == "unsupported"
 
 
 def test_clauwens_projectors_command(capsys):

@@ -403,7 +403,7 @@ def test_axioms_match_all_pairs(ring):
             assert _exact(checks) == _all_pairs_axioms(group.elements, *_axiom_args(variant, q))
             assert all(_exact(checks).values()), (variant, q.phi0)
             assert checks["closure_generators"] <= math.log2(group.order)
-            assert checks["closure_products"] <= group.order * (math.log2(group.order) + 1)
+            assert checks["closure_products"] <= 2 * (group.order - 1)
 
 
 def test_axioms_detect_broken_sets():
@@ -458,3 +458,49 @@ def test_axioms_detect_broken_sets():
     got = _exact(verify_group_axioms(perms, mul, invert, e3))
     assert got == _all_pairs_axioms(perms, mul, invert, e3)
     assert got == {"identity": True, "inverses": False, "closure": False}
+
+
+def _perm(n, images):
+    """The n x n permutation matrix over F2 sending e_i to e_images[i]."""
+    rows = [["0"] * n for _ in range(n)]
+    for i, j in enumerate(images):
+        rows[j][i] = "1"
+    return Mat.from_strs(F2(), rows)
+
+
+def _coset_closure_case(elems, want):
+    ident = Mat.identity(elems[0].ring, elems[0].rows)
+    mul = lambda a, b: a * b
+    got = _exact(verify_group_axioms(elems, mul, invert, ident))
+    assert got == _all_pairs_axioms(elems, mul, invert, ident) == want
+
+
+def test_coset_closure_catches_a_representative_product_outside_the_set():
+    # the first stage has H = {1}, so its cosets are the representatives
+    # themselves: the 3-cycle c reaches c^2, outside {1, c}, only as c.c
+    one, c = _perm(3, [0, 1, 2]), _perm(3, [1, 2, 0])
+    _coset_closure_case([one, c], {"identity": True, "inverses": False, "closure": False})
+
+
+def test_coset_closure_catches_a_coset_product_outside_the_set():
+    # C3 x C3 = <a> x <b> without a^2 b and a^2 b^2, walked from a and then
+    # b: every representative product (b.a, b.b, b^2.a, b^2.b) stays in the
+    # set, and a^2.b, formed for the coset H.b with H = <a>, does not
+    one, a, b = _perm(6, range(6)), _perm(6, [1, 2, 0, 3, 4, 5]), _perm(6, [0, 1, 2, 4, 5, 3])
+    elems = [one, a, a * a, b, a * b, b * b, a * b * b]
+    _coset_closure_case(elems, {"identity": True, "inverses": False, "closure": False})
+
+
+def test_coset_closure_with_a_singular_generator():
+    # the monoid of the 2 x 2 matrix units over F2 with 0, 1 and the swap s:
+    # walked from the singular E11, the cosets H.E21 and H.E22 of
+    # H = {1, E11} overlap in 0, and the set is closed but not a group
+    f2 = F2()
+    unit = {(i, j): Mat.from_strs(f2, [["1" if (r, c) == (i, j) else "0" for c in range(2)]
+                                       for r in range(2)]) for i in range(2) for j in range(2)}
+    swap = Mat.from_strs(f2, [["0", "1"], ["1", "0"]])
+    monoid = [unit[0, 0], Mat.identity(f2, 2), swap, unit[0, 1], unit[1, 0], unit[1, 1],
+              Mat.zero(f2, 2)]
+    _coset_closure_case(monoid, {"identity": True, "inverses": False, "closure": True})
+    # without 0 the product E11.E21, formed inside the coset H.E21, leaves it
+    _coset_closure_case(monoid[:-1], {"identity": True, "inverses": False, "closure": False})
