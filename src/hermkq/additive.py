@@ -10,11 +10,11 @@ systems over Z/char, prime or not, which one Howell-form echelon
 from __future__ import annotations
 
 from itertools import product
-from math import isqrt, prod
+from math import prod
 
 from .caps import CapExceeded, Unsupported, check_cap
 from .linalg import Mat
-from .rings import Ring
+from .rings import Ring, _is_prime
 from .snf import Echelon, solve_mod
 
 _BASIS_CACHE: dict = {}
@@ -108,10 +108,6 @@ def mat_from_coords(basis: AdditiveBasis, rows: int, cols: int, vec) -> Mat:
             idx += d
         out.append(row)
     return Mat(basis.ring, out)
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def extend_span(span: set, x, limit: int, message: str) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .additive import MatSubgroup, extend_span, solve_affine
 from .caps import Unsupported
-from .forms import DegenerateFormError, QuadFormEl, min_equal, psi_normalize
+from .forms import DegenerateFormError, QuadFormEl, hyperbolic, min_equal, psi_normalize
 from .linalg import Mat, _det_comm, block, diag_block, invert, kron, nilpotency_index
 from .rings import Ring, _poly_trim_ring
 
@@ -119,6 +119,8 @@ class PolyQuadForm:
     @staticmethod
     def from_coeff_mats(ring, eps, mats, check=True):
         mats = list(mats)
+        if not mats:
+            raise ValueError("theta needs at least one coefficient matrix")
         n = mats[0].rows
         return PolyQuadForm(ring, eps, MatPoly(ring, n, n, mats), check=check)
 
@@ -327,13 +329,8 @@ def _degree_reduction_factor(theta: PolyQuadForm) -> Mat:
 def _stabilize_theta(theta: PolyQuadForm) -> Mat:
     """theta (+) the rank-2n hyperbolic generator as a constant block."""
     R = theta.theta.ring.base
-    hyp = MatPoly(R, 2 * theta.n, 2 * theta.n, [_hyp_block(R, theta.n)])
+    hyp = MatPoly(R, 2 * theta.n, 2 * theta.n, [hyperbolic(R, 1, theta.n).phi0])
     return diag_block(theta.theta.ring, [theta.theta, hyp])
-
-
-def _hyp_block(ring, n) -> Mat:
-    zero = Mat.zero(ring, n)
-    return block(ring, [[zero, Mat.identity(ring, n)], [zero, zero]])
 
 
 def _congruent_hermitian_parts(eps: int, middle: Mat, q_factor: Mat, new_theta: Mat) -> bool:
@@ -421,7 +418,7 @@ def linearize_cup_soundness(
     rank = theta.n
     for step in transcript:
         if step["kind"] == "degree_reduction":
-            hyp_kappa = kron(_hyp_block(R, rank), d.gram)
+            hyp_kappa = kron(hyperbolic(R, 1, rank).phi0, d.gram)
             stabilized = diag_block(R, [kappa, hyp_kappa])
             q_sub = _substitute(step["_q"], d.phi, Mat.identity(R, d.m))
             kappa = q_sub.star() * stabilized * q_sub
@@ -455,6 +452,10 @@ def lemma4_recursion(
     zero and the residual must vanish identically.
     """
     R = sigma.ring
+    if d.ring != R:
+        raise ValueError("lemma 4 recursion factors must share a ring")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if not R.is_commutative:
         raise Unsupported("the recursion uses Kronecker products")
     n = sigma.rows
@@ -554,7 +555,7 @@ def _mat_power(m: Mat, k: int) -> Mat:
 # gamma(t)^* gamma(t) = 1 + nu t  (polynomial square root of a unipotent)
 
 
-def sqrt_one_plus_nu_t(nu: Mat, lam, gram: Mat | None = None):
+def sqrt_one_plus_nu_t(nu: Mat, lam):
     """Polynomial gamma(t) with gamma^* gamma = 1 + nu*t exactly, for nu
     nilpotent and self-adjoint and lambda a central split unit.
 
@@ -566,18 +567,7 @@ def sqrt_one_plus_nu_t(nu: Mat, lam, gram: Mat | None = None):
     R = nu.ring
     n = nu.rows
     ident = Mat.identity(R, n)
-    if gram is not None:
-        gram_inv = invert(gram)
-
-        def adj(x):
-            return gram_inv * x.star() * gram
-
-    else:
-
-        def adj(x):
-            return x.star()
-
-    if adj(nu) != nu:
+    if nu.star() != nu:
         raise ValueError("nu must be self-adjoint")
     idx = nilpotency_index(nu)
     if idx is None:
@@ -590,7 +580,7 @@ def sqrt_one_plus_nu_t(nu: Mat, lam, gram: Mat | None = None):
     # A[t] multiplies as A[s] does; only conj(t) = t differs, so the
     # adjoint acts on each coefficient alone
     def star_poly(p: MatPoly) -> MatPoly:
-        return MatPoly(R, n, n, [adj(c) for c in p.coeffs])
+        return MatPoly(R, n, n, [c.star() for c in p.coeffs])
 
     target = MatPoly(R, n, n, [ident, nu])
     gamma = MatPoly(R, n, n, [ident, nu.scale_left(lam)])
@@ -599,7 +589,7 @@ def sqrt_one_plus_nu_t(nu: Mat, lam, gram: Mat | None = None):
         if err.is_zero():
             break
         k, b = next((i, c) for i, c in enumerate(err.coeffs) if not c.is_zero())
-        if adj(b) != b:
+        if b.star() != b:
             raise AssertionError("offending coefficient is not self-adjoint")
         correction = MatPoly(R, n, n, [ident] + [Mat.zero(R, n)] * (k - 1) + [-b.scale_left(lam)])
         gamma = _as_matpoly(correction * gamma)
@@ -665,6 +655,8 @@ def projector_conjugator(
     ident = Mat.identity(R, n)
     if gram is not None:
         gram_inv = invert(gram)
+        if gram_inv is None:
+            raise DegenerateFormError("gram must be invertible")
 
         def adj(x):
             return gram_inv * x.star() * gram

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .additive import MatSubgroup, _is_prime, solve_affine
+from .additive import MatSubgroup, solve_affine
 from .caps import check_cap
 from .linalg import Mat, diag_block, invert
-from .rings import Ring, ring_from_json
+from .rings import Ring, _is_prime, ring_from_json
 
 
 class DegenerateFormError(ValueError):

@@ -27,7 +27,7 @@ from .forms import (
     shift_subgroup,
 )
 from .groups import check_min
-from .linalg import Mat, invert, rank_over_field
+from .linalg import Mat, diag_block, invert, rank_over_field
 from .rings import Ring
 from .snf import smith_normal_form
 
@@ -62,26 +62,18 @@ class GammaLambda:
 
 
 def gamma_lambda(ring: Ring, eps: int) -> GammaLambda:
-    """Gamma = {a : conj(a) = eps*a}, Lambda = span{b - eps*conj(b)}.
+    """Gamma = {a : conj(a) = eps*a}, Lambda = {b - eps*conj(b)}.  Lambda is
+    the image of an additive map, so it is a subgroup as it stands.
 
     Raises Unsupported unless Lambda lies in Gamma, that is 2*Lambda = 0."""
     if ring.size is None:
         raise Unsupported("gamma_lambda needs a finite ring")
     check_cap(ring.size, "gamma_lambda scan")
     gamma = [a for a in ring.elements() if ring.conj(a) == _scale(ring, eps, a)]
-    gens = {_sub_scaled(ring, b, eps) for b in ring.elements()}
-    lam_set = {ring.zero}
-    frontier = [ring.zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = ring.add(cur, g)
-            if nxt not in lam_set:
-                lam_set.add(nxt)
-                frontier.append(nxt)
+    lam_set = {_sub_scaled(ring, b, eps) for b in ring.elements()}
     gamma_set = set(gamma)
     if not lam_set <= gamma_set:
-        # every generator b - eps*conj(b) of Lambda has conj(x) = -eps*x
+        # every element b - eps*conj(b) of Lambda has conj(x) = -eps*x
         raise Unsupported("Gamma/Lambda needs Lambda inside Gamma, that is 2*Lambda = 0; "
                           f"it fails over this ring at epsilon {eps}")
     reps = []
@@ -111,7 +103,7 @@ class AbelianGroupPresentation:
         self.relations = [list(r) for r in relations]
         k = len(labels)
         rel = self.relations if self.relations else [[0] * k]
-        d, _, v = smith_normal_form(rel, row_transform=False)
+        d, v = smith_normal_form(rel)
         m = len(rel)
         diag = [d[i][i] for i in range(min(m, k))] + [0] * max(0, k - m)
         self._diag = diag[:k]
@@ -319,23 +311,15 @@ def arf_group(ring: Ring) -> ArfGroup:
         raise ValueError("Arf needs a field of characteristic 2")
     if any(ring.conj(a) != a for a in ring.elements()):
         raise ValueError("Arf needs the trivial involution")
-    gens = {ring.sub(ring.mul(a, a), a) for a in ring.elements()}
-    span = {ring.zero}
-    frontier = [ring.zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = ring.add(cur, g)
-            if nxt not in span:
-                span.add(nxt)
-                frontier.append(nxt)
+    # a -> a^2 - a is additive in characteristic 2: its image is a subgroup
+    image = {ring.sub(ring.mul(a, a), a) for a in ring.elements()}
     reps = []
     coset = {}
     for a in ring.elements():
         if a in coset:
             continue
         reps.append(a)
-        for l in span:
+        for l in image:
             coset[ring.add(a, l)] = a
     out = ArfGroup(ring, reps, coset)
     _ARF_CACHE[key] = out
@@ -725,10 +709,7 @@ def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int) -> WittTabl
             continue
         for i, orbit in enumerate(ranks[r]):
             rep = orbit[0]
-            if variant == "min":
-                stab = _block_sum(ring, rep, hyp.phi0)
-            else:
-                stab = _block_sum(ring, rep, hyp_mat)
+            stab = diag_block(ring, [rep, hyp_mat])
             stab = _canonicalize(ring, eps, variant, r + 2, stab)
             j = table.class_of(r + 2, stab)
             union((r, i), (r + 2, j))
@@ -759,12 +740,6 @@ def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int) -> WittTabl
         stable.append(entry)
     table.stable_classes = stable
     return table
-
-
-def _block_sum(ring, a: Mat, b: Mat) -> Mat:
-    from .linalg import diag_block
-
-    return diag_block(ring, [a, b])
 
 
 @dataclass
@@ -814,7 +789,7 @@ def grothendieck_witt_monoid(ring, eps, variant, max_rank) -> GWTable:
             r = a["rank"] + b["rank"]
             if r > max_rank:
                 continue
-            s = _block_sum(ring, a["rep_mat"], b["rep_mat"])
+            s = diag_block(ring, [a["rep_mat"], b["rep_mat"]])
             s = _canonicalize(ring, eps, variant, r, s)
             sums[(a["index"], b["index"])] = lookup[(r, table.class_of(r, s))]
     return GWTable(ring, eps, variant, max_rank, classes, sums)

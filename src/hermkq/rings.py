@@ -15,6 +15,8 @@ more to build than a short computation spends on arithmetic.
 
 - Fp, Zn and Fq elements are ints at every size, their own codes when
   coded (an Fq element is the index sum c_i p^i of its coefficient digits).
+  Fp(p) is Zn(p) under its own kind: the same arithmetic mod p, keyed and
+  serialised as {"kind": "Fp", "p": p}.
 - Dual, Mat2, ProductOp and TruncPoly are defined by formulas on tuples
   over their base: the hooks `_add`, `_mul`, ... of their classes.  Such
   a ring is coded when its base is and it is small enough; the code of an
@@ -38,6 +40,10 @@ from .caps import Unsupported, check_cap
 _TABLE_LIMIT = 16  # a finite ring of at most this many elements is coded
 _FQ_TABLE_LIMIT = 256  # and an Fq of at most this many
 _TABLES: dict = {}  # ring key -> RingTables, shared by the rings with that key
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _text(s, kind: str) -> str:
@@ -147,8 +153,8 @@ class Ring:
     # Each kind defines its elements by these hooks.  A ring that is not
     # coded takes them as its element operations (`__init__`); those of a
     # coded ring, below, read its tables instead, except `from_str`, which
-    # parses by the definition and then encodes.  Fp and Zn take the hooks
-    # as their operations either way, as they cost no more than a lookup.
+    # parses by the definition and then encodes.  Zn (so Fp) takes the hooks
+    # as its operations either way, as they cost no more than a lookup.
     def _zero(self):
         raise NotImplementedError
 
@@ -351,63 +357,6 @@ class Ring:
         return f"<{self.key()}>"
 
 
-class Fp(Ring):
-    """Prime field Z/p with the trivial involution."""
-
-    kind = "Fp"
-    is_field = True
-
-    def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
-            raise ValueError(f"p = {p} is not prime")
-        self.p = p
-        self.size = p
-        self.char = p
-        super().__init__()
-
-    def _zero(self):
-        return 0
-
-    def _one(self):
-        return 1
-
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _neg(self, a):
-        return (-a) % self.p
-
-    def _mul(self, a, b):
-        return (a * b) % self.p
-
-    def _conj(self, a):
-        return a
-
-    # a lookup costs no less than the definition, so the element operations
-    # are the hooks themselves
-    add, neg, mul, conj = _add, _neg, _mul, _conj
-
-    def inv(self, a):
-        if a % self.p == 0:
-            return None
-        return pow(a, -1, self.p)
-
-    def _contains(self, a):
-        return isinstance(a, int) and 0 <= a < self.p
-
-    def _enumerate(self):
-        return range(self.p)
-
-    def _to_str(self, a):
-        return str(a)
-
-    def _from_str(self, s):
-        return int(_text(s, self.kind)) % self.p
-
-    def to_json(self):
-        return {"kind": "Fp", "p": self.p}
-
-
 class Zn(Ring):
     """Z/n with the trivial involution (the only one shipped for Z/n)."""
 
@@ -419,7 +368,7 @@ class Zn(Ring):
         self.n = n
         self.size = n
         self.char = n
-        self.is_field = all(n % d for d in range(2, int(math.isqrt(n)) + 1))
+        self.is_field = _is_prime(n)
         super().__init__()
 
     def _zero(self):
@@ -463,6 +412,21 @@ class Zn(Ring):
 
     def to_json(self):
         return {"kind": "Zn", "n": self.n}
+
+
+class Fp(Zn):
+    """Prime field Z/p with the trivial involution: Zn(p) under its own kind."""
+
+    kind = "Fp"
+
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        self.p = p
+        super().__init__(p)
+
+    def to_json(self):
+        return {"kind": "Fp", "p": self.p}
 
 
 def _poly_trim(t):
@@ -515,7 +479,7 @@ class Fq(Ring):
     is_field = True
 
     def __init__(self, p: int, deg: int, modulus, involution: str = "trivial"):
-        if any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)) or p < 2:
+        if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != deg + 1:

@@ -9,22 +9,17 @@ from bisect import insort
 from math import gcd, prod
 
 
-def smith_normal_form(mat, row_transform: bool = True):
-    """Return (D, U, V) with U*mat*V = D, U and V unimodular, D in Smith form.
-
-    With row_transform=False the m x m transform U, the larger one for a
-    presentation with more relations than generators, is not kept, and None
-    stands in its place."""
+def smith_normal_form(mat):
+    """Return (D, V) with U*mat*V = D for some unimodular U, V unimodular
+    and D in Smith form.  U itself is not kept: a cokernel needs only D, and
+    its generators only V."""
     a = [list(map(int, row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if row_transform else None
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if u is not None:
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in a:
@@ -32,21 +27,11 @@ def smith_normal_form(mat, row_transform: bool = True):
         for row in v:
             row[i] -= q * row[j]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < m and t < n:
@@ -60,10 +45,10 @@ def smith_normal_form(mat, row_transform: bool = True):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         dirty = False
         for i in range(t + 1, m):
             if a[i][t] % a[t][t] != 0:
@@ -90,12 +75,12 @@ def smith_normal_form(mat, row_transform: bool = True):
             row_op(t, offender, -1)  # add offending row to pivot row
             continue
         t += 1
-    return a, u, v
+    return a, v
 
 
 def invariant_factors(mat):
     """Nontrivial invariant factors (d > 1) and the free rank of coker."""
-    d, _, _ = smith_normal_form(mat, row_transform=False)
+    d, _ = smith_normal_form(mat)
     m = len(d)
     n = len(d[0]) if m else 0
     diag = [d[i][i] for i in range(min(m, n))]

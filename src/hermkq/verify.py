@@ -87,7 +87,7 @@ def check_split_unit_collapse():
     q = hyperbolic(ring, 1, 1)
     omin = enumerate_orthogonal_min(q)
     omax = enumerate_unitary(q.associated())
-    groups_equal = [m.key() for m in omin] == [m.key() for m in omax]
+    groups_equal = omin == omax
     tmin = witt_classify(ring, 1, "min", 2)
     tmax = witt_classify(ring, 1, "max", 2)
     tables_match, image = _stable_correspondence(tmin, tmax, ring, 1)

@@ -296,6 +296,18 @@ def test_lemma4_residual_filtration():
     assert [s["defect_in_span"] for s in rep["steps"]] == [True] * 4
 
 
+def test_lemma4_refuses_a_datum_over_another_ring():
+    f3 = Fp(3)
+    with pytest.raises(ValueError, match="must share a ring"):
+        lemma4_recursion(Mat.identity(f3, 1), DELTA, Mat.zero(f3, 2), depth=1)
+
+
+def test_lemma4_refuses_a_negative_depth():
+    sym = HYP.associated().phi
+    with pytest.raises(ValueError, match="depth"):
+        lemma4_recursion(sym, DELTA, Mat.zero(F2_, 2), depth=-1)
+
+
 def test_sqrt_trivial_and_f4():
     f4 = F4()
     lam = f4.find_split_unit()

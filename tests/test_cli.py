@@ -255,6 +255,40 @@ def test_clauwens_lemma4_command(capsys):
     assert json.loads(out)["report"]["residual_zero"] is True
 
 
+def _bad_input(capsys, *argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    return json.loads(out)
+
+
+def test_clauwens_projectors_with_a_singular_gram_is_bad_input(capsys):
+    doc = _bad_input(capsys, "clauwens", "conjugate-projectors",
+                     "--ring", '{"kind":"Fp","p":3}',
+                     "--p0", '[["1","0"],["0","0"]]',
+                     "--p1", '[["1","0"],["0","0"]]',
+                     "--ideal", '[[["0","1"],["0","0"]]]',
+                     "--gram", '[["0","0"],["0","0"]]')
+    assert doc == {"error": "bad-input", "message": "gram must be invertible"}
+
+
+@pytest.mark.parametrize("sub,extra", [("product", ["--delta-form", HYP_F2]),
+                                       ("linearize", [])])
+def test_clauwens_theta_without_coefficients_is_bad_input(capsys, sub, extra):
+    theta = json.dumps({"ring": {"kind": "Fp", "p": 2}, "epsilon": 1, "coefficients": []})
+    doc = _bad_input(capsys, "clauwens", sub, "--theta", theta, *extra)
+    assert doc["error"] == "bad-input" and "coefficient" in doc["message"]
+
+
+@pytest.mark.parametrize("ring,sigma,zeta,depth,message", [
+    ('{"kind":"Fp","p":3}', '[["1"]]', '[["0","0"],["0","0"]]', "1", "must share a ring"),
+    ("F2", '[["1"]]', '[["0","0"],["0","0"]]', "-1", "depth"),
+], ids=["ring-mismatch", "negative-depth"])
+def test_clauwens_lemma4_refusals_are_bad_input(capsys, ring, sigma, zeta, depth, message):
+    doc = _bad_input(capsys, "clauwens", "lemma4", "--ring", ring, "--sigma", sigma,
+                     "--delta-form", HYP_F2, "--zeta", zeta, "--depth", depth)
+    assert doc["error"] == "bad-input" and message in doc["message"]
+
+
 def test_verify_single_suite(capsys):
     code, out = run(capsys, "verify", "xi-computations")
     assert code == 0

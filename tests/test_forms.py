@@ -296,6 +296,15 @@ def test_shift_subgroup_closed_form_matches_generic_span(ring, eps):
                 assert generic.coset_canonical(rep) == rep
 
 
+@pytest.mark.parametrize("ring", [r for _, r in SHIFT_RINGS], ids=[k for k, _ in SHIFT_RINGS])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_lambda_is_closed_under_addition(ring, eps):
+    # gamma_lambda takes Lambda = {b - eps*conj(b)} as it stands, with no span
+    lam = {ring.sub(b, ring.conj(b) if eps == 1 else ring.neg(ring.conj(b)))
+           for b in ring.elements()}
+    assert all(ring.add(x, y) in lam for x in lam for y in lam)
+
+
 def test_min_canonical_over_z9_past_the_span_cap():
     # rank 3 over Z/9 at eps = -1: |S| = 9^6, past the 2^16 elements a
     # generic subgroup lists in composite characteristic

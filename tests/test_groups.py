@@ -25,7 +25,6 @@ from hermkq.groups import (
     enumerate_unitary,
     extension_check,
     field_hyperbolic_diagnostics,
-    hyperbolic_adjoint,
     satisfies_S,
     section_homomorphism_report,
     split_section,
@@ -201,16 +200,6 @@ def test_whitehead_examples():
         assert whitehead_factorization(a, b)["passed"]
     with pytest.raises(ValueError):
         whitehead_factorization(Mat.zero(f2, 2), Mat.identity(f2, 2))
-
-
-def test_hyperbolic_adjoint_fast_path_cross_check():
-    for ring, eps in ((F2(), 1), (Fp(5), 1), (Fp(5), -1)):
-        q = hyperbolic(ring, eps, 1)
-        h = q.associated()
-        for f in all_matrices(ring, 2, 2):
-            if invert(f) is None:
-                continue
-            assert hyperbolic_adjoint(f, eps) == h.adjoint(f)
 
 
 def test_field_diagnostics_on_unitaries():

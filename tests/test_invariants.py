@@ -109,6 +109,13 @@ def test_arf_rejects_bad_inputs():
         arf(QuadFormEl(F4T, 1, Mat.from_strs(F4T, [["w"]])))  # odd rank
 
 
+@pytest.mark.parametrize("ring", [F2(), F4T, Fq(2, 3, (1, 1, 0, 1))], ids=["F2", "F4-trivial", "F8"])
+def test_arf_image_is_closed_under_addition(ring):
+    # arf_group takes {a^2 - a} as it stands, with no span
+    image = {ring.sub(ring.mul(a, a), a) for a in ring.elements()}
+    assert all(ring.add(x, y) in image for x in image for y in image)
+
+
 def test_arf_over_f4_trivial():
     # rank-2 forms over F4 with trivial involution: Arf lives in G of order 2
     from hermkq.invariants import arf_group

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,31 @@ def shipped_rings():
         ProductOpRing(F2()),
         TruncPolyRing(F4(), 3, "-t"),
     ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101])
+def test_fp_is_zn_under_its_own_kind(p):
+    fp, zn = Fp(p), Zn(p)
+    assert (fp.tables is None) == (zn.tables is None) == (p > 16)
+    assert fp.is_field and zn.is_field
+    assert fp.to_json() == {"kind": "Fp", "p": p} and fp != zn
+    elems = zn.elements()
+    assert fp.elements() == elems
+    for a in elems:
+        assert fp.neg(a) == zn.neg(a) and fp.conj(a) == zn.conj(a)
+        assert fp.inv(a) == zn.inv(a)
+        assert fp.to_str(a) == zn.to_str(a) and fp.from_str(str(a)) == a
+    for a, b in product(elems, repeat=2):
+        assert fp.add(a, b) == zn.add(a, b) and fp.mul(a, b) == zn.mul(a, b)
+
+
+def test_composite_fields_are_refused():
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValueError, match="not prime"):
+            Fp(p)
+    with pytest.raises(ValueError, match="not prime"):
+        Fq(4, 2, (1, 1, 1))
+    assert not Zn(4).is_field
 
 
 def test_conj_examples():
