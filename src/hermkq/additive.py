@@ -139,7 +139,8 @@ class MatSubgroup:
     In prime characteristic it is a Howell echelon (`snf.Echelon`) of
     coordinate vectors, whose pivots are all 1.  Otherwise it is the listed
     span, built by `extend_span` one generator at a time and refused past
-    `cap` elements (2^16 by default).
+    `cap` elements (2^16 by default); the given generators that enlarged it
+    are kept.
     """
 
     def __init__(self, ring: Ring, rows: int, cols: int, generators, cap: int | None = None):
@@ -149,6 +150,7 @@ class MatSubgroup:
         self._span = None
         self._echelon = None
         self._basis = None
+        self._grew = None
         if _is_prime(ring.char):
             self._basis = additive_basis(ring)
             ech = Echelon(ring.char, rows * cols * self._basis.dim)
@@ -159,13 +161,20 @@ class MatSubgroup:
         else:
             span = {Mat.zero(ring, rows, cols)}
             limit = cap if cap is not None else 2**16
-            for g in generators:
-                extend_span(span, g, limit, "subgroup span exceeds cap")
+            self._grew = [g for g in generators
+                          if extend_span(span, g, limit, "subgroup span exceeds cap")]
             self._span = span
             self.size = len(span)
 
     def _from_coords(self, vec) -> Mat:
         return mat_from_coords(self._basis, self.rows, self.cols, vec)
+
+    def generators(self) -> list:
+        """A generating set: the echelon rows in prime characteristic, else
+        the given generators that enlarged the span of those before them."""
+        if self._echelon is not None:
+            return [self._from_coords(self._echelon.rows[j]) for j in self._echelon.pivots]
+        return list(self._grew)
 
     def contains(self, m: Mat) -> bool:
         if self._echelon is not None:

@@ -22,7 +22,6 @@ from .additive import additive_basis
 from .caps import Unsupported, check_cap
 from .forms import (
     QuadFormEl,
-    direct_sum,
     hyperbolic,
     shift_subgroup,
 )

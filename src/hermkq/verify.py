@@ -13,7 +13,6 @@ from .clauwens import (
     DeltaDatum,
     MatPoly,
     PolyQuadForm,
-    cup_product,
     kappa_nondegenerate,
     lemma2_shift,
     lemma4_recursion,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hermkq.additive import solve_affine
 from hermkq.caps import CapExceeded, Unsupported, scoped_cap
 from hermkq.forms import (
     HermForm,
@@ -10,14 +11,17 @@ from hermkq.forms import (
     direct_sum,
     hyperbolic,
     psi_normalize,
+    selfadjoint_subgroup,
     shift_subgroup,
 )
 from hermkq.groups import (
     ElMorphism,
+    EnumeratedGroup,
     check_max,
     check_min,
     compose_el,
     dual_numbers_iso,
+    el_elements,
     el_identity,
     el_inverse,
     enumerate_group,
@@ -493,3 +497,167 @@ def test_coset_closure_with_a_singular_generator():
     _coset_closure_case(monoid, {"identity": True, "inverses": False, "closure": True})
     # without 0 the product E11.E21, formed inside the coset H.E21, leaves it
     _coset_closure_case(monoid[:-1], {"identity": True, "inverses": False, "closure": False})
+
+
+# -- the extension certificate against its element-by-element definition -----
+
+def _el_elements_by_pairs(q):
+    """Every pair (f, base + s) built with (S) checked, sorted by key."""
+    omin = enumerate_orthogonal_min(q)
+    se = selfadjoint_subgroup(q.ring, q.eps, q.n).elements()
+    out = [ElMorphism(q, f, check_min(f, q) + s, check=True) for f in omin for s in se]
+    return sorted(out, key=lambda m: m.key())
+
+
+def _extension_check_by_elements(q, group):
+    """The extension checked element by element: one full witness solve per
+    f, every pair of lifts against (S), and the kernel action on all of S(E)."""
+    elems, omin, se = group.elements, group.base, group.kernel
+    lifts = {}
+    for m in elems:
+        lifts.setdefault(m.f, m)
+    ident = Mat.identity(q.ring, q.n)
+    kernel = [ElMorphism(q, ident, s) for s in se]
+    elem_set = set(elems)
+    report = {
+        "order_min": len(omin),
+        "order_kernel": len(se),
+        "order_el": len(elems),
+        "order_product_law": len(elems) == len(se) * len(omin),
+    }
+    exhaustive = True
+    for f in omin:
+        sols = solve_affine(q.ring, (q.n, q.n), lambda g: g - g.star().scale_sign(q.eps),
+                            f.star() * q.phi0 * f - q.phi0, all_solutions=True)
+        if len(sols) != len(se) or any(
+            ElMorphism(q, f, s, check=False) not in elem_set for s in sols
+        ):
+            exhaustive = False
+            break
+    report["witness_cosets_exhaustive"] = exhaustive
+    report["projection_surjective"] = set(lifts) == set(omin)
+    report["projection_homomorphism"] = all(
+        compose_el(a, b).f == a.f * b.f and satisfies_S(q, a.f * b.f, compose_el(a, b).gamma)
+        for a in lifts.values() for b in lifts.values()
+    )
+    kernel_set = set(kernel)
+    report["kernel_matches_SE"] = {m for m in elems if m.f == ident} == kernel_set
+    decomposition = True
+    for m in elems:
+        k = ElMorphism(q, ident, m.gamma - lifts[m.f].gamma, check=False)
+        decomposition = decomposition and k in kernel_set and compose_el(lifts[m.f], k) == m
+    report["closure_structured"] = group.checks["closure"] and decomposition
+    action_ok = True
+    herm = q.associated()
+    inv_phi = herm.inverse()
+    for f, lift in lifts.items():
+        lift_inv = el_inverse(lift)
+        finv = invert(f) if inv_phi is not None and check_max(f, herm) else None
+        for s in se:
+            conj = compose_el(compose_el(lift_inv, ElMorphism(q, ident, s, check=False)), lift)
+            expected = f.star() * s * f
+            action_ok = action_ok and conj.f == ident and conj.gamma == expected
+            if finv is not None:
+                action_ok = action_ok and inv_phi * expected == finv * (inv_phi * s) * f
+    report["kernel_action_matches_conjugation"] = action_ok
+    report["passed"] = all(v for v in report.values() if isinstance(v, bool))
+    return report
+
+
+_EL_RINGS = {"F2": F2(), "F3": Fp(3), "F4": F4(), "Z4": Zn(4), "Dual-F2": DualRing(F2())}
+
+
+def _el_forms():
+    """The hyperbolic rank-2 form and every rank-1 phi0 up to shifts, at eps
+    = +1 and -1; at rank 1 only F3 and F4 have nondegenerate ones."""
+    cases = []
+    for name, ring in _EL_RINGS.items():
+        for eps in (1, -1):
+            cases.append(pytest.param(hyperbolic(ring, eps, 1), id=f"{name}-H-{eps}"))
+            for phi0 in shift_subgroup(ring, eps, 1).coset_reps_all():
+                q = QuadFormEl(ring, eps, phi0)
+                cases.append(pytest.param(q, id=f"{name}-{phi0.to_strs()[0][0]}-{eps}"))
+    return cases
+
+
+@pytest.mark.parametrize("q", _el_forms())
+def test_extension_check_matches_element_by_element(q):
+    elems = el_elements(q)[0]
+    assert elems == _el_elements_by_pairs(q)
+    assert all(satisfies_S(q, m.f, m.gamma) for m in elems)
+    group = enumerate_group("el", q)
+    report = extension_check(q, group=group)
+    oracle = _extension_check_by_elements(q, group)
+    assert report == oracle and list(report) == list(oracle)
+    assert report["passed"], report
+
+
+def _falsified(q, group, elements):
+    """The keys `extension_check` reports false on the group's data with
+    another element list, its closure certificate kept."""
+    mutated = EnumeratedGroup("el", len(elements), elements, dict(group.checks),
+                              base=group.base, kernel=group.kernel)
+    report = extension_check(q, group=mutated)
+    assert not report["passed"]
+    return {k for k, v in report.items() if v is False}
+
+
+_MUTATION_RINGS = pytest.mark.parametrize("ring", [F2(), Fp(3), F4(), Zn(4)],
+                                          ids=["F2", "F3", "F4", "Z4"])
+
+
+def _el_group_and_f(ring):
+    q = hyperbolic(ring, 1, 1)
+    group = enumerate_group("el", q)
+    assert extension_check(q, group=group)["passed"]
+    ident = Mat.identity(ring, 2)
+    f = next(m.f for m in reversed(group.elements) if m.f != ident)
+    return q, group, f
+
+
+@_MUTATION_RINGS
+def test_extension_check_detects_a_dropped_witness(ring):
+    # the lift of f (its first pair) and its last pair
+    q, group, f = _el_group_and_f(ring)
+    elems = group.elements
+    over_f = [i for i, m in enumerate(elems) if m.f == f]
+    for drop in (over_f[0], over_f[-1]):
+        keys = _falsified(q, group, elems[:drop] + elems[drop + 1:])
+        assert {"witness_cosets_exhaustive", "order_product_law"} <= keys
+
+
+@_MUTATION_RINGS
+def test_extension_check_detects_an_f_without_pairs(ring):
+    q, group, f = _el_group_and_f(ring)
+    keys = _falsified(q, group, [m for m in group.elements if m.f != f])
+    assert {"projection_surjective", "witness_cosets_exhaustive", "order_product_law"} <= keys
+
+
+@_MUTATION_RINGS
+def test_extension_check_detects_a_kernel_pair_outside_S(ring):
+    # a pair (1, gamma) with gamma^* != eps*gamma, which violates (S): first
+    # in the list, where it is the lift of 1, and sorted in, where the lift
+    # of 1 stays (1, 0); either way some factor (1, m.gamma - lift.gamma)
+    # leaves S(E)
+    q, group, _ = _el_group_and_f(ring)
+    ident = Mat.identity(ring, 2)
+    gamma = Mat(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
+    assert not satisfies_S(q, ident, gamma)
+    bad = ElMorphism(q, ident, gamma, check=False)
+    for elements in ([bad] + group.elements,
+                     sorted(group.elements + [bad], key=lambda m: m.key())):
+        keys = _falsified(q, group, elements)
+        assert {"kernel_matches_SE", "closure_structured"} <= keys
+
+
+@_MUTATION_RINGS
+def test_extension_check_detects_a_coset_of_non_witnesses(ring):
+    # the pairs over f moved by t, t - eps*t^* != 0: still a full coset of
+    # S(E), so every count holds, but no pair over f satisfies (S)
+    q, group, f = _el_group_and_f(ring)
+    t = Mat(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
+    moved = [ElMorphism(q, m.f, m.gamma + t, check=False) if m.f == f else m
+             for m in group.elements]
+    assert not any(satisfies_S(q, m.f, m.gamma) for m in moved if m.f == f)
+    keys = _falsified(q, group, sorted(moved, key=lambda m: m.key()))
+    assert {"witness_cosets_exhaustive", "projection_homomorphism"} <= keys
