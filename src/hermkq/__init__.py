@@ -25,7 +25,6 @@ from .linalg import (
     block,
     diag_block,
     invert,
-    is_invertible_by_enumeration,
     kron,
     nilpotency_index,
     rank_over_field,
@@ -35,14 +34,12 @@ from .forms import (
     HermForm,
     QuadFormEl,
     QuadFormMin,
-    associated_hermitian,
     direct_sum,
     form_from_json,
     hyperbolic,
     hyperbolic_map,
     is_even,
     min_equal,
-    min_witness,
     pairing_chi,
     psi_normalize,
 )

@@ -4,13 +4,17 @@ Every command reads JSON (inline or @file), runs the requested computation,
 and prints a single report document embedding the input and the package
 version.  Exit codes: 0 success, 1 a verified property failed (the report
 carries the counterexample), 2 a refusal, reported as one of three errors:
-`bad-input` (malformed input), `unsupported` (well-formed input that the
-computation does not cover) or `cap-exhausted` (a search would pass the
-cap set by --cap, else HERMKQ_CAP, else the default, or a fixed internal
-limit that --cap does not raise: the additive basis size and the subgroup
-and subring spans), 3 `internal-check-failed` (an identity the program
-checks on its own result failed: a fault in the program, not in the
-input).  `python -m hermkq` runs this interface.
+`bad-input` (malformed input, or an @file that cannot be read),
+`unsupported` (well-formed input that the computation does not cover) or
+`cap-exhausted` (a search would pass the cap set by --cap, else HERMKQ_CAP,
+else the default, or a fixed internal limit that --cap does not raise: the
+additive basis size and the subgroup and subring spans), 3
+`internal-check-failed` (an identity the program checks on its own result
+failed: a fault in the program, not in the input).  Besides the group
+frame search, the cap bounds the pairs and lift products listed for an
+enlarged group and the scan for a split unit (their labels are in
+`caps.check_cap`).
+`python -m hermkq` runs this interface.
 JSON output is deterministic; --format table renders a flat text view.
 """
 
@@ -24,7 +28,6 @@ from . import __version__
 from .caps import CapExceeded, Unsupported, scoped_cap
 from .clauwens import (
     DeltaDatum,
-    MatPoly,
     PolyQuadForm,
     cup_product,
     kappa_nondegenerate,
@@ -49,14 +52,20 @@ from .invariants import (
     xi_char2_field,
     xi_group,
 )
-from .linalg import Mat, invert
+from .linalg import Mat
 from .rings import ring_from_json
 from .verify import SUITES, run_suites
 
 
 def _load_json(arg: str):
+    """Inline JSON, or the JSON in the file an @ names; a file that cannot be
+    read is bad input (ValueError)."""
     if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
+        try:
+            fh = open(arg[1:], "r", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot read {arg[1:]!r}: {exc.strerror}") from exc
+        with fh:
             return json.load(fh)
     return json.loads(arg)
 
@@ -456,7 +465,7 @@ def main(argv=None) -> int:
     except Unsupported as exc:
         print(json.dumps({"error": "unsupported", "message": str(exc)}))
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError, DegenerateFormError, OSError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, DegenerateFormError) as exc:
         print(json.dumps({"error": "bad-input", "message": str(exc)}))
         return 2
     except AssertionError as exc:

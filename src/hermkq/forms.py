@@ -292,10 +292,6 @@ def pairing_chi(h: HermForm, x, y):
     return (x.star() * h.phi * y).entries[0][0]
 
 
-def associated_hermitian(q: QuadFormEl) -> HermForm:
-    return q.associated()
-
-
 def is_even(h: HermForm) -> Mat | None:
     """Some phi0 with phi0 + eps*phi0^* = phi, or None."""
     sols = solve_affine(
@@ -303,21 +299,6 @@ def is_even(h: HermForm) -> Mat | None:
         (h.n, h.n),
         lambda g: g + g.star().scale_sign(h.eps),
         h.phi,
-        all_solutions=False,
-    )
-    return sols[0] if sols else None
-
-
-def min_witness(a: QuadFormEl, b: QuadFormEl) -> Mat | None:
-    """gamma with b.phi0 - a.phi0 = gamma - eps*gamma^*, or None."""
-    if a.ring != b.ring or a.eps != b.eps or a.n != b.n:
-        raise ValueError("forms are not comparable")
-    diff = b.phi0 - a.phi0
-    sols = solve_affine(
-        a.ring,
-        (a.n, a.n),
-        lambda g: g - g.star().scale_sign(a.eps),
-        diff,
         all_solutions=False,
     )
     return sols[0] if sols else None

@@ -344,22 +344,6 @@ def invert(m: Mat) -> Mat | None:
     return None
 
 
-def is_invertible_by_enumeration(m: Mat) -> bool:
-    """Bijectivity of x -> m*x on A^n by full enumeration (independent oracle)."""
-    R = m.ring
-    if R.size is None:
-        raise Unsupported("ring not enumerable")
-    check_cap(R.size**m.rows, "bijectivity enumeration")
-    seen = set()
-    for vec in product(R.elements(), repeat=m.rows):
-        col = Mat(R, [[v] for v in vec])
-        image = m * col
-        if image.entries in seen:
-            return False
-        seen.add(image.entries)
-    return len(seen) == R.size**m.rows
-
-
 def _nilpotency_bound(ring: Ring, n: int) -> int:
     """An index that no nilpotent n x n matrix over `ring` exceeds.
 

@@ -40,10 +40,32 @@ from .caps import Unsupported, check_cap
 _TABLE_LIMIT = 16  # a finite ring of at most this many elements is coded
 _FQ_TABLE_LIMIT = 256  # and an Fq of at most this many
 _TABLES: dict = {}  # ring key -> RingTables, shared by the rings with that key
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981  # see `_is_prime`
 
 
 def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Exact primality: trial division by the first 13 primes, then the
+    strong probable-prime test to each of them as base, which no composite
+    below `_MILLER_RABIN_BOUND` passes (Sorenson & Webster, Math. Comp. 86,
+    2017).  Above the bound an n with no small factor raises Unsupported."""
+    if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    if n >= _MILLER_RABIN_BOUND:
+        raise Unsupported(f"primality of {n} is not decided above {_MILLER_RABIN_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _text(s, kind: str) -> str:
@@ -114,6 +136,7 @@ class Ring:
     kind = "abstract"
     is_commutative = True
     is_field = False
+    trivial_involution = False  # conj(a) = a for every a
     size: int | None = None
     char: int = 0
     _key: str | None = None
@@ -256,9 +279,20 @@ class Ring:
         return all(self.mul(a, b) == self.mul(b, a) for b in self.elements())
 
     def find_split_unit(self):
-        """Some central lambda with lambda + conj(lambda) = 1, or None."""
+        """Some central lambda with lambda + conj(lambda) = 1, or None.
+
+        Under a trivial involution (of a commutative ring) that is 2*lambda =
+        1, solved by 1/2 = (char + 1)/2 alone in odd characteristic and by
+        nothing in even, where 2 is not a unit.  Other rings are scanned,
+        a finite one under the cap."""
         if self.split_unit is not None:
             return self.split_unit
+        if self.trivial_involution:
+            if self.char % 2:
+                self.split_unit = self.int_embed((self.char + 1) // 2)
+            return self.split_unit
+        if self.size is not None:
+            check_cap(self.size, "split unit scan")
         one = self.one
         for lam in self.elements():
             if self.add(lam, self.conj(lam)) == one and self.is_central(lam):
@@ -361,6 +395,7 @@ class Zn(Ring):
     """Z/n with the trivial involution (the only one shipped for Z/n)."""
 
     kind = "Zn"
+    trivial_involution = True
 
     def __init__(self, n: int):
         if n < 2:
@@ -494,6 +529,7 @@ class Fq(Ring):
         self.deg = deg
         self.modulus = modulus
         self.involution = involution
+        self.trivial_involution = involution == "trivial"
         self.size = p**deg
         self.char = p
         super().__init__()

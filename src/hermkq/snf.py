@@ -78,18 +78,6 @@ def smith_normal_form(mat):
     return a, v
 
 
-def invariant_factors(mat):
-    """Nontrivial invariant factors (d > 1) and the free rank of coker."""
-    d, _ = smith_normal_form(mat)
-    m = len(d)
-    n = len(d[0]) if m else 0
-    diag = [d[i][i] for i in range(min(m, n))]
-    factors = [x for x in diag if x > 1]
-    rank = sum(1 for x in diag if x != 0)
-    free = n - rank
-    return factors, free
-
-
 class Echelon:
     """Howell form of a subgroup of (Z/N)^n, grown one generator at a time
     (Howell, Linear Algebra Appl. 1986; Storjohann & Mulders, ESA 1998).

@@ -31,7 +31,6 @@ from .groups import (
     whitehead_factorization,
 )
 from .invariants import (
-    arf,
     arf_retraction_check,
     dickson,
     witt_classify,
@@ -178,8 +177,9 @@ def _random_invertible(ring, n, rng):
             return m
 
 
-def check_whitehead(trials: int = 100):
+def check_whitehead():
     """Criterion 6: stabilization identities for random invertible pairs."""
+    trials = 100
     rng = random.Random(20260809)
     details = {}
     passed = True
@@ -265,7 +265,8 @@ def check_clauwens_lemmas(sweep=None):
                 )
             nondeg_checks += 1
         for z in shifts:
-            # lemma2_shift raises if exactness or min-equality fails
+            # lemma2_shift raises unless kappa' - kappa = gamma - (eps*eta) gamma^*,
+            # a shift, which makes the two cup products min-equal
             lemma2_shift(t, z, deltas[0])
             shift_checks += 1
     details = {

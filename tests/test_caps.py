@@ -13,13 +13,15 @@ from hermkq.groups import (
     section_homomorphism_report,
 )
 from hermkq.invariants import grothendieck_witt_monoid, witt_classify, xi_char2_field, xi_group
-from hermkq.linalg import Mat, all_matrices, is_invertible_by_enumeration
+from hermkq.linalg import Mat, all_matrices
 from hermkq.rings import F2, F4, Zn
+from oracles import is_invertible_by_enumeration
 
 _F2 = F2()
 _HYP_F2 = hyperbolic(_F2, 1, 1)
 _HYP_F4 = hyperbolic(F4(), 1, 1)
 _ZERO_2x2 = Mat.zero(_F2, 2, 2)
+_EL_F2 = enumerate_group("el", _HYP_F2)
 
 # name -> (cap, call, message); each message is the first check_cap the call
 # reaches, one step past the cap
@@ -32,6 +34,11 @@ _CASES = {
                  "matrix enumeration: search space 4 exceeds cap 3"),
     "extension": (3, lambda: extension_check(_HYP_F2),
                   "matrix enumeration: search space 4 exceeds cap 3"),
+    # the frame search of O^min fits a cap of 15; its 2 x 8 pairs do not
+    "el-pairs": (15, lambda: enumerate_group("el", _HYP_F2),
+                 "el pair enumeration: search space 16 exceeds cap 15"),
+    "extension-lift-pairs": (3, lambda: extension_check(_HYP_F2, group=_EL_F2),
+                             "lift pair composition: search space 4 exceeds cap 3"),
     "section": (15, lambda: section_homomorphism_report(_HYP_F4),
                 "matrix enumeration: search space 16 exceeds cap 15"),
     "dual-numbers": (15, lambda: dual_numbers_iso(_HYP_F4),

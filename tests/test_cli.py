@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hermkq import caps
+from hermkq import caps, cli
 from hermkq.cli import main
+from hermkq.rings import Ring
 
 
 RING_F2 = '{"kind":"Fp","p":2}'
@@ -322,6 +324,51 @@ def test_file_input(tmp_path, capsys):
     path.write_text(RING_F4)
     code, _ = run(capsys, "ring-check", "--ring", f"@{path}")
     assert code == 0
+
+
+def test_unreadable_file_is_bad_input(capsys):
+    code, out = run(capsys, "form-check", "--form", "@/no/such/file")
+    assert code == 2
+    assert json.loads(out)["error"] == "bad-input"
+
+
+def test_an_os_error_inside_a_command_is_not_bad_input(monkeypatch):
+    def times_out(args, fmt):
+        raise TimeoutError("alarm")
+
+    monkeypatch.setitem(cli._DISPATCH, "ring-check", times_out)
+    with pytest.raises(TimeoutError):
+        main(["ring-check", "--ring", "F2"])
+
+
+def test_el_pairs_past_the_cap_are_refused_at_once(capsys):
+    # 288 orthogonal f times 216 symmetric gamma: 62 208 pairs
+    form = json.dumps({"ring": {"kind": "Zn", "n": 6}, "epsilon": 1,
+                       "matrix": [["0", "0"], ["0", "0"]]})
+    start = time.perf_counter()
+    code, out = run(capsys, "--cap", "4096", "group", "--variant", "el", "--form", form)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "cap-exhausted",
+        "message": "el pair enumeration: search space 62208 exceeds cap 4096"}
+
+
+def test_sqrt_over_a_large_prime_field_lists_no_ring(capsys, monkeypatch):
+    listed = Ring.elements
+
+    def elements(self):
+        if self.size is not None and self.size > 2**20:
+            raise RuntimeError(f"listed the {self.size} elements of {self.key()}")
+        return listed(self)
+
+    monkeypatch.setattr(Ring, "elements", elements)
+    start = time.perf_counter()
+    code, out = run(capsys, "clauwens", "sqrt-nilpotent",
+                    "--ring", '{"kind":"Fp","p":1000000007}', "--nu", '[["0"]]')
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert json.loads(out)["error"] == "cap-exhausted"
 
 
 def test_cap_flag(capsys):

@@ -28,7 +28,6 @@ from hermkq.groups import (
     enumerate_orthogonal_min,
     enumerate_unitary,
     extension_check,
-    field_hyperbolic_diagnostics,
     satisfies_S,
     section_homomorphism_report,
     split_section,
@@ -188,6 +187,34 @@ def test_dual_numbers_iso():
         dual_numbers_iso(hyperbolic(F2(), 1, 1))
 
 
+def _dual_unitaries_by_factorisation(h):
+    """O^max over A(e) from its e-degrees: f = f0 (1 + v e) with f0 unitary
+    over A and v self-adjoint for phi (f0^* phi f1 = f1^* phi f0, f1 = f0 v)."""
+    ring_e = DualRing(h.ring, "-e")
+    zero = h.ring.zero
+    vs = solve_affine(h.ring, (h.n, h.n), lambda v: v - h.adjoint(v), Mat.zero(h.ring, h.n))
+    ident_e = Mat.identity(ring_e, h.n)
+    out = [f0.map_entries(lambda a: ring_e.pair(a, zero), ring=ring_e)
+           * (ident_e + v.map_entries(lambda a: ring_e.pair(zero, a), ring=ring_e))
+           for f0 in enumerate_unitary(h) for v in vs]
+    return sorted(out, key=Mat.key)
+
+
+@pytest.mark.parametrize("ring, eps, phi", [
+    (F2(), 1, [["0", "1"], ["1", "0"]]),
+    (Fp(3), 1, [["0", "1"], ["1", "0"]]),
+    (Fp(3), -1, [["0", "1"], ["2", "0"]]),
+    (F4(), 1, [["0", "1"], ["1", "0"]]),
+    (F4("trivial"), 1, [["0", "1"], ["1", "0"]]),
+    (Fp(3), 1, [["1"]]),
+])
+def test_dual_unitaries_by_frame_search_match_the_factorisation(ring, eps, phi):
+    h = HermForm(ring, eps, Mat.from_strs(ring, phi))
+    ring_e = DualRing(ring, "-e")
+    h_e = HermForm(ring_e, eps, h.phi.map_entries(lambda a: ring_e.pair(a, ring.zero), ring=ring_e))
+    assert enumerate_unitary(h_e) == _dual_unitaries_by_factorisation(h)
+
+
 def test_whitehead_examples():
     f2 = F2()
     ident = Mat.identity(f2, 1)
@@ -204,19 +231,6 @@ def test_whitehead_examples():
         assert whitehead_factorization(a, b)["passed"]
     with pytest.raises(ValueError):
         whitehead_factorization(Mat.zero(f2, 2), Mat.identity(f2, 2))
-
-
-def test_field_diagnostics_on_unitaries():
-    f2 = F2()
-    q = hyperbolic(f2, 1, 1)
-    for f in enumerate_unitary(q.associated()):
-        diag = field_hyperbolic_diagnostics(f)
-        assert diag["a.td+b.tc=1"] and diag["c.tb+d.ta=1"]
-        assert diag["a.tb+b.ta=0"] and diag["c.td+d.tc=0"]
-    # the min members additionally satisfy the shift conditions
-    for f in enumerate_orthogonal_min(q):
-        diag = field_hyperbolic_diagnostics(f)
-        assert diag["a.tb_is_shift"] and diag["c.td_is_shift"]
 
 
 def test_el_morphism_validation():

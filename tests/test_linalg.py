@@ -6,17 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from hermkq.additive import solve_affine
 from hermkq.caps import scoped_cap
+from hermkq.invariants import AbelianGroupPresentation
 from hermkq.linalg import (
     Mat,
     all_matrices,
     invert,
-    is_invertible_by_enumeration,
     kron,
     nilpotency_index,
     rank_over_field,
 )
 from hermkq.rings import DualRing, F2, F4, Fp, Mat2Ring, PolySRing, TruncPolyRing, Zn
-from hermkq.snf import Echelon, invariant_factors, smith_normal_form, solve_mod
+from hermkq.snf import Echelon, smith_normal_form, solve_mod
+from oracles import is_invertible_by_enumeration
 
 
 def test_conj_transpose_examples():
@@ -148,10 +149,10 @@ def test_snf_transforms_and_oracle():
 
 
 def test_invariant_factors():
-    factors, free = invariant_factors([[2, 0], [0, 4]])
-    assert factors == [2, 4] and free == 0
-    factors, free = invariant_factors([[0, 0]])
-    assert factors == [] and free == 2
+    pres = AbelianGroupPresentation(["a", "b"], [[2, 0], [0, 4]])
+    assert pres.invariant_factors == [2, 4] and pres.free_rank == 0
+    pres = AbelianGroupPresentation(["a", "b"], [[0, 0]])
+    assert pres.invariant_factors == [] and pres.free_rank == 2
 
 
 def test_solve_mod():

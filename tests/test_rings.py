@@ -1,9 +1,10 @@
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermkq.caps import Unsupported
+from hermkq.caps import CapExceeded, Unsupported, scoped_cap
 from hermkq.rings import (
     DualRing,
     F2,
@@ -13,8 +14,10 @@ from hermkq.rings import (
     Mat2Ring,
     PolySRing,
     ProductOpRing,
+    Ring,
     TruncPolyRing,
     Zn,
+    _is_prime,
     ring_from_json,
 )
 
@@ -111,6 +114,65 @@ def test_split_units():
     assert po.split_unit == po.encode((1, 0))
     lam = f4.find_split_unit()
     assert f4.add(lam, f4.conj(lam)) == f4.one
+
+
+def _no_listing(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"listed the elements of {self.key()}")
+
+    monkeypatch.setattr(Ring, "elements", refuse)
+
+
+@pytest.mark.parametrize("ring, half", [
+    (Fp(1_000_000_007), "500000004"),
+    (Zn(9), "5"),
+    (Fp(3), "2"),
+    (Fq(3, 2, (1, 0, 1), "trivial"), "2"),
+    (Zn(8), None),
+    (Fq(2, 2, (1, 1, 1), "trivial"), None),
+])
+def test_split_unit_of_a_trivial_involution_is_one_half_without_a_scan(monkeypatch, ring, half):
+    # lambda + lambda = 1 has the one solution 1/2, and none when 2 is not a unit
+    _no_listing(monkeypatch)
+    lam = ring.find_split_unit()
+    assert (None if lam is None else ring.to_str(lam)) == half
+
+
+def test_split_unit_scan_is_under_the_cap():
+    f4 = F4()  # the Frobenius involution is not trivial: the ring is scanned
+    with scoped_cap(3), pytest.raises(CapExceeded) as exc:
+        f4.find_split_unit()
+    assert str(exc.value) == "split unit scan: search space 4 exceeds cap 3"
+    assert f4.to_str(f4.find_split_unit()) == "w"
+
+
+def test_is_prime_matches_sympy_below_two_hundred_thousand():
+    import sympy
+
+    assert [n for n in range(200_000) if _is_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize("n", [3_215_031_751, 3_825_123_056_546_413_051,
+                               318_665_857_834_031_151_167_461])
+def test_strong_pseudoprimes_are_composite(n):
+    # each is a strong probable prime to several of the first prime bases
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("p", [10**9 + 7, 10**18 + 3])
+def test_a_large_prime_field_builds_at_once(p):
+    start = time.perf_counter()
+    ring = Fp(p)
+    assert time.perf_counter() - start < 0.1
+    assert ring.is_field and ring.size == p
+
+
+def test_large_moduli():
+    assert not Zn(10**30).is_field
+    # past the bound the strong probable-prime test proves nothing: an n with
+    # no factor among the first 13 primes is refused, composite as 43^16 is
+    with pytest.raises(Unsupported):
+        Fp(43**16)
 
 
 def test_split_unit_validation():
