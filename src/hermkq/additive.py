@@ -3,19 +3,20 @@
 Every shipped finite ring has additive group isomorphic to (Z/char)^d with a
 basis discoverable by a greedy scan.  That turns additive constraints in
 matrix unknowns (all the "does there exist gamma" conditions) into linear
-systems over Z/char, prime or not, which one Howell-form echelon
-(`snf.Echelon`, `snf.solve_mod`) solves exactly.
+systems over Z/char, prime or not, which one Howell-form echelon of the
+system's graph (`snf.LinearMap`) solves exactly.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from math import prod
 
 from .caps import CapExceeded, Unsupported, check_cap
 from .linalg import Mat
 from .rings import Ring, _is_prime
-from .snf import Echelon, solve_mod
+from .snf import Echelon, LinearMap, solve_mod
 
 _BASIS_CACHE: dict = {}
 # fixed bound on the ring size an additive basis is built for, not the search cap
@@ -97,7 +98,9 @@ def mat_coords(basis: AdditiveBasis, m: Mat) -> tuple:
     return tuple(out)
 
 
-def mat_from_coords(basis: AdditiveBasis, rows: int, cols: int, vec) -> Mat:
+def mat_from_coords(basis: AdditiveBasis, rows: int, cols: int, vec, ring=None) -> Mat:
+    """The matrix with coordinates vec, over `ring` (by default the basis's
+    ring, which may be another object with the same key)."""
     d = basis.dim
     out = []
     idx = 0
@@ -107,7 +110,7 @@ def mat_from_coords(basis: AdditiveBasis, rows: int, cols: int, vec) -> Mat:
             row.append(basis.element_from_coords(vec[idx: idx + d]))
             idx += d
         out.append(row)
-    return Mat(basis.ring, out)
+    return Mat(ring or basis.ring, out)
 
 
 def extend_span(span: set, x, limit: int, message: str) -> bool:
@@ -151,6 +154,7 @@ class MatSubgroup:
         self._echelon = None
         self._basis = None
         self._grew = None
+        self._elements = None
         if _is_prime(ring.char):
             self._basis = additive_basis(ring)
             ech = Echelon(ring.char, rows * cols * self._basis.dim)
@@ -212,15 +216,50 @@ class MatSubgroup:
                 out.append(c)
         return sorted(out, key=Mat.key)
 
-    def elements(self):
-        if self._span is not None:
-            return sorted(self._span, key=Mat.key)
-        check_cap(self.size, "subgroup enumeration")
-        span = {Mat.zero(self.ring, self.rows, self.cols)}
-        for j in self._echelon.pivots:
-            extend_span(span, self._from_coords(self._echelon.rows[j]), self.size,
-                        "subgroup enumeration")
-        return sorted(span, key=Mat.key)
+    def elements(self) -> list:
+        """The members sorted by key, listed once and kept.  In prime
+        characteristic every call is checked against the cap, kept list or
+        not."""
+        if self._span is None:
+            check_cap(self.size, "subgroup enumeration")
+        if self._elements is None:
+            span = self._span
+            if span is None:
+                span = {Mat.zero(self.ring, self.rows, self.cols)}
+                for j in self._echelon.pivots:
+                    extend_span(span, self._from_coords(self._echelon.rows[j]), self.size,
+                                "subgroup enumeration")
+            self._elements = sorted(span, key=Mat.key)
+        return self._elements
+
+
+class AdditiveMap:
+    """A fixed additive map `fun` on n x n matrices, in the coordinates of
+    `solve_affine`, as an `snf.LinearMap` for repeated solves of fun(x) =
+    target; `kernel` is its kernel as a `MatSubgroup`.  `solve` returns the
+    particular solution `solve_affine(..., all_solutions=False)` returns, as
+    both read it off the same `LinearMap`."""
+
+    def __init__(self, ring: Ring, n: int, fun):
+        self.n = n
+        self._basis = basis = additive_basis(ring)
+        images = [mat_coords(basis, fun(b)) for b in _basis_mats(basis, n, n)]
+        self._map = LinearMap(images, ring.char, n * n * basis.dim)
+
+    @cached_property
+    def kernel(self) -> MatSubgroup:
+        """ker fun, built on first use (in composite characteristic a
+        `MatSubgroup` lists its span)."""
+        basis, n = self._basis, self.n
+        return MatSubgroup(basis.ring, n, n, [
+            mat_from_coords(basis, n, n, vec) for vec, _ in self._map.kernel])
+
+    def solve(self, target: Mat) -> Mat | None:
+        """The canonical particular solution of fun(x) = target, or None,
+        over the ring of the target."""
+        x = self._map.solve(mat_coords(self._basis, target))
+        return None if x is None else mat_from_coords(self._basis, self.n, self.n, x,
+                                                      target.ring)
 
 
 def _basis_mats(basis: AdditiveBasis, rows: int, cols: int):
@@ -250,9 +289,9 @@ def solve_affine(ring, shape, fun, target, all_solutions=True):
     entry by entry in row-major order, and solved over Z/char by
     `snf.solve_mod`.  Returns a sorted list of Mat (empty when unsolvable).
     With all_solutions=False only the canonical particular solution is
-    returned: in those coordinates, every unknown without a pivot is 0, and
-    each pivot unknown, from the last to the first, takes the least residue
-    that solves its row.  It depends only on the solution set.
+    returned: the least solution in those coordinates, compared from the
+    last coordinate to the first (`snf.LinearMap`).  It depends only on the
+    solution set.
     """
     rows, cols = shape
     const = fun(Mat.zero(ring, rows, cols))
@@ -264,13 +303,13 @@ def solve_affine(ring, shape, fun, target, all_solutions=True):
     sols = [mat_from_coords(basis, rows, cols, particular)]
     if not all_solutions or not kernel:
         return sols
-    check_cap(prod(order for _, order in kernel), "solution enumeration")
-    # mixed radix: a generator g of order o adds the layers s + g, ..., s + (o-1)g
-    for vec, order in kernel:
+    check_cap(prod(span for _, span in kernel), "solution enumeration")
+    # mixed radix: a generator g of range r adds the layers s + g, ..., s + (r-1)g
+    for vec, span in kernel:
         g = mat_from_coords(basis, rows, cols, vec)
         layer = sols
         sols = list(sols)
-        for _ in range(order - 1):
+        for _ in range(span - 1):
             layer = [m + g for m in layer]
             sols.extend(layer)
     return sorted(sols, key=Mat.key)

@@ -67,10 +67,9 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     count of search nodes, checked before each level of the frame search.
     A node there is one unit of that search's work: each of the |R|^n
     columns of its first pass, and each inner product of a chosen column
-    with a candidate for a later position.  The enlarged group counts the
-    pairs it would list: |O^min|*|S(E)| before `el_elements` lists S(E)
-    ("el pair enumeration"), and |O^min|^2 before `extension_check` composes
-    every pair of lifts ("lift pair composition").  A ring's split-unit scan
+    with a candidate for a later position.  The enlarged group lists only
+    O^min, under that count, and S(E) ("subgroup enumeration", or the fixed
+    span limit of `additive.MatSubgroup`).  A ring's split-unit scan
     counts its elements ("split unit scan"); a trivial involution needs no
     scan.
 

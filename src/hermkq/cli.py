@@ -37,11 +37,7 @@ from .clauwens import (
     sqrt_one_plus_nu_t,
 )
 from .forms import DegenerateFormError, HermForm, QuadFormEl, QuadFormMin, form_from_json, is_even
-from .groups import (
-    enumerate_group,
-    extension_check,
-    whitehead_factorization,
-)
+from .groups import enumerate_group, whitehead_factorization
 from .invariants import (
     arf,
     arf_zero_count_oracle,
@@ -165,20 +161,10 @@ def cmd_group(args, fmt):
         form = (form.rep if isinstance(form, QuadFormMin) else form).associated()
     q = form if isinstance(form, HermForm) else (form.rep if isinstance(form, QuadFormMin) else form)
     group = enumerate_group(variant, q)
-    report = group.to_json()
-    report["elements_preview"] = [
-        (m.to_strs() if isinstance(m, Mat) else [m.f.to_strs(), m.gamma.to_strs()])
-        for m in group.elements[:16]
-    ]
-    if variant == "el":
-        ext = extension_check(q, group=group)
-        report["extension"] = {
-            k: v for k, v in ext.items() if isinstance(v, (bool, int))
-        }
-        ok = all(v for v in group.checks.values() if isinstance(v, bool)) and ext["passed"]
-    else:
-        ok = all(v for v in group.checks.values() if isinstance(v, bool))
-    return _emit("group", doc, report, fmt, ok)
+    ok = all(v for v in group.checks.values() if isinstance(v, bool))
+    if group.extension is not None:
+        ok = ok and group.extension["passed"]
+    return _emit("group", doc, group.to_json(), fmt, ok)
 
 
 def cmd_witt(args, fmt):

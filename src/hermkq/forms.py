@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .additive import MatSubgroup, solve_affine
+from .additive import AdditiveMap, MatSubgroup, solve_affine
 from .caps import check_cap
 from .linalg import Mat, diag_block, invert
 from .rings import Ring, _is_prime, ring_from_json
@@ -21,7 +21,7 @@ class DegenerateFormError(ValueError):
 
 
 _SHIFT_TABLES: dict = {}
-_SELFADJ_CACHE: dict = {}
+_SHIFT_MAPS: dict = {}
 
 
 def _basis_mats(ring: Ring, n: int):
@@ -142,15 +142,18 @@ def shift_subgroup(ring: Ring, eps: int, n: int) -> ShiftSubgroup:
     return ShiftSubgroup(ring, eps, n)
 
 
-def selfadjoint_subgroup(ring: Ring, eps: int, n: int) -> MatSubgroup:
-    """S(E): the gamma with gamma^* = eps*gamma (kernel of the shift map)."""
+def shift_map(ring: Ring, eps: int, n: int) -> AdditiveMap:
+    """L(g) = g - eps*g^* on n x n matrices, built once per (ring, eps, n)."""
     key = (ring.key(), eps, n)
-    if key not in _SELFADJ_CACHE:
-        sols = solve_affine(
-            ring, (n, n), lambda g: g.star() - g.scale_sign(eps), Mat.zero(ring, n)
-        )
-        _SELFADJ_CACHE[key] = MatSubgroup(ring, n, n, sols)
-    return _SELFADJ_CACHE[key]
+    if key not in _SHIFT_MAPS:
+        _SHIFT_MAPS[key] = AdditiveMap(ring, n, lambda g: g - g.star().scale_sign(eps))
+    return _SHIFT_MAPS[key]
+
+
+def selfadjoint_subgroup(ring: Ring, eps: int, n: int) -> MatSubgroup:
+    """S(E): the gamma with gamma^* = eps*gamma, which is the kernel of L
+    (apply ^*, an involution, and eps^2 = 1)."""
+    return shift_map(ring, eps, n).kernel
 
 
 class HermForm:

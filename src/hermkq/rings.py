@@ -40,6 +40,7 @@ from .caps import Unsupported, check_cap
 _TABLE_LIMIT = 16  # a finite ring of at most this many elements is coded
 _FQ_TABLE_LIMIT = 256  # and an Fq of at most this many
 _TABLES: dict = {}  # ring key -> RingTables, shared by the rings with that key
+_INTERNED: dict = {}  # ring key -> the ring `ring_from_json` returns for it
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981  # see `_is_prime`
 
@@ -150,6 +151,7 @@ class Ring:
         self.zero = self._zero()
         self.one = self._one()
         self.split_unit = None
+        self._found_split_unit = None
         self._elements_cache = None
         if self._codable():
             self._code()
@@ -284,19 +286,23 @@ class Ring:
         Under a trivial involution (of a commutative ring) that is 2*lambda =
         1, solved by 1/2 = (char + 1)/2 alone in odd characteristic and by
         nothing in even, where 2 is not a unit.  Other rings are scanned,
-        a finite one under the cap."""
+        a finite one under the cap.  A unit set by `set_split_unit` comes
+        first; one found is kept apart from it, so that a ring shared by
+        `ring_from_json` carries no set unit."""
         if self.split_unit is not None:
             return self.split_unit
+        if self._found_split_unit is not None:
+            return self._found_split_unit
         if self.trivial_involution:
             if self.char % 2:
-                self.split_unit = self.int_embed((self.char + 1) // 2)
-            return self.split_unit
+                self._found_split_unit = self.int_embed((self.char + 1) // 2)
+            return self._found_split_unit
         if self.size is not None:
             check_cap(self.size, "split unit scan")
         one = self.one
         for lam in self.elements():
             if self.add(lam, self.conj(lam)) == one and self.is_central(lam):
-                self.split_unit = lam
+                self._found_split_unit = lam
                 return lam
         return None
 
@@ -1110,9 +1116,26 @@ class TruncPolyRing(_TupleRing):
 
 
 def ring_from_json(doc) -> Ring:
-    """Build a ring from its JSON spec (dict or JSON string)."""
+    """The ring of a JSON spec (dict or JSON string).
+
+    A spec that sets no split unit, at any depth, gives one shared ring per
+    key, so that the matrices of separate calls, and those the subgroup
+    caches keep, share one ring object and compare rings by identity.  A
+    spec with a split unit gives a new ring, so that the unit stays with it.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    ring = _ring_from_spec(doc)
+    if _sets_split_unit(doc):
+        return ring
+    return _INTERNED.setdefault(ring.key(), ring)
+
+
+def _sets_split_unit(doc) -> bool:
+    return "split_unit" in doc or ("base" in doc and _sets_split_unit(doc["base"]))
+
+
+def _ring_from_spec(doc) -> Ring:
     kind = doc.get("kind")
     if kind == "Fp":
         ring = Fp(doc["p"])

@@ -153,60 +153,60 @@ class Echelon:
         return tuple(v)
 
 
-def _back_substitute(ech: Echelon, presets) -> list:
-    """The x that holds the (coordinate, value) `presets` and is orthogonal
-    to every row, its pivot coordinates set from the last pivot up to the
-    least residue that solves their row (plus a preset there, a multiple of
-    N/d).  The Howell property makes each step solvable.  The rows must be
-    reduced above their pivots, so a unit pivot's column is zero in every
-    other row and adds no term to the dot products."""
-    N = ech.modulus
-    x = [0] * ech.n
-    terms = list(presets)  # the nonzero terms of x the rows still to come can see
-    for l, v in presets:
-        x[l] = v
-    for j in reversed(ech.pivots):
-        row = ech.rows[j]
-        c = 0
-        for l, v in terms:
-            c -= row[l] * v
-        c %= N
-        if c:
-            d = row[j]
-            x[j] = (x[j] + c // d) % N
-            if d != 1:
-                terms.append((j, c // d))
-    return x
+class LinearMap:
+    """x -> sum_k x_k * columns[k] over Z/modulus, each column of length
+    `equations`, held as the Howell echelon of its graph for repeated
+    solves.
+
+    The graph {(image of x, x)} is spanned by the rows (columns[k], e_k),
+    the x coordinates written from the last unknown to the first.  For a
+    target t the coset (-t, 0) + graph holds (0, x) exactly for the
+    solutions x.  `Echelon.reduce` takes the coset to its representative
+    with each pivot coordinate in [0, d), and that is its least member in
+    the lexicographic order of the coordinates: pivot by pivot, the members
+    that agree before a pivot j differ there by the multiples of d (Howell
+    property) and agree up to the next pivot.  So t has a solution exactly
+    when the representative vanishes on the image part, and its x part is
+    then the least solution compared from the last unknown to the first,
+    which depends only on the solution set.  The rows leading in the x part
+    form a Howell basis of the kernel.
+    """
+
+    def __init__(self, columns, modulus: int, equations: int):
+        self.equations = m = equations
+        k = self.unknowns = len(columns)
+        ech = Echelon(modulus, m + k)
+        for i, col in enumerate(columns):
+            row = [*col, *[0] * k]
+            row[m + k - 1 - i] = 1
+            ech.add(row)
+        self._echelon = ech
+        # particular + sum c_i * generator_i over 0 <= c_i < range_i lists
+        # every solution once, by the Howell property
+        self.kernel = [(ech.rows[j][m:][::-1], modulus // ech.rows[j][j])
+                       for j in ech.pivots if j >= m]
+
+    def solve(self, target) -> list | None:
+        """The least solution of sum_k x_k * columns[k] = target (see above),
+        or None."""
+        m = self.equations
+        v = self._echelon.reduce([*(-t for t in target), *[0] * self.unknowns])
+        if any(v[:m]):
+            return None
+        return list(v[m:][::-1])
 
 
 def solve_mod(mat, target, modulus):
     """Solutions of mat*x = target over Z/modulus, mat given by rows.
 
-    Returns (particular, kernel), or (None, []) when a row of the Howell
-    echelon of [mat | target] leads in the target column.  The particular
-    solution is 0 at every non-pivot unknown and the least residue at each
-    pivot, from the last pivot up; it depends only on the solution set.
-    `kernel` holds (generator, order) pairs: order modulus for each
-    non-pivot unknown, order d for each pivot d > 1.  particular +
-    sum c_i * generator_i over 0 <= c_i < order_i lists every solution once.
+    Returns (particular, kernel), or (None, []) when there is none.  The
+    particular solution is the least one compared from the last unknown to
+    the first (`LinearMap`); it depends only on the solution set.  `kernel`
+    holds (generator, range) pairs, and particular + sum c_i * generator_i
+    over 0 <= c_i < range_i lists every solution once.
     """
-    n = len(mat[0]) if mat else 0
-    ech = Echelon(modulus, n + 1)
-    for row, b in zip(mat, target):
-        ech.add([*row, b])
-    rows = ech.rows
-    if n in rows:
+    lin = LinearMap([list(col) for col in zip(*mat)] if mat else [], modulus, len(mat))
+    particular = lin.solve(target)
+    if particular is None:
         return None, []
-    for k, j in enumerate(ech.pivots):  # reduce the rows above each pivot
-        for i in ech.pivots[:k]:
-            q = rows[i][j] // rows[j][j]
-            if q:
-                rows[i] = [(x - q * y) % modulus for x, y in zip(rows[i], rows[j])]
-    particular = _back_substitute(ech, [(n, modulus - 1)])[:n]
-    kernel = []
-    for j in range(n):
-        order = rows[j][j] if j in rows else modulus
-        if order > 1:
-            start = 1 if j not in rows else modulus // order
-            kernel.append((_back_substitute(ech, [(j, start)])[:n], order))
-    return particular, kernel
+    return particular, lin.kernel

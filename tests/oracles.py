@@ -5,8 +5,23 @@ from itertools import product
 
 from hermkq.additive import solve_affine
 from hermkq.caps import Unsupported, check_cap
-from hermkq.forms import QuadFormEl
-from hermkq.linalg import Mat
+from hermkq.forms import QuadFormEl, selfadjoint_subgroup
+from hermkq.groups import (
+    ElMorphism,
+    check_max,
+    compose_el,
+    el_identity,
+    el_inverse,
+    enumerate_orthogonal_min,
+    satisfies_S,
+    verify_group_axioms,
+)
+from hermkq.linalg import Mat, invert
+
+
+def _shift_map(eps):
+    """L(g) = g - eps*g^*, whose solutions of L(gamma) = d are the witnesses."""
+    return lambda g: g - g.star().scale_sign(eps)
 
 
 def is_invertible_by_enumeration(m: Mat) -> bool:
@@ -30,11 +45,93 @@ def min_witness(a: QuadFormEl, b: QuadFormEl) -> Mat | None:
     if a.ring != b.ring or a.eps != b.eps or a.n != b.n:
         raise ValueError("forms are not comparable")
     diff = b.phi0 - a.phi0
-    sols = solve_affine(
-        a.ring,
-        (a.n, a.n),
-        lambda g: g - g.star().scale_sign(a.eps),
-        diff,
-        all_solutions=False,
-    )
+    sols = solve_affine(a.ring, (a.n, a.n), _shift_map(a.eps), diff, all_solutions=False)
     return sols[0] if sols else None
+
+
+# -- the enlarged group from its listed pairs -----------------------------------
+
+def el_pairs_by_witness_sets(q: QuadFormEl) -> list:
+    """Every pair (f, gamma) of O^el, sorted by key: for each f of O^min the
+    whole solution set of (S), listed by `solve_affine`, each pair built
+    with (S) checked."""
+    out = []
+    for f in enumerate_orthogonal_min(q):
+        d = f.star() * q.phi0 * f - q.phi0
+        for gamma in solve_affine(q.ring, (q.n, q.n), _shift_map(q.eps), d):
+            out.append(ElMorphism(q, f, gamma, check=True))
+    return sorted(out, key=ElMorphism.key)
+
+
+def extension_check_by_elements(q, elems, omin, se, closure) -> dict:
+    """The extension checked element by element on the listed pairs: one
+    full witness solve per f, every pair of lifts against (S), every element
+    factored through the kernel, and the kernel action on all of S(E)."""
+    lifts = {}
+    for m in elems:
+        lifts.setdefault(m.f, m)
+    ident = Mat.identity(q.ring, q.n)
+    kernel = [ElMorphism(q, ident, s) for s in se]
+    elem_set = set(elems)
+    report = {
+        "order_min": len(omin),
+        "order_kernel": len(se),
+        "order_el": len(elems),
+        "order_product_law": len(elems) == len(se) * len(omin),
+    }
+    exhaustive = True
+    for f in omin:
+        sols = solve_affine(q.ring, (q.n, q.n), _shift_map(q.eps),
+                            f.star() * q.phi0 * f - q.phi0, all_solutions=True)
+        if len(sols) != len(se) or any(
+            ElMorphism(q, f, s, check=False) not in elem_set for s in sols
+        ):
+            exhaustive = False
+            break
+    report["witness_cosets_exhaustive"] = exhaustive
+    report["projection_surjective"] = set(lifts) == set(omin)
+    report["projection_homomorphism"] = all(
+        compose_el(a, b).f == a.f * b.f and satisfies_S(q, a.f * b.f, compose_el(a, b).gamma)
+        for a in lifts.values() for b in lifts.values()
+    )
+    kernel_set = set(kernel)
+    report["kernel_matches_SE"] = {m for m in elems if m.f == ident} == kernel_set
+    decomposition = True
+    for m in elems:
+        k = ElMorphism(q, ident, m.gamma - lifts[m.f].gamma, check=False)
+        decomposition = decomposition and k in kernel_set and compose_el(lifts[m.f], k) == m
+    report["closure_structured"] = closure and decomposition
+    action_ok = True
+    herm = q.associated()
+    inv_phi = herm.inverse()
+    for f, lift in lifts.items():
+        lift_inv = el_inverse(lift)
+        finv = invert(f) if inv_phi is not None and check_max(f, herm) else None
+        for s in se:
+            conj = compose_el(compose_el(lift_inv, ElMorphism(q, ident, s, check=False)), lift)
+            expected = f.star() * s * f
+            action_ok = action_ok and conj.f == ident and conj.gamma == expected
+            if finv is not None:
+                action_ok = action_ok and inv_phi * expected == finv * (inv_phi * s) * f
+    report["kernel_action_matches_conjugation"] = action_ok
+    report["passed"] = all(v for v in report.values() if isinstance(v, bool))
+    return report
+
+
+def el_group_report_by_pairs(q: QuadFormEl) -> dict:
+    """The `group --variant el` report from the listed pairs: Dimino's coset
+    closure over all of them, and the extension checked element by
+    element."""
+    elems = el_pairs_by_witness_sets(q)
+    checks, _ = verify_group_axioms(elems, compose_el, el_inverse, el_identity(q))
+    omin = enumerate_orthogonal_min(q)
+    se = selfadjoint_subgroup(q.ring, q.eps, q.n).elements()
+    return {
+        "variant": "el",
+        "order": len(elems),
+        "checks": checks,
+        "order_min": len(omin),
+        "order_kernel": len(se),
+        "elements_preview": [[m.f.to_strs(), m.gamma.to_strs()] for m in elems[:16]],
+        "extension": extension_check_by_elements(q, elems, omin, se, checks["closure"]),
+    }

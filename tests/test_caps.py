@@ -34,11 +34,9 @@ _CASES = {
                  "matrix enumeration: search space 4 exceeds cap 3"),
     "extension": (3, lambda: extension_check(_HYP_F2),
                   "matrix enumeration: search space 4 exceeds cap 3"),
-    # the frame search of O^min fits a cap of 15; its 2 x 8 pairs do not
-    "el-pairs": (15, lambda: enumerate_group("el", _HYP_F2),
-                 "el pair enumeration: search space 16 exceeds cap 15"),
-    "extension-lift-pairs": (3, lambda: extension_check(_HYP_F2, group=_EL_F2),
-                             "lift pair composition: search space 4 exceeds cap 3"),
+    # the enlarged group lists S(E), 8 matrices, for the fibres of its preview
+    "el-kernel-listing": (7, lambda: _EL_F2.head(16),
+                          "subgroup enumeration: search space 8 exceeds cap 7"),
     "section": (15, lambda: section_homomorphism_report(_HYP_F4),
                 "matrix enumeration: search space 16 exceeds cap 15"),
     "dual-numbers": (15, lambda: dual_numbers_iso(_HYP_F4),

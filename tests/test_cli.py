@@ -341,17 +341,29 @@ def test_an_os_error_inside_a_command_is_not_bad_input(monkeypatch):
         main(["ring-check", "--ring", "F2"])
 
 
-def test_el_pairs_past_the_cap_are_refused_at_once(capsys):
-    # 288 orthogonal f times 216 symmetric gamma: 62 208 pairs
-    form = json.dumps({"ring": {"kind": "Zn", "n": 6}, "epsilon": 1,
+_ZERO_Z6 = json.dumps({"ring": {"kind": "Zn", "n": 6}, "epsilon": 1,
                        "matrix": [["0", "0"], ["0", "0"]]})
+_MAT2_ZERO, _MAT2_ONE = '[["0","0"],["0","0"]]', '[["1","0"],["0","1"]]'
+_HYP_MAT2_F2 = json.dumps({"ring": {"kind": "Mat2", "base": {"kind": "Fp", "p": 2}},
+                           "epsilon": 1,
+                           "matrix": [[_MAT2_ZERO, _MAT2_ONE], [_MAT2_ZERO, _MAT2_ZERO]]})
+
+
+@pytest.mark.parametrize("cap,form,order", [
+    # 288 orthogonal f times 216 symmetric gamma, never listed as pairs
+    (["--cap", "4096"], _ZERO_Z6, 288 * 216),
+    # 72 orthogonal f times 1 024 gamma
+    ([], _HYP_MAT2_F2, 72 * 1024),
+], ids=["zero-Z6", "hyperbolic-Mat2-F2"])
+def test_el_groups_past_their_pair_count_are_answered(capsys, cap, form, order):
     start = time.perf_counter()
-    code, out = run(capsys, "--cap", "4096", "group", "--variant", "el", "--form", form)
+    code, out = run(capsys, *cap, "group", "--variant", "el", "--form", form)
     assert time.perf_counter() - start < 1
-    assert code == 2
-    assert json.loads(out) == {
-        "error": "cap-exhausted",
-        "message": "el pair enumeration: search space 62208 exceeds cap 4096"}
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["report"]["order"] == order
+    assert doc["report"]["extension"]["order_el"] == order
 
 
 def test_sqrt_over_a_large_prime_field_lists_no_ring(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from hermkq.forms import (
     selfadjoint_subgroup,
     shift_subgroup,
 )
+from hermkq.groups import check_min
 from hermkq.linalg import Mat, all_matrices, invert
 from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, ProductOpRing, TruncPolyRing, Zn
 from oracles import min_witness
@@ -316,11 +317,15 @@ def test_min_canonical_over_z9_past_the_span_cap():
     assert canonical.to_strs() == [["0", "0", "0"], ["7", "0", "0"], ["4", "6", "0"]]
     assert shifts.contains(canonical - q.phi0)
     # results are built over the ring of the argument, not a cached one
-    fresh = form_from_json(doc).rep
+    z9 = Zn(9)
+    fresh = QuadFormEl(z9, -1, Mat.from_strs(z9, doc["matrix"]))
     assert fresh.ring is not q.ring
     assert shifts.coset_canonical(fresh.phi0).ring is fresh.ring
     assert fresh.min_canonical().ring is fresh.ring
     assert all(m.ring is fresh.ring for m in shift_subgroup(fresh.ring, -1, 2).coset_reps_all())
+    # so is check_min's witness, though the echelon of L it reduces against is cached
+    assert check_min(Mat.identity(q.ring, 3), q).ring is q.ring
+    assert check_min(Mat.identity(z9, 3), fresh).ring is fresh.ring
 
 
 def _span_oracle(ring, rows, cols, generators):

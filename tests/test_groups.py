@@ -1,9 +1,13 @@
+import dataclasses
+import json
 import math
 import random
 
 import pytest
 
-from hermkq.additive import solve_affine
+import oracles
+from hermkq import groups
+from hermkq.additive import MatSubgroup, solve_affine
 from hermkq.caps import CapExceeded, Unsupported, scoped_cap
 from hermkq.forms import (
     HermForm,
@@ -11,12 +15,10 @@ from hermkq.forms import (
     direct_sum,
     hyperbolic,
     psi_normalize,
-    selfadjoint_subgroup,
     shift_subgroup,
 )
 from hermkq.groups import (
     ElMorphism,
-    EnumeratedGroup,
     check_max,
     check_min,
     compose_el,
@@ -77,7 +79,7 @@ def test_check_min_examples():
 def test_compose_neutral_inverse_associative():
     f2 = F2()
     q = hyperbolic(f2, 1, 1)
-    group = enumerate_group("el", q).elements
+    group = el_elements(q)[0]
     ident = el_identity(q)
     for m in group:
         assert compose_el(ident, m) == m
@@ -93,7 +95,7 @@ def test_compose_neutral_inverse_associative():
 def test_compose_preserves_S_exhaustively():
     f2 = F2()
     q = hyperbolic(f2, 1, 1)
-    group = enumerate_group("el", q).elements
+    group = el_elements(q)[0]
     for a in group:
         for b in group:
             c = compose_el(a, b)
@@ -407,7 +409,8 @@ def test_axioms_match_all_pairs(ring):
         for variant in ("max", "min", "el"):
             group = enumerate_group(variant, q)
             checks = group.checks
-            assert _exact(checks) == _all_pairs_axioms(group.elements, *_axiom_args(variant, q))
+            elements = el_elements(q)[0] if variant == "el" else group.elements
+            assert _exact(checks) == _all_pairs_axioms(elements, *_axiom_args(variant, q))
             assert all(_exact(checks).values()), (variant, q.phi0)
             assert checks["closure_generators"] <= math.log2(group.order)
             assert checks["closure_products"] <= 2 * (group.order - 1)
@@ -420,7 +423,7 @@ def test_axioms_detect_broken_sets():
 
     def check(elems):
         identity = Mat.identity(f2, 4)
-        got = verify_group_axioms(elems, mul, invert, identity)
+        got, _ = verify_group_axioms(elems, mul, invert, identity)
         s = set(elems)
         # the cheap two thirds of the definition, exactly
         assert got["identity"] == (identity in s)
@@ -452,7 +455,7 @@ def test_axioms_detect_broken_sets():
         {"identity": True, "inverses": False, "closure": False},
     ]
     for elems, want in zip(cases, expected):
-        got = _exact(verify_group_axioms(elems, mul, invert, ident))
+        got = _exact(verify_group_axioms(elems, mul, invert, ident)[0])
         assert got == _all_pairs_axioms(elems, mul, invert, ident) == want
 
     # transpositions a, b and the 3-cycle ab, walked in this order: the
@@ -462,7 +465,7 @@ def test_axioms_detect_broken_sets():
     a = Mat.from_strs(f2, [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]])
     b = Mat.from_strs(f2, [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]])
     perms = [e3, a, b, a * b]
-    got = _exact(verify_group_axioms(perms, mul, invert, e3))
+    got = _exact(verify_group_axioms(perms, mul, invert, e3)[0])
     assert got == _all_pairs_axioms(perms, mul, invert, e3)
     assert got == {"identity": True, "inverses": False, "closure": False}
 
@@ -478,7 +481,7 @@ def _perm(n, images):
 def _coset_closure_case(elems, want):
     ident = Mat.identity(elems[0].ring, elems[0].rows)
     mul = lambda a, b: a * b
-    got = _exact(verify_group_axioms(elems, mul, invert, ident))
+    got = _exact(verify_group_axioms(elems, mul, invert, ident)[0])
     assert got == _all_pairs_axioms(elems, mul, invert, ident) == want
 
 
@@ -513,81 +516,21 @@ def test_coset_closure_with_a_singular_generator():
     _coset_closure_case(monoid[:-1], {"identity": True, "inverses": False, "closure": False})
 
 
-# -- the extension certificate against its element-by-element definition -----
+# -- the exact-sequence certificate against the listed pairs ------------------
 
-def _el_elements_by_pairs(q):
-    """Every pair (f, base + s) built with (S) checked, sorted by key."""
-    omin = enumerate_orthogonal_min(q)
-    se = selfadjoint_subgroup(q.ring, q.eps, q.n).elements()
-    out = [ElMorphism(q, f, check_min(f, q) + s, check=True) for f in omin for s in se]
-    return sorted(out, key=lambda m: m.key())
-
-
-def _extension_check_by_elements(q, group):
-    """The extension checked element by element: one full witness solve per
-    f, every pair of lifts against (S), and the kernel action on all of S(E)."""
-    elems, omin, se = group.elements, group.base, group.kernel
-    lifts = {}
-    for m in elems:
-        lifts.setdefault(m.f, m)
-    ident = Mat.identity(q.ring, q.n)
-    kernel = [ElMorphism(q, ident, s) for s in se]
-    elem_set = set(elems)
-    report = {
-        "order_min": len(omin),
-        "order_kernel": len(se),
-        "order_el": len(elems),
-        "order_product_law": len(elems) == len(se) * len(omin),
-    }
-    exhaustive = True
-    for f in omin:
-        sols = solve_affine(q.ring, (q.n, q.n), lambda g: g - g.star().scale_sign(q.eps),
-                            f.star() * q.phi0 * f - q.phi0, all_solutions=True)
-        if len(sols) != len(se) or any(
-            ElMorphism(q, f, s, check=False) not in elem_set for s in sols
-        ):
-            exhaustive = False
-            break
-    report["witness_cosets_exhaustive"] = exhaustive
-    report["projection_surjective"] = set(lifts) == set(omin)
-    report["projection_homomorphism"] = all(
-        compose_el(a, b).f == a.f * b.f and satisfies_S(q, a.f * b.f, compose_el(a, b).gamma)
-        for a in lifts.values() for b in lifts.values()
-    )
-    kernel_set = set(kernel)
-    report["kernel_matches_SE"] = {m for m in elems if m.f == ident} == kernel_set
-    decomposition = True
-    for m in elems:
-        k = ElMorphism(q, ident, m.gamma - lifts[m.f].gamma, check=False)
-        decomposition = decomposition and k in kernel_set and compose_el(lifts[m.f], k) == m
-    report["closure_structured"] = group.checks["closure"] and decomposition
-    action_ok = True
-    herm = q.associated()
-    inv_phi = herm.inverse()
-    for f, lift in lifts.items():
-        lift_inv = el_inverse(lift)
-        finv = invert(f) if inv_phi is not None and check_max(f, herm) else None
-        for s in se:
-            conj = compose_el(compose_el(lift_inv, ElMorphism(q, ident, s, check=False)), lift)
-            expected = f.star() * s * f
-            action_ok = action_ok and conj.f == ident and conj.gamma == expected
-            if finv is not None:
-                action_ok = action_ok and inv_phi * expected == finv * (inv_phi * s) * f
-    report["kernel_action_matches_conjugation"] = action_ok
-    report["passed"] = all(v for v in report.values() if isinstance(v, bool))
-    return report
-
-
-_EL_RINGS = {"F2": F2(), "F3": Fp(3), "F4": F4(), "Z4": Zn(4), "Dual-F2": DualRing(F2())}
+_EL_RINGS = {"F2": F2(), "F3": Fp(3), "F4": F4(), "Z4": Zn(4), "Dual-F2": DualRing(F2()),
+             "Mat2-F2": Mat2Ring(F2())}
 
 
 def _el_forms():
     """The hyperbolic rank-2 form and every rank-1 phi0 up to shifts, at eps
-    = +1 and -1; at rank 1 only F3 and F4 have nondegenerate ones."""
+    = +1 and -1; at rank 1 only F3 and F4 have nondegenerate ones.  Over
+    Mat2(F2) rank 1 only: its rank-2 el groups have 73 728 elements."""
     cases = []
     for name, ring in _EL_RINGS.items():
         for eps in (1, -1):
-            cases.append(pytest.param(hyperbolic(ring, eps, 1), id=f"{name}-H-{eps}"))
+            if name != "Mat2-F2":
+                cases.append(pytest.param(hyperbolic(ring, eps, 1), id=f"{name}-H-{eps}"))
             for phi0 in shift_subgroup(ring, eps, 1).coset_reps_all():
                 q = QuadFormEl(ring, eps, phi0)
                 cases.append(pytest.param(q, id=f"{name}-{phi0.to_strs()[0][0]}-{eps}"))
@@ -597,21 +540,29 @@ def _el_forms():
 @pytest.mark.parametrize("q", _el_forms())
 def test_extension_check_matches_element_by_element(q):
     elems = el_elements(q)[0]
-    assert elems == _el_elements_by_pairs(q)
+    assert elems == oracles.el_pairs_by_witness_sets(q)
     assert all(satisfies_S(q, m.f, m.gamma) for m in elems)
-    group = enumerate_group("el", q)
-    report = extension_check(q, group=group)
-    oracle = _extension_check_by_elements(q, group)
-    assert report == oracle and list(report) == list(oracle)
-    assert report["passed"], report
+    report = enumerate_group("el", q).to_json()
+    oracle = oracles.el_group_report_by_pairs(q)
+    for doc in (report, oracle):
+        del doc["checks"]["closure_products"], doc["checks"]["closure_generators"]
+    assert json.dumps(report) == json.dumps(oracle)
+    assert report["extension"]["passed"], report
 
 
-def _falsified(q, group, elements):
+@pytest.mark.parametrize("q", _el_forms())
+def test_check_min_is_the_canonical_particular_solution(q):
+    shift = lambda g: g - g.star().scale_sign(q.eps)
+    for f in all_matrices(q.ring, q.n, q.n):
+        d = f.star() * q.phi0 * f - q.phi0
+        want = solve_affine(q.ring, (q.n, q.n), shift, d, all_solutions=False)
+        assert check_min(f, q) == (want[0] if want else None)
+
+
+def _falsified(q, group, **data):
     """The keys `extension_check` reports false on the group's data with
-    another element list, its closure certificate kept."""
-    mutated = EnumeratedGroup("el", len(elements), elements, dict(group.checks),
-                              base=group.base, kernel=group.kernel)
-    report = extension_check(q, group=mutated)
+    some of it replaced, the base's certificate kept."""
+    report = extension_check(q, dataclasses.replace(group, **data))
     assert not report["passed"]
     return {k for k, v in report.items() if v is False}
 
@@ -623,55 +574,96 @@ _MUTATION_RINGS = pytest.mark.parametrize("ring", [F2(), Fp(3), F4(), Zn(4)],
 def _el_group_and_f(ring):
     q = hyperbolic(ring, 1, 1)
     group = enumerate_group("el", q)
-    assert extension_check(q, group=group)["passed"]
+    assert group.extension["passed"]
     ident = Mat.identity(ring, 2)
-    f = next(m.f for m in reversed(group.elements) if m.f != ident)
+    f = next(f for f in reversed(group.base.elements) if f != ident)
     return q, group, f
 
 
 @_MUTATION_RINGS
 def test_extension_check_detects_a_dropped_witness(ring):
-    # the lift of f (its first pair) and its last pair
+    # the witness of a base generator, and of the last f
     q, group, f = _el_group_and_f(ring)
-    elems = group.elements
-    over_f = [i for i, m in enumerate(elems) if m.f == f]
-    for drop in (over_f[0], over_f[-1]):
-        keys = _falsified(q, group, elems[:drop] + elems[drop + 1:])
+    for drop in (group.base.generators[0], f):
+        lifts = {g: m for g, m in group.lifts.items() if g != drop}
+        keys = _falsified(q, group, lifts=lifts)
         assert {"witness_cosets_exhaustive", "order_product_law"} <= keys
 
 
 @_MUTATION_RINGS
 def test_extension_check_detects_an_f_without_pairs(ring):
+    # the entry of f holds the lift of 1, so no lift lies over f
     q, group, f = _el_group_and_f(ring)
-    keys = _falsified(q, group, [m for m in group.elements if m.f != f])
+    ident = Mat.identity(ring, 2)
+    keys = _falsified(q, group, lifts={**group.lifts, f: group.lifts[ident]})
     assert {"projection_surjective", "witness_cosets_exhaustive", "order_product_law"} <= keys
 
 
 @_MUTATION_RINGS
 def test_extension_check_detects_a_kernel_pair_outside_S(ring):
-    # a pair (1, gamma) with gamma^* != eps*gamma, which violates (S): first
-    # in the list, where it is the lift of 1, and sorted in, where the lift
-    # of 1 stays (1, 0); either way some factor (1, m.gamma - lift.gamma)
-    # leaves S(E)
+    # S(E) enlarged by gamma with gamma^* != eps*gamma, which violates (S)
     q, group, _ = _el_group_and_f(ring)
     ident = Mat.identity(ring, 2)
     gamma = Mat(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
     assert not satisfies_S(q, ident, gamma)
-    bad = ElMorphism(q, ident, gamma, check=False)
-    for elements in ([bad] + group.elements,
-                     sorted(group.elements + [bad], key=lambda m: m.key())):
-        keys = _falsified(q, group, elements)
-        assert {"kernel_matches_SE", "closure_structured"} <= keys
+    kernel = MatSubgroup(ring, 2, 2, group.kernel.generators() + [gamma])
+    keys = _falsified(q, group, kernel=kernel)
+    assert {"kernel_matches_SE", "closure_structured"} <= keys
 
 
 @_MUTATION_RINGS
 def test_extension_check_detects_a_coset_of_non_witnesses(ring):
-    # the pairs over f moved by t, t - eps*t^* != 0: still a full coset of
-    # S(E), so every count holds, but no pair over f satisfies (S)
+    # the witness of f moved by t, t - eps*t^* != 0: its coset is still a
+    # full coset of S(E), but no pair over f satisfies (S); f is the last
+    # element, and then a base generator
     q, group, f = _el_group_and_f(ring)
     t = Mat(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
-    moved = [ElMorphism(q, m.f, m.gamma + t, check=False) if m.f == f else m
-             for m in group.elements]
-    assert not any(satisfies_S(q, m.f, m.gamma) for m in moved if m.f == f)
-    keys = _falsified(q, group, sorted(moved, key=lambda m: m.key()))
-    assert {"witness_cosets_exhaustive", "projection_homomorphism"} <= keys
+    for g in (f, group.base.generators[0]):
+        moved = ElMorphism(q, g, group.lifts[g].gamma + t, check=False)
+        assert not satisfies_S(q, g, moved.gamma)
+        keys = _falsified(q, group, lifts={**group.lifts, g: moved})
+        assert {"witness_cosets_exhaustive", "projection_homomorphism"} <= keys
+
+
+@pytest.mark.parametrize("kind", [(False, False), (False, True), (True, False), (True, True)],
+                         ids=["lift.lift", "lift.kernel", "kernel.lift", "kernel.kernel"])
+def test_extension_check_detects_a_compose_fault_on_one_kind_of_generating_pair(
+        monkeypatch, kind):
+    # compose_el adds t, t - eps*t^* != 0, to the products of one kind only
+    # (by whether each factor lies over 1), which breaks (S) there
+    ring = F4()
+    q = hyperbolic(ring, 1, 1)
+    ident = Mat.identity(ring, 2)
+    t = Mat(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
+    faulted = []
+
+    def faulty(a, b):
+        c = compose_el(a, b)
+        if (a.f == ident, b.f == ident) != kind:
+            return c
+        faulted.append(c)
+        return ElMorphism(q, c.f, c.gamma + t, check=False)
+
+    monkeypatch.setattr(groups, "compose_el", faulty)
+    group = enumerate_group("el", q)
+    assert faulted
+    assert not group.checks["closure"]
+    keys = {k for k, v in group.extension.items() if v is False}
+    assert {"projection_homomorphism", "closure_structured", "passed"} <= keys
+
+
+def test_el_certificate_composes_generating_pairs_only(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return compose_el(a, b)
+
+    monkeypatch.setattr(groups, "compose_el", counted)
+    group = enumerate_group("el", hyperbolic(F4(), 1, 1))
+    group.to_json()
+    assert group.checks["closure"] and group.extension["passed"]
+    gens = len(group.generators)
+    assert len(calls) <= gens ** 2 and gens <= math.log2(group.order)
+    # O^min has 18 elements, so the former lift pairs alone were 324
+    assert gens ** 2 < group.base_order ** 2

@@ -218,6 +218,8 @@ def test_echelon_and_solve_mod_against_brute_force(n_mod):
                 continue
             listed = _listed_solutions(n_mod, particular, kernel)
             assert len(listed) == len(expected) and set(listed) == expected
+            # the least solution, compared from the last unknown to the first
+            assert tuple(particular) == min(expected, key=lambda x: x[::-1])
             order = list(range(len(mat)))
             rng.shuffle(order)
             again, _ = solve_mod([mat[i] for i in order], [target[i] for i in order], n_mod)

@@ -1,3 +1,4 @@
+import json
 import time
 from itertools import product
 
@@ -378,6 +379,22 @@ def test_uncoded_ring_over_a_coded_base():
     assert elems == ring._tuples() and len(set(elems)) == 256
     assert all(ring.from_str(ring.to_str(x)) == x for x in elems)
     assert ring.verify_involution(elems[::17]).passed
+
+
+def test_plain_specs_give_one_ring_and_split_units_stay_apart():
+    doc = {"kind": "Dual", "base": {"kind": "Fp", "p": 5}, "conj_e": "+e"}
+    plain = ring_from_json(doc)
+    assert ring_from_json(json.dumps(doc)) is plain
+    assert ring_from_json({"kind": "Fp", "p": 5}) is plain.base
+    split = ring_from_json({**doc, "split_unit": "3"})
+    assert split is not plain and split.split_unit == split.from_str("3")
+    assert plain.split_unit is None
+    # a split unit the ring finds is not a set one
+    assert plain.find_split_unit() == plain.from_str("3") and plain.split_unit is None
+    # a spec whose base sets a split unit gives a new ring over a new base
+    nested = ring_from_json({**doc, "base": {"kind": "Fp", "p": 5, "split_unit": "3"}})
+    assert nested is not plain and nested.base is not plain.base
+    assert ring_from_json(doc) is plain and plain.base.split_unit is None
 
 
 def test_tables_are_shared_by_key_but_split_units_are_not():
