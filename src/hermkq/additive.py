@@ -10,12 +10,11 @@ system's graph (`snf.LinearMap`) solves exactly.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from math import prod
 
 from .caps import CapExceeded, Unsupported, check_cap
 from .linalg import Mat
-from .rings import Ring, _is_prime
+from .rings import Ring
 from .snf import Echelon, LinearMap, solve_mod
 
 _BASIS_CACHE: dict = {}
@@ -137,98 +136,45 @@ def extend_span(span: set, x, limit: int, message: str) -> bool:
 
 
 class MatSubgroup:
-    """Additive subgroup of rows x cols matrices spanned by given generators.
+    """Additive subgroup of rows x cols matrices spanned by given generators,
+    held as the Howell echelon (`snf.Echelon`) over Z/char of their
+    coordinates in the ring's additive basis, prime characteristic or not."""
 
-    In prime characteristic it is a Howell echelon (`snf.Echelon`) of
-    coordinate vectors, whose pivots are all 1.  Otherwise it is the listed
-    span, built by `extend_span` one generator at a time and refused past
-    `cap` elements (2^16 by default); the given generators that enlarged it
-    are kept.
-    """
-
-    def __init__(self, ring: Ring, rows: int, cols: int, generators, cap: int | None = None):
+    def __init__(self, ring: Ring, rows: int, cols: int, generators):
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self._span = None
-        self._echelon = None
-        self._basis = None
-        self._grew = None
+        self._basis = additive_basis(ring)
+        self._echelon = ech = Echelon(ring.char, rows * cols * self._basis.dim)
+        for g in generators:
+            ech.add(mat_coords(self._basis, g))
+        self.size = ech.size
         self._elements = None
-        if _is_prime(ring.char):
-            self._basis = additive_basis(ring)
-            ech = Echelon(ring.char, rows * cols * self._basis.dim)
-            for g in generators:
-                ech.add(mat_coords(self._basis, g))
-            self._echelon = ech
-            self.size = ech.size
-        else:
-            span = {Mat.zero(ring, rows, cols)}
-            limit = cap if cap is not None else 2**16
-            self._grew = [g for g in generators
-                          if extend_span(span, g, limit, "subgroup span exceeds cap")]
-            self._span = span
-            self.size = len(span)
 
     def _from_coords(self, vec) -> Mat:
         return mat_from_coords(self._basis, self.rows, self.cols, vec)
 
     def generators(self) -> list:
-        """A generating set: the echelon rows in prime characteristic, else
-        the given generators that enlarged the span of those before them."""
-        if self._echelon is not None:
-            return [self._from_coords(self._echelon.rows[j]) for j in self._echelon.pivots]
-        return list(self._grew)
+        """A generating set: the echelon rows."""
+        return [self._from_coords(self._echelon.rows[j]) for j in self._echelon.pivots]
 
     def contains(self, m: Mat) -> bool:
-        if self._echelon is not None:
-            return not any(self._echelon.reduce(mat_coords(self._basis, m)))
-        return m in self._span
+        return not any(self._echelon.reduce(mat_coords(self._basis, m)))
 
     def coset_canonical(self, m: Mat) -> Mat:
-        """Deterministic representative of m + span."""
-        if self._echelon is not None:
-            return self._from_coords(self._echelon.reduce(mat_coords(self._basis, m)))
-        best = None
-        for s in sorted(self._span, key=Mat.key):
-            cand = m + s
-            if best is None or cand.key() < best.key():
-                best = cand
-        return best
-
-    def coset_reps_all(self):
-        """Every canonical coset representative (in prime characteristic the
-        vectors vanishing on the pivot coordinates)."""
-        if self._echelon is not None:
-            ech = self._echelon
-            ranges = [range(ech.rows[j][j] if j in ech.rows else ech.modulus)
-                      for j in range(ech.n)]
-            check_cap(prod(map(len, ranges)), "coset representative enumeration")
-            return sorted((self._from_coords(vec) for vec in product(*ranges)), key=Mat.key)
-        from .linalg import all_matrices
-
-        seen = set()
-        out = []
-        for m in all_matrices(self.ring, self.rows, self.cols):
-            c = self.coset_canonical(m)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        return sorted(out, key=Mat.key)
+        """The representative of m + span with each pivot coordinate in
+        [0, d) (`Echelon.reduce`)."""
+        return self._from_coords(self._echelon.reduce(mat_coords(self._basis, m)))
 
     def elements(self) -> list:
-        """The members sorted by key, listed once and kept.  In prime
-        characteristic every call is checked against the cap, kept list or
-        not."""
-        if self._span is None:
-            check_cap(self.size, "subgroup enumeration")
+        """The members sorted by key, listed once and kept; every call is
+        checked against the cap, kept list or not."""
+        check_cap(self.size, "subgroup enumeration")
         if self._elements is None:
-            span = self._span
-            if span is None:
-                span = {Mat.zero(self.ring, self.rows, self.cols)}
-                for j in self._echelon.pivots:
-                    extend_span(span, self._from_coords(self._echelon.rows[j]), self.size,
-                                "subgroup enumeration")
+            span = {Mat.zero(self.ring, self.rows, self.cols)}
+            for j in self._echelon.pivots:
+                extend_span(span, self._from_coords(self._echelon.rows[j]), self.size,
+                            "subgroup enumeration")
             self._elements = sorted(span, key=Mat.key)
         return self._elements
 
@@ -248,8 +194,8 @@ class AdditiveMap:
 
     @cached_property
     def kernel(self) -> MatSubgroup:
-        """ker fun, built on first use (in composite characteristic a
-        `MatSubgroup` lists its span)."""
+        """ker fun, built on first use from the kernel rows of the graph
+        echelon; no member is listed."""
         basis, n = self._basis, self.n
         return MatSubgroup(basis.ring, n, n, [
             mat_from_coords(basis, n, n, vec) for vec, _ in self._map.kernel])

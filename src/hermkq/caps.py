@@ -2,10 +2,10 @@
 
 The search cap is set in one place only: the innermost `scoped_cap` block,
 else the HERMKQ_CAP environment variable, else DEFAULT_CAP.  No search takes
-it as an argument; the span limits of `additive.MatSubgroup` and
-`clauwens._generated_subring` are separate fixed bounds.  A search that would
-pass a cap raises CapExceeded; an input a computation does not cover raises
-Unsupported, whatever the cap.
+it as an argument; `clauwens.SPAN_LIMIT`, on the generated subring and the
+projector's ideal, and `additive.BASIS_CAP` are separate fixed bounds.  A
+search that would pass a cap raises CapExceeded; an input a computation does
+not cover raises Unsupported, whatever the cap.
 """
 
 import contextlib
@@ -68,10 +68,10 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     A node there is one unit of that search's work: each of the |R|^n
     columns of its first pass, and each inner product of a chosen column
     with a candidate for a later position.  The enlarged group lists only
-    O^min, under that count, and S(E) ("subgroup enumeration", or the fixed
-    span limit of `additive.MatSubgroup`).  A ring's split-unit scan
-    counts its elements ("split unit scan"); a trivial involution needs no
-    scan.
+    O^min, under that count, and S(E) ("subgroup enumeration");
+    `groups.el_elements`, which lists its pairs, counts |O^min|.|S(E)| first
+    ("el pair enumeration").  A ring's split-unit scan counts its elements
+    ("split unit scan"); a trivial involution needs no scan.
 
     The limit is the search cap (`global_cap`) unless `cap` is given.  That
     third argument is for a fixed internal limit that is not the search cap,

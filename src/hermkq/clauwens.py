@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .additive import MatSubgroup, extend_span, solve_affine
+from .additive import extend_span, solve_affine
 from .caps import Unsupported
 from .forms import DegenerateFormError, QuadFormEl, hyperbolic, psi_normalize
 from .linalg import Mat, _det_comm, block, diag_block, invert, kron, nilpotency_index
@@ -602,7 +602,12 @@ def sqrt_one_plus_nu_t(nu: Mat, lam):
     return gamma, report
 
 
-def _generated_subring(ring: Ring, n: int, gens: list[Mat], cap: int = 65536):
+# fixed bound on the additive spans listed here (the generated subring and the
+# projector's ideal), not the search cap
+SPAN_LIMIT = 2**16
+
+
+def _generated_subring(ring: Ring, n: int, gens: list[Mat], cap: int = SPAN_LIMIT):
     """The set S of n x n matrices that the generators span under addition
     and multiplication: the additive span of every product of generators.
 
@@ -640,7 +645,9 @@ def projector_conjugator(
     Preconditions (each reported individually): p0, p1 self-adjoint
     idempotents whose difference sigma lies in the given square-zero
     additive ideal.  Verifies the three sigma relations, alpha = 1 mod the
-    ideal, alpha*alpha^* = 1 and alpha p1 = p0 alpha, all exactly.
+    ideal, alpha*alpha^* = 1 and alpha p1 = p0 alpha, all exactly.  The
+    ideal is listed from its generators by `extend_span`, over any ring and
+    with no additive basis, and refused past SPAN_LIMIT elements.
     """
     R = p0.ring
     n = p0.rows
@@ -658,14 +665,16 @@ def projector_conjugator(
         def adj(x):
             return x.star()
 
-    ideal = MatSubgroup(R, n, n, ideal_gens)
+    ideal = {Mat.zero(R, n)}
+    for g in ideal_gens:
+        extend_span(ideal, g, SPAN_LIMIT, "ideal span exceeds cap")
     sigma = p1 - p0
     report = {
         "p0_idempotent": p0 * p0 == p0,
         "p0_selfadjoint": adj(p0) == p0,
         "p1_idempotent": p1 * p1 == p1,
         "p1_selfadjoint": adj(p1) == p1,
-        "sigma_in_ideal": ideal.contains(sigma),
+        "sigma_in_ideal": sigma in ideal,
         "ideal_square_zero": all(
             (a * b).is_zero() for a in ideal_gens for b in ideal_gens
         ),
@@ -681,7 +690,7 @@ def projector_conjugator(
     report["sigma_relation_square"] = (
         sq.is_zero() and sq == sq * p0 and sq == p0 * sq
     )
-    report["alpha_unit_mod_ideal"] = ideal.contains(alpha - ident)
+    report["alpha_unit_mod_ideal"] = alpha - ident in ideal
     report["alpha_times_adjoint_is_1"] = alpha * adj(alpha) == ident
     report["alpha_conjugates_p1_to_p0"] = alpha * p1 == p0 * alpha
     report["passed"] = all(v for v in report.values() if isinstance(v, bool))

@@ -8,12 +8,13 @@ carries the counterexample), 2 a refusal, reported as one of three errors:
 `unsupported` (well-formed input that the computation does not cover) or
 `cap-exhausted` (a search would pass the cap set by --cap, else HERMKQ_CAP,
 else the default, or a fixed internal limit that --cap does not raise: the
-additive basis size and the subgroup and subring spans), 3
-`internal-check-failed` (an identity the program checks on its own result
-failed: a fault in the program, not in the input).  Besides the group
-frame search, the cap bounds the pairs and lift products listed for an
-enlarged group and the scan for a split unit (their labels are in
-`caps.check_cap`).
+ring size an additive basis is built for, and the spans of a generated
+subring and of a projector's ideal), 3 `internal-check-failed` (an identity
+the program checks on its own result failed: a fault in the program, not in
+the input).  Besides the group frame search, the cap bounds the listing of
+S(E) for an enlarged group's preview, the scans of a ring's elements for a
+unit, a split unit or the involution, and the Xi generators (their labels
+are in `caps.check_cap`).
 `python -m hermkq` runs this interface.
 JSON output is deterministic; --format table renders a flat text view.
 """

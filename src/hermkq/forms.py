@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .additive import AdditiveMap, MatSubgroup, solve_affine
+from .additive import AdditiveMap, MatSubgroup, _basis_mats, additive_basis, solve_affine
 from .caps import check_cap
 from .linalg import Mat, diag_block, invert
 from .rings import Ring, _is_prime, ring_from_json
@@ -24,30 +24,40 @@ _SHIFT_TABLES: dict = {}
 _SHIFT_MAPS: dict = {}
 
 
-def _basis_mats(ring: Ring, n: int):
-    from .additive import _basis_mats as bm, additive_basis
-
-    return bm(additive_basis(ring), n, n)
-
-
 def _shift_table(ring: Ring, eps: int):
     """Entry data of the shift subgroup over one ring: the canonical
     representative of a + Lambda for every a, where Lambda = {a - eps*conj(a)},
-    the order of Lambda, and the element the strict upper triangle is set to."""
-    lam = MatSubgroup(ring, 1, 1, [b - b.star().scale_sign(eps) for b in _basis_mats(ring, 1)])
+    the order of Lambda, and the element the strict upper triangle is set to
+    (see `ShiftSubgroup`)."""
+    # built first in every characteristic: it refuses an infinite ring, or
+    # one past BASIS_CAP, before any element is listed
+    basis = additive_basis(ring)
     shifts = {ring.sub(a, ring.conj(a) if eps == 1 else ring.neg(ring.conj(a)))
               for a in ring.elements()}
+
+    def key(x):
+        return Mat(ring, [[x]]).key()
+
+    if _is_prime(ring.char):
+        lam = MatSubgroup(ring, 1, 1, [b - b.star().scale_sign(eps)
+                                       for b in _basis_mats(basis, 1, 1)])
+
+        def rep(a):
+            return lam.coset_canonical(Mat(ring, [[a]])).entries[0][0]
+
+        top = ring.zero
+    else:
+        def rep(a):
+            return min((ring.add(a, s) for s in shifts), key=key)
+
+        top = min(ring.elements(), key=key)
     canon = {}
     for a in ring.elements():
         if a not in canon:
-            rep = lam.coset_canonical(Mat(ring, [[a]])).entries[0][0]
+            r = rep(a)
             for s in shifts:
-                canon[ring.add(a, s)] = rep
-    if _is_prime(ring.char):
-        top = ring.zero
-    else:
-        top = min(ring.elements(), key=lambda a: Mat(ring, [[a]]).key())
-    return canon, lam.size, top
+                canon[ring.add(a, s)] = r
+    return canon, len(shifts), top
 
 
 class ShiftSubgroup:
@@ -61,15 +71,18 @@ class ShiftSubgroup:
     matching pair moves m_ji by -eps*conj(t - m_ij)) and maps each diagonal
     entry to the canonical representative of m_ii + Lambda.
 
-    This is the representative the generic MatSubgroup picks.  In prime
-    characteristic that is the echelon reduction over row-major
-    coordinates: the pivots of a pair sit at (i, j), which comes first, so
-    t = 0, and the pieces have disjoint coordinates, so the diagonal pivots
-    are those of Lambda alone.  In composite characteristic it is the least
-    Mat.key in the coset: the key compares entries in row-major order and
-    every piece varies independently, so the least key takes t, the element
-    with the least key, at each (i, j) (t = 0 for every ring whose zero
-    prints first), and the least representative of m_ii + Lambda.
+    The choice of representative is this class's own convention.  In prime
+    characteristic it is the echelon reduction over row-major coordinates,
+    the one `MatSubgroup.coset_canonical` gives for S: the pivots of a pair
+    sit at (i, j), which comes first, so t = 0, and the pieces have
+    disjoint coordinates, so the diagonal pivots are those of Lambda alone.
+    In composite characteristic it is the least Mat.key in the coset, which
+    the Howell reduction does not always pick (over Dual(Z/4) and Dual(Z/9)
+    it picks others for Lambda): the key compares entries in row-major
+    order and every piece varies independently, so the least key takes t,
+    the element with the least key, at each (i, j) (t = 0 for every ring
+    whose zero prints first), and the least representative of m_ii +
+    Lambda.
 
     The per-entry data is cached by (ring key, eps); matrices are built over
     the ring of the argument, or of the caller for `coset_reps_all`.

@@ -234,11 +234,14 @@ def el_elements(q: QuadFormEl):
     ^*, an involution).  So (S) is evaluated once per f, on the witness
     `check_min` returns, and s^* = eps*s once per member s of S(E); the pairs
     are then built unchecked, fibre by fibre.  The list has |O^min|.|S(E)|
-    members, counted by no cap of its own; `enumerate_group` never builds
-    it, and `dual_numbers_iso` needs it.
+    members, checked against the cap ("el pair enumeration") before any is
+    built; `enumerate_group` never builds it, and `dual_numbers_iso` needs
+    it.
     """
     omin = enumerate_orthogonal_min(q)
-    se = selfadjoint_subgroup(q.ring, q.eps, q.n).elements()
+    kernel = selfadjoint_subgroup(q.ring, q.eps, q.n)
+    check_cap(len(omin) * kernel.size, "el pair enumeration")
+    se = kernel.elements()
     if any(s.star() != s.scale_sign(q.eps) for s in se):
         raise ValueError("kernel element violates gamma^* = eps*gamma")
     elems = []

@@ -75,15 +75,23 @@ def gamma_lambda(ring: Ring, eps: int) -> GammaLambda:
         # every element b - eps*conj(b) of Lambda has conj(x) = -eps*x
         raise Unsupported("Gamma/Lambda needs Lambda inside Gamma, that is 2*Lambda = 0; "
                           f"it fails over this ring at epsilon {eps}")
+    reps, coset = _listed_quotient(ring, gamma, lam_set)
+    return GammaLambda(ring, eps, gamma, sorted(lam_set, key=ring.to_str), reps, coset)
+
+
+def _listed_quotient(ring, elems, sub) -> tuple[list, dict]:
+    """The cosets of the listed subgroup `sub` that meet `elems`: their
+    representatives, each the first member in the order of `elems`, and
+    the map from every member of those cosets to its representative."""
     reps = []
     coset = {}
-    for a in gamma:
+    for a in elems:
         if a in coset:
             continue
         reps.append(a)
-        for l in lam_set:
+        for l in sub:
             coset[ring.add(a, l)] = a
-    return GammaLambda(ring, eps, gamma, sorted(lam_set, key=ring.to_str), reps, coset)
+    return reps, coset
 
 
 def _scale(ring, eps, a):
@@ -312,15 +320,7 @@ def arf_group(ring: Ring) -> ArfGroup:
         raise ValueError("Arf needs the trivial involution")
     # a -> a^2 - a is additive in characteristic 2: its image is a subgroup
     image = {ring.sub(ring.mul(a, a), a) for a in ring.elements()}
-    reps = []
-    coset = {}
-    for a in ring.elements():
-        if a in coset:
-            continue
-        reps.append(a)
-        for l in image:
-            coset[ring.add(a, l)] = a
-    out = ArfGroup(ring, reps, coset)
+    out = ArfGroup(ring, *_listed_quotient(ring, ring.elements(), image))
     _ARF_CACHE[key] = out
     return out
 

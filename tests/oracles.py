@@ -16,7 +16,7 @@ from hermkq.groups import (
     satisfies_S,
     verify_group_axioms,
 )
-from hermkq.linalg import Mat, invert
+from hermkq.linalg import Mat, all_matrices, invert
 
 
 def _shift_map(eps):
@@ -38,6 +38,18 @@ def is_invertible_by_enumeration(m: Mat) -> bool:
             return False
         seen.add(image.entries)
     return len(seen) == R.size**m.rows
+
+
+def coset_reps_by_enumeration(ring, rows, cols, canonical) -> list:
+    """The values of `canonical` on every rows x cols matrix, sorted by key:
+    one per coset when `canonical` picks one representative per coset."""
+    return sorted({canonical(m) for m in all_matrices(ring, rows, cols)}, key=Mat.key)
+
+
+def least_key_representative(m: Mat, members) -> Mat:
+    """The member of m + {members} with the least Mat.key, by a scan of the
+    listed subgroup."""
+    return min((m + s for s in members), key=Mat.key)
 
 
 def min_witness(a: QuadFormEl, b: QuadFormEl) -> Mat | None:

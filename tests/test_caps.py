@@ -8,6 +8,7 @@ from hermkq.caps import CapExceeded, global_cap, scoped_cap
 from hermkq.forms import hyperbolic, shift_subgroup
 from hermkq.groups import (
     dual_numbers_iso,
+    el_elements,
     enumerate_group,
     extension_check,
     section_homomorphism_report,
@@ -21,6 +22,8 @@ _F2 = F2()
 _HYP_F2 = hyperbolic(_F2, 1, 1)
 _HYP_F4 = hyperbolic(F4(), 1, 1)
 _ZERO_2x2 = Mat.zero(_F2, 2, 2)
+_Z4 = Zn(4)
+_Z4_UNITS = [Mat(_Z4, [[1, 0]]), Mat(_Z4, [[0, 1]])]
 _EL_F2 = enumerate_group("el", _HYP_F2)
 
 # name -> (cap, call, message); each message is the first check_cap the call
@@ -41,6 +44,9 @@ _CASES = {
                 "matrix enumeration: search space 16 exceeds cap 15"),
     "dual-numbers": (15, lambda: dual_numbers_iso(_HYP_F4),
                      "matrix enumeration: search space 16 exceeds cap 15"),
+    # |O^min| = 2 times |S(E)| = 8 pairs, counted before S(E) is listed
+    "el-pairs": (15, lambda: el_elements(_HYP_F2),
+                 "el pair enumeration: search space 16 exceeds cap 15"),
     "witt-min": (1, lambda: witt_classify(_F2, 1, "min", 2),
                  "coset representative enumeration: search space 2 exceeds cap 1"),
     "gw-max": (1, lambda: grothendieck_witt_monoid(_F2, 1, "max", 2),
@@ -55,10 +61,9 @@ _CASES = {
                      "solution enumeration: search space 16 exceeds cap 15"),
     "shift-cosets": (7, lambda: shift_subgroup(_F2, 1, 2).coset_reps_all(),
                      "coset representative enumeration: search space 8 exceeds cap 7"),
-    "subgroup-cosets-prime": (3, lambda: MatSubgroup(_F2, 1, 2, []).coset_reps_all(),
-                              "coset representative enumeration: search space 4 exceeds cap 3"),
-    "subgroup-cosets-composite": (15, lambda: MatSubgroup(Zn(4), 1, 2, []).coset_reps_all(),
-                                  "matrix enumeration: search space 16 exceeds cap 15"),
+    # the echelon lists its members under the cap in every characteristic
+    "subgroup-composite": (15, lambda: MatSubgroup(_Z4, 1, 2, _Z4_UNITS).elements(),
+                           "subgroup enumeration: search space 16 exceeds cap 15"),
 }
 
 

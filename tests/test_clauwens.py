@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -539,3 +540,36 @@ def test_generated_subring_of_an_infinite_ring_is_refused():
     gens = [Mat(ps, [[c]]) for c in ((1,), (0, 1), (3,))]
     with pytest.raises(CapExceeded, match="generated subring exceeds cap"):
         _generated_subring(ps, 1, gens, cap=4096)
+
+
+def _unit_matrix(ring, n, i, j):
+    entries = [[ring.zero] * n for _ in range(n)]
+    entries[i][j] = ring.one
+    return Mat(ring, entries)
+
+
+def test_projector_ideal_over_a_prime_past_the_basis_size():
+    # Fp(8191) has no additive basis (more than additive.BASIS_CAP
+    # elements); the ideal F*e21, 8191 elements, is listed from its generator
+    f = Fp(8191)
+    p0 = Mat.from_strs(f, [["1", "0"], ["0", "0"]])
+    gens = [_unit_matrix(f, 2, 1, 0)]
+    alpha, rep = projector_conjugator(p0, p0, gens)
+    assert rep["passed"] and alpha == Mat.identity(f, 2)
+    _, rep = projector_conjugator(p0, Mat.from_strs(f, [["1", "0"], ["5", "0"]]), gens)
+    assert rep["sigma_in_ideal"] and rep["p1_idempotent"] and not rep["p1_selfadjoint"]
+    _, rep = projector_conjugator(p0, Mat.from_strs(f, [["1", "1"], ["0", "0"]]), gens)
+    assert not rep["sigma_in_ideal"] and not rep["passed"]
+
+
+def test_projector_ideal_past_the_span_limit_is_refused_at_once():
+    # 17 unit matrices over F2 span 2^17 > SPAN_LIMIT = 2^16 matrices; the
+    # refusal comes once 2^16 of them are listed (0.6-1.0 s on 2 vCPUs),
+    # where listing the 2^25 of the whole ring would take minutes
+    f2 = F2()
+    p0 = Mat.from_strs(f2, [["1"] + ["0"] * 4] + [["0"] * 5] * 4)
+    gens = [_unit_matrix(f2, 5, k // 5, k % 5) for k in range(17)]
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="^ideal span exceeds cap$"):
+        projector_conjugator(p0, p0, gens)
+    assert time.perf_counter() - start < 2.0

@@ -480,8 +480,9 @@ def test_malformed_json_element_is_bad_input(capsys, kind, entry):
 
 
 def test_clauwens_projectors_over_z8192(capsys):
-    # the ideal 4096*M2 has 16 elements in a ring of 8192: its span is
-    # listed from the generators, never from an additive basis of the ring
+    # the ideal 4096*M2 has 16 elements in a ring of 8192, past
+    # additive.BASIS_CAP: the projector lists it from the generators by
+    # extend_span, under clauwens.SPAN_LIMIT, with no additive basis
     ideal = json.dumps([
         [["4096", "0"], ["0", "0"]], [["0", "4096"], ["0", "0"]],
         [["0", "0"], ["4096", "0"]], [["0", "0"], ["0", "4096"]],
