@@ -112,6 +112,7 @@ class PolyQuadForm:
         self.eps = eps
         self.n = theta.rows
         self.theta = _as_matpoly(theta)
+        self._hermitian = None
         self._nondegenerate = None
         if check and self.n > 0 and not self.nondegenerate():
             raise DegenerateFormError("hermitian part is not invertible over A[s]")
@@ -125,7 +126,10 @@ class PolyQuadForm:
         return PolyQuadForm(ring, eps, MatPoly(ring, n, n, mats), check=check)
 
     def hermitian(self) -> MatPoly:
-        return _as_matpoly(self.theta + self.theta.star().scale_sign(self.eps))
+        """H(s) = theta + eps*theta^*; computed once per form."""
+        if self._hermitian is None:
+            self._hermitian = _as_matpoly(self.theta + self.theta.star().scale_sign(self.eps))
+        return self._hermitian
 
     def nondegenerate(self) -> bool:
         """Whether det H(s) is a unit of A[s]; computed once per form."""

@@ -8,10 +8,8 @@ Column conventions throughout: forms evaluate as x^* phi y.
 from __future__ import annotations
 
 import json
-from itertools import product
 
 from .additive import AdditiveMap, MatSubgroup, _basis_mats, additive_basis, solve_affine
-from .caps import check_cap
 from .linalg import Mat, diag_block, invert
 from .rings import Ring, _is_prime, ring_from_json
 
@@ -27,8 +25,8 @@ _SHIFT_MAPS: dict = {}
 def _shift_table(ring: Ring, eps: int):
     """Entry data of the shift subgroup over one ring: the canonical
     representative of a + Lambda for every a, where Lambda = {a - eps*conj(a)},
-    the order of Lambda, and the element the strict upper triangle is set to
-    (see `ShiftSubgroup`)."""
+    the order of Lambda, the element the strict upper triangle is set to, and
+    the distinct canonical representatives (see `ShiftSubgroup`)."""
     # built first in every characteristic: it refuses an infinite ring, or
     # one past BASIS_CAP, before any element is listed
     basis = additive_basis(ring)
@@ -57,7 +55,7 @@ def _shift_table(ring: Ring, eps: int):
             r = rep(a)
             for s in shifts:
                 canon[ring.add(a, s)] = r
-    return canon, len(shifts), top
+    return canon, len(shifts), top, tuple(dict.fromkeys(canon.values()))
 
 
 class ShiftSubgroup:
@@ -84,15 +82,19 @@ class ShiftSubgroup:
     whose zero prints first), and the least representative of m_ii +
     Lambda.
 
+    So the canonical representatives are the matrices with `diagonal`
+    entries (the representatives of R/Lambda) on the diagonal, `top` (t)
+    above it and any entries below it.
+
     The per-entry data is cached by (ring key, eps); matrices are built over
-    the ring of the argument, or of the caller for `coset_reps_all`.
+    the ring of the argument.
     """
 
     def __init__(self, ring: Ring, eps: int, n: int):
         key = (ring.key(), eps)
         if key not in _SHIFT_TABLES:
             _SHIFT_TABLES[key] = _shift_table(ring, eps)
-        self._canon, lam_size, self._top = _SHIFT_TABLES[key]
+        self._canon, lam_size, self.top, self.diagonal = _SHIFT_TABLES[key]
         self.ring = ring
         self.eps = eps
         self.rows = self.cols = n
@@ -100,7 +102,7 @@ class ShiftSubgroup:
 
     def canonical_flat(self, flat) -> tuple:
         """The canonical representative of a row-major tuple of entries."""
-        R, n, top, canon = self.ring, self.rows, self._top, self._canon
+        R, n, top, canon = self.ring, self.rows, self.top, self._canon
         out = list(flat)
         for i in range(n):
             out[i * n + i] = canon[out[i * n + i]]
@@ -129,25 +131,6 @@ class ShiftSubgroup:
                 if e[j][i] != (R.neg(c) if self.eps == 1 else c):
                     return False
         return True
-
-    def coset_reps_all(self) -> list[Mat]:
-        """Every canonical representative, sorted by Mat.key: the diagonal
-        over the representatives of R/Lambda, the strict upper triangle t and
-        the strict lower triangle free."""
-        R, n = self.ring, self.rows
-        diag = set(self._canon.values())
-        lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
-        check_cap(len(diag) ** n * R.size ** len(lower), "coset representative enumeration")
-        out = []
-        for d in product(diag, repeat=n):
-            for low in product(R.elements(), repeat=len(lower)):
-                rows = [[self._top] * n for _ in range(n)]
-                for i in range(n):
-                    rows[i][i] = d[i]
-                for (j, i), x in zip(lower, low):
-                    rows[j][i] = x
-                out.append(Mat(R, rows))
-        return sorted(out, key=Mat.key)
 
 
 def shift_subgroup(ring: Ring, eps: int, n: int) -> ShiftSubgroup:

@@ -1,16 +1,20 @@
 """Discrete invariants: Gamma/Lambda, the Xi group, Arf, Dickson, and
 rank-bounded Witt / Grothendieck-Witt classification by exhaustive orbits.
 
-The classification lists the objects of each rank and walks their GL_n
-congruence orbits.  Min objects are the canonical representatives of
-M_n(R) modulo the shift subgroup S = {gamma - eps*gamma^*}, read off its
+The classification lists the nondegenerate objects of each rank and walks
+their GL_n congruence orbits.  Min objects are the canonical representatives
+of M_n(R) modulo the shift subgroup S = {gamma - eps*gamma^*}, read off its
 closed form (`forms.ShiftSubgroup`): the strict upper triangle fixed, the
-diagonal over R/Lambda, the strict lower triangle free.  Max objects are the
-even nondegenerate phi with phi^* = eps*phi, generated entry by entry.  The
-orbit walk applies each generator of GL_n (elementary transvections and unit
-scalings) as one row and one column operation on row-major tuples, and puts
-min classes back in canonical form by the same closed form, so no n x n
-product and no echelon reduction is formed per step.
+diagonal over R/Lambda, the strict lower triangle free.  Their hermitian
+parts are listed and inverted first, and only the representatives over an
+invertible one are built.  Max objects are the even nondegenerate phi with
+phi^* = eps*phi, generated entry by entry.  The orbit walk applies a small
+generating set of GL_n (transvections along a cycle of coordinates and the
+unit scalings of one coordinate) as one row and one column operation on
+row-major tuples, and puts min classes back in canonical form by the same
+closed form, so no n x n product and no echelon reduction is formed per
+step; orbits are kept as indices into the key-sorted representatives, so
+no key is formed either.
 """
 
 from __future__ import annotations
@@ -491,18 +495,27 @@ def dickson(f: Mat, q: QuadFormEl) -> int:
 
 
 def _gl_moves(ring: Ring, n: int) -> list[tuple]:
-    """Generators of GL_n as (i, j, c): for i != j the transvection 1 + c*e_ij,
-    c over an additive basis and its negatives (the inverses); for i == j the
-    scaling of coordinate i by a unit c != 1 (closed under inverses).
+    """Generators of GL_n as (i, j, c): for i != j the transvection
+    1 + c*e_ij along the cycle 0 -> 1 -> ... -> n-1 -> 0, c over an additive
+    basis; for i == j == 0 the scaling of coordinate 0 by a unit c != 1.
 
-    These generate GL_n over the shipped commutative rings (fields and Z/m).
+    They generate GL_n(R) for every finite ring R:
+    - products of 1 + c*e_ij over the additive basis give 1 + x*e_ij for
+      every x in R;
+    - the commutator [1 + a*e_ij, 1 + b*e_jk] = 1 + ab*e_ik (i, j, k
+      distinct), with b = 1, walks the cycle to every elementary matrix, so
+      they generate E_n(R) (at n = 2 the cycle holds e_01 and e_10 itself);
+    - GL_n(R) = E_n(R) GL_1(R), with GL_1 the scalings of coordinate 0, for
+      every ring of stable range 1, which includes every finite ring (Bass,
+      "K-theory and stable algebra", Publ. IHES 22, 1964);
+    - the group is finite, so each inverse is a positive power of its
+      element, and a closure under the generators alone, with no inverses,
+      reaches the whole group orbit.
     """
     basis = additive_basis(ring).basis
-    coeffs = list(dict.fromkeys(basis + [ring.neg(b) for b in basis]))
     units = [u for u in ring.elements() if u != ring.one and ring.inv(u) is not None]
-    return [(i, j, c) for i in range(n) for j in range(n) if i != j for c in coeffs] + [
-        (i, i, u) for i in range(n) for u in units
-    ]
+    cycle = [(i, (i + 1) % n, c) for i in range(n) for c in basis] if n > 1 else []
+    return cycle + [(0, 0, u) for u in units]
 
 
 def _congruence(ring: Ring, n: int, flat: tuple, move: tuple) -> list:
@@ -526,22 +539,48 @@ def _congruence(ring: Ring, n: int, flat: tuple, move: tuple) -> list:
 
 
 def _min_class_reps(ring: Ring, eps: int, rank: int) -> list[Mat]:
-    """Canonical representatives of nondegenerate min classes at one rank.
+    """Canonical representatives of nondegenerate min classes at one rank,
+    sorted by Mat.key.
 
-    Representatives that differ only inside the kernel of a -> a + eps*conj(a)
-    on the diagonal share their hermitian form, so each form is inverted once.
+    A canonical representative (`forms.ShiftSubgroup`) has a diagonal d over
+    the representatives of R/Lambda, the element t above it and a free
+    strict lower triangle l.  Its hermitian part rep + eps*rep^* has the
+    diagonal tau(d) = d + eps*conj(d), t + eps*conj(l_ji) at (i, j) and
+    l_ji + eps*conj(t) at (j, i): it depends on l and on the tau-vector only,
+    and determines both.  So each hermitian part is built and inverted once,
+    and the representatives over it, the tau-fibres of the diagonal, are
+    built only when it is invertible.
     """
     if rank == 0:
         return [Mat(ring, [])]
-    nondegenerate = {}
+    n = rank
+    shifts = shift_subgroup(ring, eps, n)
+    top = shifts.top
+    lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
+    check_cap(len(shifts.diagonal) ** n * ring.size ** len(lower),
+              "coset representative enumeration")
+    fibres: dict = {}
+    for d in shifts.diagonal:
+        fibres.setdefault(ring.add(d, _scale(ring, eps, ring.conj(d))), []).append(d)
+    below_top = _scale(ring, eps, ring.conj(top))
     out = []
-    for rep in shift_subgroup(ring, eps, rank).coset_reps_all():
-        phi = rep + rep.star().scale_sign(eps)
-        if phi not in nondegenerate:
-            nondegenerate[phi] = invert(phi) is not None
-        if nondegenerate[phi]:
-            out.append(rep)
-    return out
+    for low in product(ring.elements(), repeat=len(lower)):
+        herm = [[None] * n for _ in range(n)]
+        rep = [[top] * n for _ in range(n)]
+        for (j, i), x in zip(lower, low):
+            herm[i][j] = ring.add(top, _scale(ring, eps, ring.conj(x)))
+            herm[j][i] = ring.add(x, below_top)
+            rep[j][i] = x
+        for taus in product(fibres, repeat=n):
+            for i in range(n):
+                herm[i][i] = taus[i]
+            if invert(Mat(ring, herm)) is None:
+                continue
+            for diag in product(*(fibres[t] for t in taus)):
+                for i in range(n):
+                    rep[i][i] = diag[i]
+                out.append(Mat(ring, rep))
+    return sorted(out, key=Mat.key)
 
 
 def _max_class_reps(ring: Ring, eps: int, rank: int) -> list[Mat]:
@@ -579,36 +618,40 @@ def _max_class_reps(ring: Ring, eps: int, rank: int) -> list[Mat]:
 def _orbits(ring, eps, rank, reps, variant):
     """Partition class representatives into congruence orbits by BFS.
 
-    The walk runs on row-major tuples: each generator acts by one row and one
-    column operation, and min classes are put back in canonical form by the
-    closed form of the shift subgroup.
+    `reps` must be sorted by Mat.key, as `_min_class_reps` and
+    `_max_class_reps` return them.  The walk runs on their row-major tuples
+    and marks them by index: each generator acts by one row and one column
+    operation, and min classes are put back in canonical form by the closed
+    form of the shift subgroup.  Each orbit lists its members in input order,
+    and the orbits come in the order of their first members, so both are in
+    Mat.key order with no key formed.
     """
     if rank == 0:
-        return [sorted(reps, key=Mat.key)]
+        return [list(reps)]
     n = rank
     moves = _gl_moves(ring, n)
     canonical = shift_subgroup(ring, eps, n).canonical_flat if variant == "min" else tuple
-    by_flat = {tuple(x for row in m.entries for x in row): m for m in reps}
-    unvisited = set(by_flat)
+    flats = [tuple(x for row in m.entries for x in row) for m in reps]
+    index = {flat: k for k, flat in enumerate(flats)}
+    seen = [False] * len(flats)
     orbits = []
-    for start in by_flat:
-        if start not in unvisited:
+    for start in range(len(flats)):
+        if seen[start]:
             continue
-        orbit = {start}
+        seen[start] = True
+        members = [start]
         frontier = [start]
-        unvisited.discard(start)
         while frontier:
-            cur = frontier.pop()
+            cur = flats[frontier.pop()]
             for move in moves:
-                nxt = canonical(_congruence(ring, n, cur, move))
-                if nxt not in orbit:
-                    if nxt not in by_flat:
-                        raise AssertionError("orbit left the representative set")
-                    orbit.add(nxt)
-                    unvisited.discard(nxt)
-                    frontier.append(nxt)
-        orbits.append(sorted((by_flat[x] for x in orbit), key=Mat.key))
-    orbits.sort(key=lambda o: o[0].key())
+                k = index.get(canonical(_congruence(ring, n, cur, move)))
+                if k is None:
+                    raise AssertionError("orbit left the representative set")
+                if not seen[k]:
+                    seen[k] = True
+                    members.append(k)
+                    frontier.append(k)
+        orbits.append([reps[k] for k in sorted(members)])
     return orbits
 
 

@@ -3,7 +3,7 @@ library answers too, by a different and simpler method."""
 
 from itertools import product
 
-from hermkq.additive import solve_affine
+from hermkq.additive import additive_basis, solve_affine
 from hermkq.caps import Unsupported, check_cap
 from hermkq.forms import QuadFormEl, selfadjoint_subgroup
 from hermkq.groups import (
@@ -44,6 +44,37 @@ def coset_reps_by_enumeration(ring, rows, cols, canonical) -> list:
     """The values of `canonical` on every rows x cols matrix, sorted by key:
     one per coset when `canonical` picks one representative per coset."""
     return sorted({canonical(m) for m in all_matrices(ring, rows, cols)}, key=Mat.key)
+
+
+def coset_reps_all(shifts) -> list[Mat]:
+    """Every canonical representative of a `forms.ShiftSubgroup`, sorted by
+    Mat.key: the diagonal over the representatives of R/Lambda, the strict
+    upper triangle t and the strict lower triangle free."""
+    R, n = shifts.ring, shifts.rows
+    lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
+    check_cap(len(shifts.diagonal) ** n * R.size ** len(lower), "coset representative enumeration")
+    out = []
+    for d in product(shifts.diagonal, repeat=n):
+        for low in product(R.elements(), repeat=len(lower)):
+            rows = [[shifts.top] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = d[i]
+            for (j, i), x in zip(lower, low):
+                rows[j][i] = x
+            out.append(Mat(R, rows))
+    return sorted(out, key=Mat.key)
+
+
+def gl_moves_all_pairs(ring, n: int) -> list[tuple]:
+    """The larger generating set of GL_n as (i, j, c): for every i != j the
+    transvection 1 + c*e_ij, c over an additive basis and its negatives (the
+    inverses); for i == j the scaling of coordinate i by a unit c != 1."""
+    basis = additive_basis(ring).basis
+    coeffs = list(dict.fromkeys(basis + [ring.neg(b) for b in basis]))
+    units = [u for u in ring.elements() if u != ring.one and ring.inv(u) is not None]
+    return [(i, j, c) for i in range(n) for j in range(n) if i != j for c in coeffs] + [
+        (i, i, u) for i in range(n) for u in units
+    ]
 
 
 def least_key_representative(m: Mat, members) -> Mat:

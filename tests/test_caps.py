@@ -5,7 +5,7 @@ import pytest
 
 from hermkq.additive import MatSubgroup, solve_affine
 from hermkq.caps import CapExceeded, global_cap, scoped_cap
-from hermkq.forms import hyperbolic, shift_subgroup
+from hermkq.forms import hyperbolic
 from hermkq.groups import (
     dual_numbers_iso,
     el_elements,
@@ -59,8 +59,6 @@ _CASES = {
                     "bijectivity enumeration: search space 8 exceeds cap 7"),
     "solve-affine": (15, lambda: solve_affine(_F2, (2, 2), lambda x: _ZERO_2x2, _ZERO_2x2),
                      "solution enumeration: search space 16 exceeds cap 15"),
-    "shift-cosets": (7, lambda: shift_subgroup(_F2, 1, 2).coset_reps_all(),
-                     "coset representative enumeration: search space 8 exceeds cap 7"),
     # the echelon lists its members under the cap in every characteristic
     "subgroup-composite": (15, lambda: MatSubgroup(_Z4, 1, 2, _Z4_UNITS).elements(),
                            "subgroup enumeration: search space 16 exceeds cap 15"),

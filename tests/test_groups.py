@@ -263,7 +263,7 @@ def _nondegenerate_forms(ring, n):
         for phi in all_matrices(ring, n, n):
             if phi.star() == phi.scale_sign(eps) and invert(phi) is not None:
                 herms.append(HermForm(ring, eps, phi))
-        for phi0 in shift_subgroup(ring, eps, n).coset_reps_all():
+        for phi0 in oracles.coset_reps_all(shift_subgroup(ring, eps, n)):
             q = QuadFormEl(ring, eps, phi0)
             if q.nondegenerate:
                 quads.append(q)
@@ -531,7 +531,7 @@ def _el_forms():
         for eps in (1, -1):
             if name != "Mat2-F2":
                 cases.append(pytest.param(hyperbolic(ring, eps, 1), id=f"{name}-H-{eps}"))
-            for phi0 in shift_subgroup(ring, eps, 1).coset_reps_all():
+            for phi0 in oracles.coset_reps_all(shift_subgroup(ring, eps, 1)):
                 q = QuadFormEl(ring, eps, phi0)
                 cases.append(pytest.param(q, id=f"{name}-{phi0.to_strs()[0][0]}-{eps}"))
     return cases

@@ -1,9 +1,12 @@
 import pytest
 
-from hermkq.forms import HermForm, QuadFormEl, direct_sum, hyperbolic, is_even
+import oracles
+from hermkq import invariants
+from hermkq.forms import HermForm, QuadFormEl, direct_sum, hyperbolic, is_even, shift_subgroup
 from hermkq.groups import enumerate_orthogonal_min, enumerate_unitary
 from hermkq.invariants import (
     AbelianGroupPresentation,
+    _gl_moves,
     _max_class_reps,
     _min_class_reps,
     _orbits,
@@ -18,7 +21,7 @@ from hermkq.invariants import (
     xi_group,
 )
 from hermkq.linalg import Mat, all_matrices, invert
-from hermkq.rings import F2, F4, Fp, Fq, Zn
+from hermkq.rings import F2, F4, DualRing, Fp, Fq, Mat2Ring, ProductOpRing, TruncPolyRing, Zn
 
 
 F4T = Fq(2, 2, (1, 1, 1), "trivial")
@@ -288,3 +291,87 @@ def test_class_of_unclassified_rep_raises():
     table = witt_classify(f2, 1, "min", 2)
     with pytest.raises(KeyError):
         table.class_of(2, Mat.zero(f2, 2))
+
+
+# -- the nondegenerate classes and the generators of GL_n, against oracles --
+
+_CLASS_RINGS = {
+    "F2": F2(), "F3": Fp(3), "F4": F4(), "F4-trivial": F4T, "F5": Fp(5), "Z4": Zn(4),
+    "Z6": Zn(6), "Z9": Zn(9), "Dual-F2": DualRing(F2()), "TruncPoly-F2-2": TruncPolyRing(F2(), 2),
+    "ProductOp-F3": ProductOpRing(Fp(3)), "Mat2-F2": Mat2Ring(F2()),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLASS_RINGS))
+@pytest.mark.parametrize("eps", [1, -1])
+def test_min_class_reps_are_the_listing_with_invertible_hermitian_part(name, eps):
+    ring = _CLASS_RINGS[name]
+    for n in (1, 2, 3):
+        shifts = shift_subgroup(ring, eps, n)
+        if len(shifts.diagonal) ** n * ring.size ** (n * (n - 1) // 2) > 2000:
+            continue
+        listed = [rep for rep in oracles.coset_reps_all(shifts)
+                  if invert(rep + rep.star().scale_sign(eps)) is not None]
+        assert _min_class_reps(ring, eps, n) == listed, n
+
+
+def test_min_class_reps_invert_each_hermitian_part_once(monkeypatch):
+    # F4 with the trivial involution at rank 3: 64 alternating hermitian
+    # parts, none invertible at odd rank, and no representative is built
+    inverted = []
+
+    def counted_invert(m):
+        inverted.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(invariants, "invert", counted_invert)
+    assert _min_class_reps(F4T, 1, 3) == []
+    assert len(inverted) == len(set(inverted)) == 64
+
+
+def test_gl_moves_counts():
+    for ring, n, old, new in ((F2(), 4, 12, 4), (Fp(3), 3, 15, 4), (F4(), 3, 18, 8)):
+        assert len(oracles.gl_moves_all_pairs(ring, n)) == old
+        assert len(_gl_moves(ring, n)) == new
+
+
+_ORBIT_CASES = {"F2-4": (F2(), 4), "F3-3": (Fp(3), 3),
+                **{f"{name}-2": (ring, 2) for name, ring in _CLASS_RINGS.items()}}
+
+
+@pytest.mark.parametrize("ring,n", list(_ORBIT_CASES.values()), ids=list(_ORBIT_CASES))
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("variant", ["min", "max"])
+def test_orbits_match_the_all_pairs_generators(ring, n, eps, variant, monkeypatch):
+    reps = (_min_class_reps if variant == "min" else _max_class_reps)(ring, eps, n)
+    if not reps:
+        return
+    cyclic = _orbits(ring, eps, n, reps, variant)
+    monkeypatch.setattr(invariants, "_gl_moves", oracles.gl_moves_all_pairs)
+    assert _orbits(ring, eps, n, reps, variant) == cyclic
+    assert sorted((m for orbit in cyclic for m in orbit), key=Mat.key) == reps
+
+
+def test_gl_moves_generate_gl3_z4():
+    # |GL_3(Z/4)| = 2^9 * |GL_3(F2)| = 512 * 168; the closure of the
+    # identity under right multiplication by the moves, with no inverses
+    ring, n = Zn(4), 3
+    add, mul = ring.add, ring.mul
+    moves = _gl_moves(ring, n)
+    start = tuple(ring.one if i == j else ring.zero for i in range(n) for j in range(n))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        for i, j, c in moves:
+            out = list(cur)
+            for k in range(n):
+                if i == j:
+                    out[k * n + i] = mul(cur[k * n + i], c)
+                else:
+                    out[k * n + j] = add(cur[k * n + j], mul(cur[k * n + i], c))
+            nxt = tuple(out)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    assert len(seen) == 2**9 * 168
