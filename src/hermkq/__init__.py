@@ -33,7 +33,6 @@ from .forms import (
     DegenerateFormError,
     HermForm,
     QuadFormEl,
-    QuadFormMin,
     direct_sum,
     form_from_json,
     hyperbolic,

@@ -69,9 +69,10 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     columns of its first pass, and each inner product of a chosen column
     with a candidate for a later position.  The enlarged group lists only
     O^min, under that count, and S(E) ("subgroup enumeration");
-    `groups.el_elements`, which lists its pairs, counts |O^min|.|S(E)| first
-    ("el pair enumeration").  A ring's split-unit scan counts its elements
-    ("split unit scan"); a trivial involution needs no scan.
+    `groups.el_elements`, which lists the pairs of that certified group,
+    counts its order |O^min|.|S(E)| first ("el pair enumeration").  A
+    ring's split-unit scan counts its elements ("split unit scan"); a
+    trivial involution needs no scan.
 
     The limit is the search cap (`global_cap`) unless `cap` is given.  That
     third argument is for a fixed internal limit that is not the search cap,

@@ -434,16 +434,14 @@ def linearize_cup_soundness(
 # the congruence recursion (appendix lemma 4)
 
 
-def lemma4_recursion(
-    sigma: Mat, d: DeltaDatum, zeta: Mat, depth: int, eps: int = 1
-) -> dict:
+def lemma4_recursion(sigma: Mat, d: DeltaDatum, zeta: Mat, depth: int) -> dict:
     """Iterate f_{p+1} = f_p + N^{p+1} (x) kappa_{p+1} against the congruence
 
         f_p^* (sigma (x) phi) f_p
             = sigma (x) (phi + zeta - zeta^*) + Z_p - Z_p^*
               modulo span{sigma N^k (x) anything : k >= p+1}
 
-    with N = eps*sigma^{-1} conj-transpose(sigma) - 1 nilpotent, f_0 = 1 and
+    with N = sigma^{-1} conj-transpose(sigma) - 1 nilpotent, f_0 = 1 and
     Z_0 = -sigma (x) zeta.  Once p reaches the nilpotency index the span is
     zero and the residual must vanish identically.
     """
@@ -459,7 +457,7 @@ def lemma4_recursion(
     sig_inv = invert(sigma)
     if sig_inv is None:
         raise ValueError("sigma must be invertible")
-    n_mat = (sig_inv * sigma.star()).scale_sign(eps) - Mat.identity(R, n)
+    n_mat = sig_inv * sigma.star() - Mat.identity(R, n)
     idx = nilpotency_index(n_mat)
     if idx is None:
         raise ValueError("sigma is not almost hermitian: N not nilpotent")

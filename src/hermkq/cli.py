@@ -37,7 +37,7 @@ from .clauwens import (
     projector_conjugator,
     sqrt_one_plus_nu_t,
 )
-from .forms import DegenerateFormError, HermForm, QuadFormEl, QuadFormMin, form_from_json, is_even
+from .forms import DegenerateFormError, HermForm, QuadFormEl, form_from_json, is_even
 from .groups import enumerate_group, whitehead_factorization
 from .invariants import (
     arf,
@@ -102,8 +102,6 @@ def _tableize(doc, prefix="") -> str:
 
 def _parse_quadform(doc) -> QuadFormEl:
     form = form_from_json(doc)
-    if isinstance(form, QuadFormMin):
-        return form.rep
     if isinstance(form, HermForm):
         raise ValueError("a quadratic (el/min) form is required here")
     return form
@@ -142,26 +140,21 @@ def cmd_form_check(args, fmt):
         }
         ok = form.nondegenerate
     else:
-        q = form.rep if isinstance(form, QuadFormMin) else form
         report = {
             "variant": doc.get("variant", "el"),
-            "rank": q.n,
-            "nondegenerate": q.nondegenerate,
-            "associated_hermitian": q.associated().phi.to_strs(),
-            "min_canonical": q.min_canonical().to_strs(),
+            "rank": form.n,
+            "nondegenerate": form.nondegenerate,
+            "associated_hermitian": form.associated().phi.to_strs(),
+            "min_canonical": form.min_canonical().to_strs(),
         }
-        ok = q.nondegenerate
+        ok = form.nondegenerate
     return _emit("form-check", doc, report, fmt, ok)
 
 
 def cmd_group(args, fmt):
     doc = _load_json(args.form)
-    form = form_from_json(doc)
-    variant = args.variant
-    if variant == "max" and not isinstance(form, HermForm):
-        form = (form.rep if isinstance(form, QuadFormMin) else form).associated()
-    q = form if isinstance(form, HermForm) else (form.rep if isinstance(form, QuadFormMin) else form)
-    group = enumerate_group(variant, q)
+    form = form_from_json(doc) if args.variant == "max" else _parse_quadform(doc)
+    group = enumerate_group(args.variant, form)
     ok = all(v for v in group.checks.values() if isinstance(v, bool))
     if group.extension is not None:
         ok = ok and group.extension["passed"]

@@ -1,7 +1,9 @@
 """Epsilon-hermitian and epsilon-quadratic forms on free modules A^n.
 
-Three variants are carried: the hermitian form phi itself (max), an explicit
-generator phi0 (el), and the class of phi0 modulo gamma - eps*gamma^* (min).
+Three variants are carried: the hermitian form phi itself (max), a
+`HermForm`; an explicit generator phi0 (el), a `QuadFormEl`; and the class
+of phi0 modulo gamma - eps*gamma^* (min), also a `QuadFormEl`, read modulo
+shifts through `QuadFormEl.min_canonical` and `min_equal`.
 Column conventions throughout: forms evaluate as x^* phi y.
 """
 
@@ -11,7 +13,7 @@ import json
 
 from .additive import AdditiveMap, MatSubgroup, _basis_mats, additive_basis, solve_affine
 from .linalg import Mat, diag_block, invert
-from .rings import Ring, _is_prime, ring_from_json
+from .rings import Ring, ring_from_json
 
 
 class DegenerateFormError(ValueError):
@@ -25,37 +27,14 @@ _SHIFT_MAPS: dict = {}
 def _shift_table(ring: Ring, eps: int):
     """Entry data of the shift subgroup over one ring: the canonical
     representative of a + Lambda for every a, where Lambda = {a - eps*conj(a)},
-    the order of Lambda, the element the strict upper triangle is set to, and
-    the distinct canonical representatives (see `ShiftSubgroup`)."""
-    # built first in every characteristic: it refuses an infinite ring, or
-    # one past BASIS_CAP, before any element is listed
-    basis = additive_basis(ring)
-    shifts = {ring.sub(a, ring.conj(a) if eps == 1 else ring.neg(ring.conj(a)))
-              for a in ring.elements()}
-
-    def key(x):
-        return Mat(ring, [[x]]).key()
-
-    if _is_prime(ring.char):
-        lam = MatSubgroup(ring, 1, 1, [b - b.star().scale_sign(eps)
-                                       for b in _basis_mats(basis, 1, 1)])
-
-        def rep(a):
-            return lam.coset_canonical(Mat(ring, [[a]])).entries[0][0]
-
-        top = ring.zero
-    else:
-        def rep(a):
-            return min((ring.add(a, s) for s in shifts), key=key)
-
-        top = min(ring.elements(), key=key)
-    canon = {}
-    for a in ring.elements():
-        if a not in canon:
-            r = rep(a)
-            for s in shifts:
-                canon[ring.add(a, s)] = r
-    return canon, len(shifts), top, tuple(dict.fromkeys(canon.values()))
+    the order of Lambda, and the distinct canonical representatives (see
+    `ShiftSubgroup`)."""
+    # Lambda first: its additive basis refuses an infinite ring, or one past
+    # BASIS_CAP, before any element is listed
+    lam = MatSubgroup(ring, 1, 1, [b - b.star().scale_sign(eps)
+                                   for b in _basis_mats(additive_basis(ring), 1, 1)])
+    canon = {a: lam.coset_canonical(Mat(ring, [[a]])).entries[0][0] for a in ring.elements()}
+    return canon, lam.size, tuple(dict.fromkeys(canon.values()))
 
 
 class ShiftSubgroup:
@@ -64,27 +43,21 @@ class ShiftSubgroup:
     Closed form.  Taking gamma = x*e_ij shows that for i < j, S holds every
     pair (x at (i, j), -eps*conj(x) at (j, i)), and on the diagonal it holds
     Lambda = {a - eps*conj(a)}; S is the direct sum of these pieces, so
-    |S| = |R|^(n(n-1)/2) * |Lambda|^n.  The canonical representative of
-    m + S sets each strict-upper entry m_ij to a fixed element t (adding the
-    matching pair moves m_ji by -eps*conj(t - m_ij)) and maps each diagonal
-    entry to the canonical representative of m_ii + Lambda.
+    |S| = |R|^(n(n-1)/2) * |Lambda|^n.
 
-    The choice of representative is this class's own convention.  In prime
-    characteristic it is the echelon reduction over row-major coordinates,
-    the one `MatSubgroup.coset_canonical` gives for S: the pivots of a pair
-    sit at (i, j), which comes first, so t = 0, and the pieces have
-    disjoint coordinates, so the diagonal pivots are those of Lambda alone.
-    In composite characteristic it is the least Mat.key in the coset, which
-    the Howell reduction does not always pick (over Dual(Z/4) and Dual(Z/9)
-    it picks others for Lambda): the key compares entries in row-major
-    order and every piece varies independently, so the least key takes t,
-    the element with the least key, at each (i, j) (t = 0 for every ring
-    whose zero prints first), and the least representative of m_ii +
-    Lambda.
+    The canonical representative of m + S is the one
+    `MatSubgroup(S).coset_canonical` gives, in every characteristic.
+    `Echelon.reduce` takes a coset to its least member in the lexicographic
+    order of the row-major coordinates (see `snf.LinearMap`).  The pieces of
+    S sit on disjoint coordinates, so that least member is found piece by
+    piece.  Entry (i, j), i < j, comes before (j, i) and takes every value,
+    so it becomes 0, and m_ji gains eps*conj(m_ij).  A diagonal entry
+    becomes the least member of m_ii + Lambda, which is
+    `MatSubgroup(Lambda).coset_canonical` of the 1 x 1 matrix.
 
     So the canonical representatives are the matrices with `diagonal`
-    entries (the representatives of R/Lambda) on the diagonal, `top` (t)
-    above it and any entries below it.
+    entries (the representatives of R/Lambda) on the diagonal, zero above
+    it and any entries below it.
 
     The per-entry data is cached by (ring key, eps); matrices are built over
     the ring of the argument.
@@ -94,7 +67,7 @@ class ShiftSubgroup:
         key = (ring.key(), eps)
         if key not in _SHIFT_TABLES:
             _SHIFT_TABLES[key] = _shift_table(ring, eps)
-        self._canon, lam_size, self.top, self.diagonal = _SHIFT_TABLES[key]
+        self._canon, lam_size, self.diagonal = _SHIFT_TABLES[key]
         self.ring = ring
         self.eps = eps
         self.rows = self.cols = n
@@ -102,17 +75,17 @@ class ShiftSubgroup:
 
     def canonical_flat(self, flat) -> tuple:
         """The canonical representative of a row-major tuple of entries."""
-        R, n, top, canon = self.ring, self.rows, self.top, self._canon
+        R, n, canon, zero = self.ring, self.rows, self._canon, self.ring.zero
         out = list(flat)
         for i in range(n):
             out[i * n + i] = canon[out[i * n + i]]
             for j in range(i + 1, n):
                 x = out[i * n + j]
-                if x != top:
-                    c = R.conj(R.sub(top, x))
+                if x != zero:
+                    c = R.conj(x)
                     k = j * n + i
-                    out[k] = R.sub(out[k], c) if self.eps == 1 else R.add(out[k], c)
-                    out[i * n + j] = top
+                    out[k] = R.add(out[k], c) if self.eps == 1 else R.sub(out[k], c)
+                    out[i * n + j] = zero
         return tuple(out)
 
     def coset_canonical(self, m: Mat) -> Mat:
@@ -122,9 +95,8 @@ class ShiftSubgroup:
 
     def contains(self, m: Mat) -> bool:
         R, e, canon = self.ring, m.entries, self._canon
-        zero = canon[R.zero]
         for i in range(self.rows):
-            if canon[e[i][i]] != zero:
+            if canon[e[i][i]] != R.zero:
                 return False
             for j in range(i + 1, self.rows):
                 c = R.conj(e[i][j])
@@ -208,7 +180,9 @@ class HermForm:
 
 
 class QuadFormEl:
-    """Object of the enlarged quadratic category: phi0 is part of the data."""
+    """Object of the enlarged quadratic category: phi0 is part of the data.
+    A min form is the same object, read modulo shifts through
+    `min_canonical` and `min_equal`."""
 
     def __init__(self, ring: Ring, eps: int, phi0: Mat):
         if eps not in (1, -1):
@@ -256,27 +230,6 @@ class QuadFormEl:
 
     def __repr__(self):
         return f"QuadFormEl(eps={self.eps}, phi0={self.phi0.key()})"
-
-
-class QuadFormMin:
-    """The class of a QuadFormEl modulo gamma - eps*gamma^*."""
-
-    def __init__(self, rep: QuadFormEl):
-        self.rep = rep
-
-    def canonical(self) -> Mat:
-        return self.rep.min_canonical()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadFormMin)
-            and self.rep.ring == other.rep.ring
-            and self.rep.eps == other.rep.eps
-            and min_equal(self.rep, other.rep)
-        )
-
-    def __hash__(self):
-        return hash((self.rep.eps, self.canonical()))
 
 
 def pairing_chi(h: HermForm, x, y):
@@ -356,7 +309,8 @@ def direct_sum(a: QuadFormEl, b: QuadFormEl) -> QuadFormEl:
 
 
 def form_from_json(doc):
-    """Parse {"ring":..., "epsilon":..., "variant":..., "matrix":[[...]]}."""
+    """Parse {"ring":..., "epsilon":..., "variant":..., "matrix":[[...]]}:
+    a `HermForm` for max, a `QuadFormEl` for el and min."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     ring = ring_from_json(doc["ring"])
@@ -366,6 +320,5 @@ def form_from_json(doc):
     if variant == "max":
         return HermForm(ring, eps, mat)
     if variant in ("el", "min"):
-        q = QuadFormEl(ring, eps, mat)
-        return QuadFormMin(q) if variant == "min" else q
+        return QuadFormEl(ring, eps, mat)
     raise ValueError(f"unknown variant {variant!r}")

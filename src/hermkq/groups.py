@@ -229,28 +229,18 @@ def enumerate_orthogonal_min(q: QuadFormEl) -> list[Mat]:
 def el_elements(q: QuadFormEl):
     """All (f, gamma), sorted by (f.key(), gamma.key()), with O^min and S(E).
 
-    (S) is affine in gamma.  When base is a witness for f, (f, base + s)
-    satisfies (S) exactly when s - eps*s^* = 0, that is s^* = eps*s (apply
-    ^*, an involution).  So (S) is evaluated once per f, on the witness
-    `check_min` returns, and s^* = eps*s once per member s of S(E); the pairs
-    are then built unchecked, fibre by fibre.  The list has |O^min|.|S(E)|
-    members, checked against the cap ("el pair enumeration") before any is
-    built; `enumerate_group` never builds it, and `dual_numbers_iso` needs
-    it.
+    Read off the certified group `enumerate_group("el", q)`: its
+    `extension_check` proves that the pairs lift(f).(1, s) = (f, gamma + s),
+    f in O^min and s in S(E), are the whole group and satisfy (S), so none
+    is checked again.  The list has |O^min|.|S(E)| members, checked against
+    the cap ("el pair enumeration") before any is built; `enumerate_group`
+    never builds it, and `dual_numbers_iso` needs it.
     """
-    omin = enumerate_orthogonal_min(q)
-    kernel = selfadjoint_subgroup(q.ring, q.eps, q.n)
-    check_cap(len(omin) * kernel.size, "el pair enumeration")
-    se = kernel.elements()
-    if any(s.star() != s.scale_sign(q.eps) for s in se):
-        raise ValueError("kernel element violates gamma^* = eps*gamma")
-    elems = []
-    for f in omin:
-        base = check_min(f, q)
-        if base is None or not satisfies_S(q, f, base):
-            raise ValueError("pair (f, gamma) violates identity (S)")
-        elems += _fibre(ElMorphism(q, f, base, check=False), se)
-    return elems, omin, se
+    group = enumerate_group("el", q)
+    if not group.extension["passed"]:
+        raise AssertionError("the enlarged group failed its extension check")
+    check_cap(group.order, "el pair enumeration")
+    return group.head(group.order), group.base.elements, group.kernel.elements()
 
 
 def _fibre(lift: ElMorphism, se: list) -> list:
@@ -324,7 +314,7 @@ class EnumeratedGroup:
         the coset lift(f).gamma + S(E) sorted.  This lists S(E), under the
         `subgroup enumeration` cap; the subgroup keeps the list, so it is
         made once per (ring, eps, n), and it is the one listing of S(E) left
-        on this path."""
+        on this path.  `el_elements` lists the whole group this way."""
         if self.elements is not None:
             return self.elements[:count]
         out = []

@@ -242,7 +242,7 @@ def xi_char2_field(ring: Ring) -> AbelianGroupPresentation:
     a@b - a@(b^2 a) and (c^2 a)@b - a@(c^2 b)."""
     if not ring.is_field or ring.char != 2:
         raise ValueError("xi_char2_field needs a field of characteristic 2")
-    if any(ring.conj(a) != a for a in ring.elements()):
+    if not ring.trivial_involution:
         raise ValueError("xi_char2_field needs the trivial involution")
     elems = ring.elements()
     k = len(elems)
@@ -320,7 +320,7 @@ def arf_group(ring: Ring) -> ArfGroup:
         return _ARF_CACHE[key]
     if not ring.is_field or ring.char != 2:
         raise ValueError("Arf needs a field of characteristic 2")
-    if any(ring.conj(a) != a for a in ring.elements()):
+    if not ring.trivial_involution:
         raise ValueError("Arf needs the trivial involution")
     # a -> a^2 - a is additive in characteristic 2: its image is a subgroup
     image = {ring.sub(ring.mul(a, a), a) for a in ring.elements()}
@@ -543,33 +543,31 @@ def _min_class_reps(ring: Ring, eps: int, rank: int) -> list[Mat]:
     sorted by Mat.key.
 
     A canonical representative (`forms.ShiftSubgroup`) has a diagonal d over
-    the representatives of R/Lambda, the element t above it and a free
-    strict lower triangle l.  Its hermitian part rep + eps*rep^* has the
-    diagonal tau(d) = d + eps*conj(d), t + eps*conj(l_ji) at (i, j) and
-    l_ji + eps*conj(t) at (j, i): it depends on l and on the tau-vector only,
-    and determines both.  So each hermitian part is built and inverted once,
-    and the representatives over it, the tau-fibres of the diagonal, are
-    built only when it is invertible.
+    the representatives of R/Lambda, zero above it and a free strict lower
+    triangle l.  Its hermitian part rep + eps*rep^* has the diagonal tau(d)
+    = d + eps*conj(d), eps*conj(l_ji) at (i, j) and l_ji at (j, i): it
+    depends on l and on the tau-vector only, and determines both.  So each
+    hermitian part is built and inverted once, and the representatives over
+    it, the tau-fibres of the diagonal, are built only when it is
+    invertible.
     """
     if rank == 0:
         return [Mat(ring, [])]
     n = rank
     shifts = shift_subgroup(ring, eps, n)
-    top = shifts.top
     lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
     check_cap(len(shifts.diagonal) ** n * ring.size ** len(lower),
               "coset representative enumeration")
     fibres: dict = {}
     for d in shifts.diagonal:
         fibres.setdefault(ring.add(d, _scale(ring, eps, ring.conj(d))), []).append(d)
-    below_top = _scale(ring, eps, ring.conj(top))
     out = []
     for low in product(ring.elements(), repeat=len(lower)):
         herm = [[None] * n for _ in range(n)]
-        rep = [[top] * n for _ in range(n)]
+        rep = [[ring.zero] * n for _ in range(n)]
         for (j, i), x in zip(lower, low):
-            herm[i][j] = ring.add(top, _scale(ring, eps, ring.conj(x)))
-            herm[j][i] = ring.add(x, below_top)
+            herm[i][j] = _scale(ring, eps, ring.conj(x))
+            herm[j][i] = x
             rep[j][i] = x
         for taus in product(fibres, repeat=n):
             for i in range(n):
@@ -775,7 +773,7 @@ def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int) -> WittTabl
             variant == "min"
             and ring.is_field
             and ring.char == 2
-            and all(ring.conj(a) == a for a in ring.elements())
+            and ring.trivial_involution
             and min_rank % 2 == 0
         ):
             entry["arf"] = ring.to_str(arf(QuadFormEl(ring, eps, rep)))

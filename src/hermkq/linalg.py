@@ -323,7 +323,9 @@ def invert(m: Mat) -> Mat | None:
     adjugate (the matrix is invertible iff its determinant is a unit);
     noncommutative rings solve the additive system m*X = 1 over Z/char with
     `additive.solve_affine` (a Howell echelon, exact in every
-    characteristic) and confirm X*m = 1.
+    characteristic) and confirm X*m = 1.  Over the finite ring M_n(R) a
+    right inverse is two-sided, hence unique, so one solution is all there
+    is.
     """
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
@@ -337,10 +339,9 @@ def invert(m: Mat) -> Mat | None:
     from .additive import solve_affine  # local import to avoid a cycle
 
     ident = Mat.identity(R, m.rows)
-    sols = solve_affine(R, (m.rows, m.rows), lambda x: m * x, ident)
-    for x in sols:
-        if x * m == ident:
-            return x
+    sols = solve_affine(R, (m.rows, m.rows), lambda x: m * x, ident, all_solutions=False)
+    if sols and sols[0] * m == ident:
+        return sols[0]
     return None
 
 

@@ -137,7 +137,10 @@ class Ring:
     kind = "abstract"
     is_commutative = True
     is_field = False
-    trivial_involution = False  # conj(a) = a for every a
+    # conj(a) = a for every a.  Exact for Zn, Fp and Fq, the kinds that can
+    # be fields; another kind may leave it False under a trivial involution
+    # (Dual(F2), where -e = e)
+    trivial_involution = False
     size: int | None = None
     char: int = 0
     _key: str | None = None

@@ -464,9 +464,8 @@ def check_dickson():
         q = hyperbolic(f2, 1, m)
         group = enumerate_orthogonal_min(q)
         values = {g: dickson(g, q) for g in group}
-        lookup = {g.key(): v for g, v in values.items()}
         hom = all(
-            lookup[(g * h).key()] == (values[g] + values[h]) % 2
+            values[g * h] == (values[g] + values[h]) % 2
             for g in group
             for h in group
         )

@@ -49,14 +49,14 @@ def coset_reps_by_enumeration(ring, rows, cols, canonical) -> list:
 def coset_reps_all(shifts) -> list[Mat]:
     """Every canonical representative of a `forms.ShiftSubgroup`, sorted by
     Mat.key: the diagonal over the representatives of R/Lambda, the strict
-    upper triangle t and the strict lower triangle free."""
+    upper triangle zero and the strict lower triangle free."""
     R, n = shifts.ring, shifts.rows
     lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
     check_cap(len(shifts.diagonal) ** n * R.size ** len(lower), "coset representative enumeration")
     out = []
     for d in product(shifts.diagonal, repeat=n):
         for low in product(R.elements(), repeat=len(lower)):
-            rows = [[shifts.top] * n for _ in range(n)]
+            rows = [[R.zero] * n for _ in range(n)]
             for i in range(n):
                 rows[i][i] = d[i]
             for (j, i), x in zip(lower, low):
@@ -75,12 +75,6 @@ def gl_moves_all_pairs(ring, n: int) -> list[tuple]:
     return [(i, j, c) for i in range(n) for j in range(n) if i != j for c in coeffs] + [
         (i, i, u) for i in range(n) for u in units
     ]
-
-
-def least_key_representative(m: Mat, members) -> Mat:
-    """The member of m + {members} with the least Mat.key, by a scan of the
-    listed subgroup."""
-    return min((m + s for s in members), key=Mat.key)
 
 
 def min_witness(a: QuadFormEl, b: QuadFormEl) -> Mat | None:

@@ -58,6 +58,30 @@ def test_group_command(capsys):
     assert doc["report"]["extension"]["order_min"] == 2
 
 
+# the hyperbolic plane as each document variant; max carries phi = phi0 + phi0^*
+_PLANE = {"el": [["0", "1"], ["0", "0"]], "min": [["0", "1"], ["0", "0"]],
+          "max": [["0", "1"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize("ring,orders", [
+    ({"kind": "Fp", "p": 2}, {"max": 6, "min": 2, "el": 16}),
+    ({"kind": "Zn", "n": 4}, {"max": 16, "min": 4, "el": 256}),
+], ids=["F2", "Z4"])
+@pytest.mark.parametrize("doc_variant", ["el", "min", "max"])
+@pytest.mark.parametrize("variant", ["max", "min", "el"])
+def test_group_of_each_document_variant(capsys, ring, orders, doc_variant, variant):
+    # an el or min document is a quadratic form and answers every variant; a
+    # max document holds no phi0, so only max
+    doc = {"ring": ring, "epsilon": 1, "variant": doc_variant, "matrix": _PLANE[doc_variant]}
+    code, out = run(capsys, "group", "--form", json.dumps(doc), "--variant", variant)
+    if doc_variant == "max" and variant != "max":
+        assert code == 2
+        assert json.loads(out)["error"] == "bad-input"
+        return
+    assert code == 0
+    assert json.loads(out)["report"]["order"] == orders[variant]
+
+
 HYP4_F2 = json.dumps(
     {"ring": {"kind": "Fp", "p": 2}, "epsilon": 1, "variant": "el",
      "matrix": [["0", "0", "1", "0"], ["0", "0", "0", "1"],

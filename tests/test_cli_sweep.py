@@ -1,0 +1,82 @@
+"""A deterministic sweep of CLI commands over every ring kind.
+
+Each case runs through `main` under `--cap 4096`.  Whatever the answer, the
+exit code is in the documented set, stdout holds exactly one JSON document,
+a refusal carries one of the four error labels, no exception escapes `main`,
+and neither os.environ nor the cap is changed.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from hermkq.caps import global_cap
+from hermkq.cli import main
+from hermkq.rings import ring_from_json
+
+F2 = {"kind": "Fp", "p": 2}
+RINGS = {
+    "F2": F2,
+    "F3": {"kind": "Fp", "p": 3},
+    "F4": {"kind": "Fq", "p": 2, "deg": 2, "modulus": [1, 1, 1], "involution": "frobenius"},
+    "Z4": {"kind": "Zn", "n": 4},
+    "Z6": {"kind": "Zn", "n": 6},
+    "Dual-F2": {"kind": "Dual", "base": F2},
+    "Mat2-F2": {"kind": "Mat2", "base": F2},
+    "ProductOp-F3": {"kind": "ProductOp", "base": {"kind": "Fp", "p": 3}},
+    "PolyS-F2": {"kind": "PolyS", "base": F2},
+    "TruncPoly-F2": {"kind": "TruncPoly", "base": F2, "k": 2},
+}
+ERRORS = {"bad-input", "unsupported", "cap-exhausted", "internal-check-failed"}
+
+
+def cases(spec):
+    """Every argv of the sweep over one ring."""
+    ring = ring_from_json(spec)
+    one, zero = ring.to_str(ring.one), ring.to_str(ring.zero)
+    minus = ring.to_str(ring.neg(ring.one))
+    ring_arg = json.dumps(spec)
+    ident = json.dumps([[one, zero], [zero, one]])
+    out = [
+        ["ring-check", "--ring", ring_arg],
+        ["whitehead", "--ring", ring_arg, "--alpha", json.dumps([[one, one], [zero, one]]),
+         "--beta", json.dumps([[one, zero], [one, one]])],
+        ["clauwens", "sqrt-nilpotent", "--ring", ring_arg,
+         "--nu", json.dumps([[one, one], [one, one]])],
+    ]
+    for eps, e in ((1, one), (-1, minus)):
+        plane = {"el": [[zero, one], [zero, zero]], "min": [[zero, one], [zero, zero]],
+                 "max": [[zero, one], [e, zero]]}
+        for doc_variant, matrix in plane.items():
+            form = json.dumps({"ring": spec, "epsilon": eps, "variant": doc_variant,
+                               "matrix": matrix})
+            out += [["group", "--form", form, "--variant", v] for v in ("max", "min", "el")]
+            out += [["form-check", "--form", form], ["arf", "--form", form],
+                    ["dickson", "--form", form, "--matrix", ident]]
+        for command in ("witt", "gw"):
+            out += [[command, "--ring", ring_arg, "--epsilon", str(eps), "--variant", v,
+                     "--max-rank", "2"] for v in ("min", "max", "el")]
+        out += [["xi", "--ring", ring_arg, "--epsilon", str(eps)],
+                ["xi", "--ring", ring_arg, "--epsilon", str(eps), "--char2-oracle"]]
+    return out
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_cli_sweep(name):
+    env, cap = dict(os.environ), global_cap()
+    argvs = cases(RINGS[name])
+    assert len(argvs) == 55
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["--cap", "4096", *argv])
+        assert code in (0, 1, 2, 3), argv
+        doc = json.loads(buf.getvalue())
+        if "error" in doc:
+            assert doc["error"] in ERRORS, (argv, doc)
+            assert code in (2, 3), argv
+        assert dict(os.environ) == env, argv
+        assert global_cap() == cap, argv

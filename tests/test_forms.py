@@ -9,7 +9,6 @@ from hermkq.forms import (
     DegenerateFormError,
     HermForm,
     QuadFormEl,
-    QuadFormMin,
     direct_sum,
     form_from_json,
     hyperbolic,
@@ -24,7 +23,7 @@ from hermkq.forms import (
 from hermkq.groups import check_min
 from hermkq.linalg import Mat, all_matrices, invert
 from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, ProductOpRing, TruncPolyRing, Zn
-from oracles import coset_reps_all, coset_reps_by_enumeration, least_key_representative, min_witness
+from oracles import coset_reps_all, coset_reps_by_enumeration, min_witness
 
 
 def test_pairing_chi_examples():
@@ -118,8 +117,6 @@ def test_min_canonical_representative():
     a = QuadFormEl(f2, 1, Mat.from_strs(f2, [["0", "1"], ["0", "0"]]))
     b = QuadFormEl(f2, 1, Mat.from_strs(f2, [["0", "0"], ["1", "0"]]))
     assert a.min_canonical() == b.min_canonical()
-    assert QuadFormMin(a) == QuadFormMin(b)
-    assert hash(QuadFormMin(a)) == hash(QuadFormMin(b))
 
 
 def test_hyperbolic_examples():
@@ -210,7 +207,7 @@ def test_form_json_roundtrip():
     doc = q.to_json("el")
     assert form_from_json(doc) == q
     doc_min = q.to_json("min")
-    assert isinstance(form_from_json(doc_min), QuadFormMin)
+    assert form_from_json(doc_min) == q
     h = q.associated()
     doc_max = h.to_json()
     back = form_from_json(doc_max)
@@ -266,22 +263,11 @@ def _generic_shift_subgroup(ring, eps, n):
 @pytest.mark.parametrize("ring", [r for _, r in SHIFT_RINGS], ids=[k for k, _ in SHIFT_RINGS])
 @pytest.mark.parametrize("eps", [1, -1])
 def test_shift_subgroup_closed_form_matches_generic_span(ring, eps):
-    # prime characteristic: the echelon reduction of the generic subgroup, up
-    # to rank 3; composite: the least Mat.key of the coset, which the Howell
-    # reduction does not always pick, up to rank 2
-    prime = ring.char in (2, 3)
-    for n in (1, 2, 3) if prime else (1, 2):
+    # the echelon reduction of the generic subgroup, in every characteristic
+    for n in (1, 2, 3):
         generic = _generic_shift_subgroup(ring, eps, n)
         closed = shift_subgroup(ring, eps, n)
         assert closed.size == generic.size
-        if prime:
-            canonical = generic.coset_canonical
-        else:
-            members = generic.elements()
-
-            def canonical(m):
-                return least_key_representative(m, members)
-
         rng = random.Random(n)
         elems = ring.elements()
         for _ in range(12):
@@ -291,7 +277,7 @@ def test_shift_subgroup_closed_form_matches_generic_span(ring, eps):
             assert closed.contains(shift)
             assert closed.contains(m) == generic.contains(m)
             rep = closed.coset_canonical(m)
-            assert rep == canonical(m)
+            assert rep == generic.coset_canonical(m)
             assert generic.contains(rep - m)
             assert closed.coset_canonical(m + shift) == rep
         if n > 2:
@@ -301,9 +287,7 @@ def test_shift_subgroup_closed_form_matches_generic_span(ring, eps):
         reps = coset_reps_all(closed)
         assert len(reps) == ring.size**(n * n) // generic.size
         assert reps == sorted(set(reps), key=Mat.key)
-        if not prime and ring.size**(n * n) > 4096:
-            reps = reps[:: max(1, len(reps) // 16)]
-        assert all(canonical(rep) == rep for rep in reps)
+        assert all(generic.coset_canonical(rep) == rep for rep in reps)
 
 
 @pytest.mark.parametrize("ring", [r for _, r in SHIFT_RINGS], ids=[k for k, _ in SHIFT_RINGS])
@@ -320,7 +304,7 @@ def test_min_canonical_over_z9_past_the_span_cap():
     # canonical form off entry by entry and lists no member, under any cap
     doc = {"ring": {"kind": "Zn", "n": 9}, "epsilon": -1, "variant": "min",
            "matrix": [["1", "2", "0"], ["0", "1", "3"], ["4", "0", "1"]]}
-    q = form_from_json(doc).rep
+    q = form_from_json(doc)
     shifts = shift_subgroup(q.ring, -1, 3)
     assert shifts.size == 9**6
     canonical = q.min_canonical()
