@@ -68,11 +68,13 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     A node there is one unit of that search's work: each of the |R|^n
     columns of its first pass, and each inner product of a chosen column
     with a candidate for a later position.  The enlarged group lists only
-    O^min, under that count, and S(E) ("subgroup enumeration");
-    `groups.el_elements`, which lists the pairs of that certified group,
-    counts its order |O^min|.|S(E)| first ("el pair enumeration").  A
+    O^min, under that count, and lifts only its generators; its preview
+    lists S(E) ("subgroup enumeration").  `groups.el_elements`, which lists
+    the pairs of that certified group fibre by fibre, one witness solve per
+    f, counts its order |O^min|.|S(E)| first ("el pair enumeration").  A
     ring's split-unit scan counts its elements ("split unit scan"); a
-    trivial involution needs no scan.
+    trivial involution needs no scan.  The char-2 Xi oracle counts its
+    generators, then its relation cells ("xi relations").
 
     The limit is the search cap (`global_cap`) unless `cap` is given.  That
     third argument is for a fixed internal limit that is not the search cap,

@@ -229,24 +229,17 @@ def enumerate_orthogonal_min(q: QuadFormEl) -> list[Mat]:
 def el_elements(q: QuadFormEl):
     """All (f, gamma), sorted by (f.key(), gamma.key()), with O^min and S(E).
 
-    Read off the certified group `enumerate_group("el", q)`: its
-    `extension_check` proves that the pairs lift(f).(1, s) = (f, gamma + s),
-    f in O^min and s in S(E), are the whole group and satisfy (S), so none
-    is checked again.  The list has |O^min|.|S(E)| members, checked against
-    the cap ("el pair enumeration") before any is built; `enumerate_group`
-    never builds it, and `dual_numbers_iso` needs it.
+    Listed by the certified group's `head`, fibre by fibre, one `check_min`
+    per f; the certificate proves that the pairs satisfy (S), so none is
+    checked again.  The |O^min|.|S(E)| pairs are checked against the cap
+    ("el pair enumeration") before any is built; `enumerate_group` never
+    lists them, and `dual_numbers_iso` needs them.
     """
     group = enumerate_group("el", q)
     if not group.extension["passed"]:
         raise AssertionError("the enlarged group failed its extension check")
     check_cap(group.order, "el pair enumeration")
     return group.head(group.order), group.base.elements, group.kernel.elements()
-
-
-def _fibre(lift: ElMorphism, se: list) -> list:
-    """The pairs lift.(1, s) = (f, gamma + s) for s in se, sorted by key."""
-    return sorted((ElMorphism(lift.form, lift.f, lift.gamma + s, check=False) for s in se),
-                  key=ElMorphism.key)
 
 
 @dataclass
@@ -261,27 +254,29 @@ class EnumeratedGroup:
     `closure_generators` (the size of `generators`, the generating set it
     picked).
 
-    The enlarged group is held through its exact sequence 1 -> S(E) -> O^el
-    -> O^min -> 1, and `elements` is None.  `base` is the listed min group,
-    `kernel` is S(E) as `selfadjoint_subgroup` holds it (ker L, L(g) = g -
-    eps*g^*, off the echelon `check_min` reduces against), and `lifts` maps
-    each f of O^min to one pair lift(f) = (f, gamma), gamma the witness
-    `check_min` returns.  The group is the set of the lift(f).(1, s) = (f,
-    gamma + s) with s in S(E), |lifts|.|S(E)| pairs.  Its `generators` are
-    the lifts of the base's generators and the (1, s) for the generators s
-    of S(E).  `extension` is the report of `extension_check`, which
-    certifies the set, and `checks` reads:
+    The enlarged group of `form` is held through its exact sequence 1 ->
+    S(E) -> O^el -> O^min -> 1, and `elements` is None.  `base` is the
+    listed min group, and `kernel` is S(E) as `selfadjoint_subgroup` holds
+    it (ker L, L(g) = g - eps*g^*, off the echelon `check_min` reduces
+    against).  The group is the set of the lift(f).(1, s) = (f, gamma + s),
+    f in O^min and s in S(E), lift(f) = (f, gamma) for the witness
+    `check_min` returns.  Only the lifts in `generators` are kept: lift(x)
+    for each generator x of the base, in its order, then the (1, s) for the
+    generators s of S(E).  `lift`, `contains` and `head` find any other
+    lift on demand, one `check_min` each.  `extension` is the report of
+    `extension_check`, which certifies the set from the generators alone,
+    and `checks` reads:
     - `closure`: the report's `closure_structured`;
-    - `identity`: (1, 0) lies in the set;
-    - `inverses`: closure, and el_inverse(a) in the set for each generator
-      a.  Every member is a product of generators (`extension_check`), and
-      the inverse of a product is the product of the inverses in reverse;
+    - `identity`: the base's, as (1, 0) satisfies (S);
+    - `inverses`: closure, and el_inverse(a) satisfying (S) for each
+      generator a, whose f lies in O^min, a closed finite set of units.
+      The inverse of a product of generators (`extension_check`) is the
+      product of their inverses in reverse;
     - `closure_products`: the base's, plus the products of ordered pairs of
       generators that `extension_check` forms;
     - `closure_generators`: the number of generators, at most log2 of the
       order, as each base generator at least doubles the subgroup reached
-      and each echelon row, or each generator that enlarged the listed
-      span, at least doubles S(E).
+      and each echelon row at least doubles S(E).
     """
 
     variant: str
@@ -291,7 +286,7 @@ class EnumeratedGroup:
     generators: list
     base: EnumeratedGroup | None = None
     kernel: MatSubgroup | None = None
-    lifts: dict | None = None
+    form: QuadFormEl | None = None
     extension: dict | None = None
 
     @property
@@ -302,19 +297,28 @@ class EnumeratedGroup:
     def kernel_order(self) -> int | None:
         return None if self.kernel is None else self.kernel.size
 
+    def lift(self, f: Mat) -> ElMorphism:
+        """lift(f) = (f, check_min(f)) for f in O^min.  Every f of the
+        certified O^min has a witness, so a missing one is an internal
+        failure, never a fibre to skip."""
+        gamma = check_min(f, self.form)
+        if gamma is None:
+            raise AssertionError("an f of the certified O^min has no witness for (S)")
+        return ElMorphism(self.form, f, gamma, check=False)
+
     def contains(self, m: ElMorphism) -> bool:
-        """Whether the pair m lies in the enlarged group: m.gamma -
-        lift(m.f).gamma in S(E)."""
-        lift = self.lifts.get(m.f)
-        return lift is not None and self.kernel.contains(m.gamma - lift.gamma)
+        """Whether the pair m lies in the enlarged group: m.f in O^min and
+        m.gamma - lift(m.f).gamma in S(E)."""
+        return m.f in self.base.elements and self.kernel.contains(m.gamma - self.lift(m.f).gamma)
 
     def head(self, count: int) -> list:
         """The first `count` elements in key order.  Those of the enlarged
         group come from the fibres of the least f, one fibre at a time, each
-        the coset lift(f).gamma + S(E) sorted.  This lists S(E), under the
-        `subgroup enumeration` cap; the subgroup keeps the list, so it is
-        made once per (ring, eps, n), and it is the one listing of S(E) left
-        on this path.  `el_elements` lists the whole group this way."""
+        the coset lift(f).gamma + S(E) sorted, with lift(f) found when its
+        fibre is read.  This lists S(E), under the `subgroup enumeration`
+        cap; the subgroup keeps the list, so it is made once per (ring, eps,
+        n), and it is the one listing of S(E) left on this path.
+        `el_elements` lists the whole group this way."""
         if self.elements is not None:
             return self.elements[:count]
         out = []
@@ -322,8 +326,9 @@ class EnumeratedGroup:
         for f in self.base.elements:
             if len(out) >= count:
                 break
-            if f in self.lifts:
-                out += _fibre(self.lifts[f], se)[:count - len(out)]
+            gamma = self.lift(f).gamma
+            fibre = (ElMorphism(self.form, f, gamma + s, check=False) for s in se)
+            out += sorted(fibre, key=ElMorphism.key)[:count - len(out)]
         return out
 
     def to_json(self):
@@ -462,51 +467,38 @@ def verify_group_axioms(elements, compose, inverse, identity):
     }, gens
 
 
-def _listed(variant: str, elems: list, identity: Mat) -> EnumeratedGroup:
-    checks, gens = verify_group_axioms(elems, lambda a, b: a * b, invert, identity)
-    return EnumeratedGroup(variant, len(elems), elems, checks, gens)
-
-
 def enumerate_group(variant: str, form) -> EnumeratedGroup:
     """Exhaustive orthogonal group of the given variant, with its certificate
-    (see `EnumeratedGroup`)."""
-    if variant == "max":
-        h = form if isinstance(form, HermForm) else form.associated()
-        return _listed("max", enumerate_unitary(h), Mat.identity(h.ring, h.n))
-    if variant == "min":
-        q = form
-        return _listed("min", enumerate_orthogonal_min(q), Mat.identity(q.ring, q.n))
+    (see `EnumeratedGroup`).  The enlarged group solves one `check_min` per
+    generator of O^min while it is built, and none for any other f."""
     if variant == "el":
         q = form
         base = enumerate_group("min", q)
         kernel = selfadjoint_subgroup(q.ring, q.eps, q.n)
-        lifts = {}
-        for f in base.elements:
-            gamma = check_min(f, q)
-            if gamma is not None:
-                lifts[f] = ElMorphism(q, f, gamma, check=False)
-        group = EnumeratedGroup("el", len(lifts) * kernel.size, None, {}, [], base, kernel, lifts)
-        lift_gens, kernel_gens = _generators(q, group)
-        group.generators = lift_gens + kernel_gens
+        group = EnumeratedGroup("el", base.order * kernel.size, None, {}, [], base, kernel, q)
+        ident = Mat.identity(q.ring, q.n)
+        group.generators = [group.lift(x) for x in base.generators] + [
+            ElMorphism(q, ident, s, check=False) for s in kernel.generators()]
         group.extension = extension_check(q, group)
         closure = group.extension["closure_structured"]
         group.checks = {
-            "identity": group.contains(el_identity(q)),
-            "inverses": closure and all(group.contains(el_inverse(a)) for a in group.generators),
+            "identity": base.checks["identity"],
+            "inverses": closure and all(
+                satisfies_S(q, b.f, b.gamma) for b in map(el_inverse, group.generators)),
             "closure": closure,
             "closure_products": base.checks["closure_products"] + len(group.generators) ** 2,
             "closure_generators": len(group.generators),
         }
         return group
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _generators(q: QuadFormEl, group: EnumeratedGroup) -> tuple[list, list]:
-    """The lifts of the base's generators, and the (1, s) for the generators
-    s of S(E)."""
-    ident = Mat.identity(q.ring, q.n)
-    return ([group.lifts[x] for x in group.base.generators if x in group.lifts],
-            [ElMorphism(q, ident, s, check=False) for s in group.kernel.generators()])
+    if variant == "max":
+        elems = enumerate_unitary(form if isinstance(form, HermForm) else form.associated())
+    elif variant == "min":
+        elems = enumerate_orthogonal_min(form)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    checks, gens = verify_group_axioms(elems, lambda a, b: a * b, invert,
+                                       Mat.identity(form.ring, form.n))
+    return EnumeratedGroup(variant, len(elems), elems, checks, gens)
 
 
 def extension_check(q: QuadFormEl, group: EnumeratedGroup | None = None) -> dict:
@@ -514,95 +506,94 @@ def extension_check(q: QuadFormEl, group: EnumeratedGroup | None = None) -> dict
 
     `group` is what `enumerate_group("el", q)` builds, which runs this check
     on it; without `group` the group is enumerated and its report returned.
-    Only O^min and S(E) are listed.  Write d(f) = f^* phi0 f - phi0 and L(g)
-    = g - eps*g^*, so that (S) reads L(gamma) = d(f).
+    Only O^min is listed, and nothing is computed per f of it.  Write d(f) =
+    f^* phi0 f - phi0 and L(g) = g - eps*g^*, so that (S) reads L(gamma) =
+    d(f).
 
-    Computed once per f of O^min: (S) on lift(f).  Computed once per form:
-    the group's kernel compared as a set with ker L (equal orders, and every
-    generator of the kernel in ker L).  ker L is read off the cached echelon
-    of L that `check_min` reduces against, and `selfadjoint_subgroup` holds
-    S(E) as that same ker L, so on the group `enumerate_group` builds the
-    two are one object; the comparison is what catches a kernel that is not
-    S(E) in the data passed in.  Computed on the generators G
-    (`EnumeratedGroup`): for each ordered pair (a, b) of G, of the four
-    kinds lift.lift, lift.(1, s), (1, s).lift and (1, s).(1, t),
-    compose_el(a, b) satisfies (S) and lies in the group; and for a =
-    lift(x) and each generator s of S(E), (1, s).a = (x, a.gamma + x^* s
-    x), together with phi^-1 x^* s x = x^-1 (phi^-1 s) x when x is unitary
-    for an invertible phi.
+    Computed, on the generators G only, laid out as `EnumeratedGroup` says:
+    the lifts a_i, one per generator x_i of the base, then the (1, s).
+    Each a_i lies over x_i and satisfies (S).  The kernel equals ker L as a
+    set (equal orders, and every generator of the kernel in ker L), and the
+    generators over 1 are the (1, s) of its generators.  ker L is the cached
+    echelon of L that `check_min` reduces against, and
+    `selfadjoint_subgroup` holds S(E) as that same object, so the
+    comparison catches only a kernel that is not S(E) in the data passed
+    in.  Each product compose_el(a, b) of an ordered pair of G, of the four
+    kinds lift.lift, lift.(1, s), (1, s).lift and (1, s).(1, t), lies over
+    a.f.b.f and satisfies (S).  For each a_i over x and generator s of
+    S(E): (1, s).a_i = (x, a_i.gamma + x^* s x), and phi^-1 x^* s x = x^-1
+    (phi^-1 s) x when x is unitary for an invertible phi.
 
     Taken from algebra.  ker L = S(E): L(g) = 0 is g = eps*g^*, that is
-    g^* = eps*g (apply ^*, an involution).  compose_el forms (f,
+    g^* = eps*g (apply ^*, an involution); so S(E) is also the set of
+    solutions of (S) over 1, as d(1) = 0.  compose_el forms (f,
     gamma).(g, zeta) = (fg, zeta + g^* gamma g), an associative product on
     the pairs with f invertible, with neutral (1, 0) and inverse
     el_inverse; the products on G exercise that code.  Closure of the
     solutions of (S) is the identity d(fg) = g^* d(f) g + d(g), with L(g^*
     x g) = g^* L(x) g: when (f, gamma) and (g, zeta) satisfy (S), L(zeta +
-    g^* gamma g) = d(g) + g^* d(f) g = d(fg).  As L is additive, the
-    witnesses of f are lift(f).gamma + ker L.  So let O^min be closed (its
-    Dimino certificate), every f have a lift over it that satisfies (S),
-    and S(E) = ker L.  Then the set of lift(f).(1, s) = (f, w_f + s) is all
-    of O^el, and it is closed: the product of (f, w_f + s) and (g, w_g + t)
-    is (fg, w_fg + u) with u = (w_g + g^* w_f g - w_fg) + t + g^* s g, and
-    each of the three terms lies in ker L, the first by the
-    identity, the last as L(g^* s g) = g^* L(s) g = 0.  Each member is then
-    a product of generators: f is a word in the base's generators, the
-    product of their lifts lies over f, and so differs from lift(f) by a
-    kernel element, a sum of generators of S(E).
+    g^* gamma g) = d(g) + g^* d(f) g = d(fg).  O^min is closed (its Dimino
+    certificate) and generated by the x_i, so each f of it is a product of
+    them (in a finite group no inverse is needed), and the product of
+    their lifts is a pair over f that satisfies (S): every f has a
+    witness, and `check_min` finds lift(f) = (f, w_f).  As L is additive,
+    the witnesses of f are w_f + ker L.  So, with S(E) = ker L, the set of
+    lift(f).(1, s) = (f, w_f + s) is all of O^el, and it is closed: the
+    product of (f, w_f + s) and (g, w_g + t) is (fg, w_fg + u) with u =
+    (w_g + g^* w_f g - w_fg) + t + g^* s g, and each of the three terms
+    lies in ker L, the first by the identity, the last as L(g^* s g) = g^*
+    L(s) g = 0.  Each member is then a product of generators: f is a
+    product of the x_i, the product of their lifts lies over f, and so
+    differs from lift(f) by a kernel element, a sum of generators of S(E).
 
     The kernel action c_a(k) = a^-1 k a, for a lift a over x.  k.a = a.(1,
     t) says c_a(k) = (1, t), and a.(1, t) = (x, a.gamma + t).  c_a is
     additive on the kernel, and so is s -> x^* s x, so agreement on the
     generators of S(E) is agreement on S(E).  lift(fg) = lift(f).lift(g).k0
     for some k0 in the kernel, which is abelian, so c_lift(fg) = c_lift(g) o
-    c_lift(f): s -> g^* f^* s f g = (fg)^* s (fg), and every f is a word in
-    the base's generators.  The phi^-1 form follows the same way.
+    c_lift(f): s -> g^* f^* s f g = (fg)^* s (fg), and every f is a product
+    of the base's generators.  The phi^-1 form follows the same way.
 
-    Keys: `order_el` is the number of f of O^min with a lift over f that
-    satisfies (S), times |ker L|; `witness_cosets_exhaustive` is every f so
-    lifted and S(E) = ker L; `projection_surjective` is the lifts
-    projecting onto O^min; `projection_homomorphism` is (S) on every lift
-    and every product on G; `kernel_matches_SE` is the fibre over 1 equal
-    to S(E) = ker L; `closure_structured` is the closure above: O^min
-    closed, every f lifted, the lifts onto O^min, S(E) = ker L and the
-    products on G in the group.
+    Keys: `order_el` is |O^min|.|ker L| when every a_i lies over x_i and
+    satisfies (S), which lifts every f, and None otherwise, where the proof
+    bounds nothing; `witness_cosets_exhaustive` is every a_i so and S(E) =
+    ker L; `projection_surjective` is the a_i lying over the x_i, which
+    generate O^min; `projection_homomorphism` is (S) on every a_i, and
+    every product on G over the product of the f's and satisfying (S);
+    `kernel_matches_SE` is S(E) = ker L, the fibre over 1, with the
+    generators over 1 the (1, s) of its generators; `closure_structured` is
+    the closure above: O^min closed, `witness_cosets_exhaustive`,
+    `projection_surjective` and `projection_homomorphism`.
     """
     if group is None:
         return dict(enumerate_group("el", q).extension)
-    omin, kernel, lifts = group.base.elements, group.kernel, group.lifts
+    base, kernel = group.base, group.kernel
+    lift_gens = group.generators[:len(base.generators)]
+    kernel_gens = group.generators[len(base.generators):]
     ker_l = selfadjoint_subgroup(q.ring, q.eps, q.n)
     same_kernel = ker_l.size == kernel.size and all(map(ker_l.contains, kernel.generators()))
-    defects = {}
-
-    def satisfies_S_cached(m):
-        # (S) as d(f) = L(gamma), d(f) computed once per matrix
-        d = defects.get(m.f)
-        if d is None:
-            d = defects[m.f] = m.f.star() * q.phi0 * m.f - q.phi0
-        return d == m.gamma - m.gamma.star().scale_sign(q.eps)
-
-    holds = {f: satisfies_S_cached(m) for f, m in lifts.items()}
-    lifted = sum(f in lifts and lifts[f].f == f and holds[f] for f in omin)
+    over = [a.f for a in lift_gens] == base.generators
+    holds = all(satisfies_S(q, a.f, a.gamma) for a in lift_gens)
     report = {
-        "order_min": len(omin),
+        "order_min": base.order,
         "order_kernel": kernel.size,
-        "order_el": lifted * ker_l.size,
+        "order_el": base.order * ker_l.size if over and holds else None,
     }
-    report["order_product_law"] = report["order_el"] == kernel.size * len(omin)
-    report["witness_cosets_exhaustive"] = lifted == len(omin) and same_kernel
-    report["projection_surjective"] = {m.f for m in lifts.values()} == set(omin)
+    report["order_product_law"] = report["order_el"] == kernel.size * base.order
+    report["witness_cosets_exhaustive"] = over and holds and same_kernel
+    report["projection_surjective"] = over
 
-    lift_gens, kernel_gens = _generators(q, group)
-    gens = lift_gens + kernel_gens
-    products = {(a, b): compose_el(a, b) for a in gens for b in gens}
-    report["projection_homomorphism"] = all(holds.values()) and all(
-        map(satisfies_S_cached, products.values()))
-    report["kernel_matches_SE"] = same_kernel and group.contains(el_identity(q))
+    products = {(a, b): compose_el(a, b) for a in group.generators for b in group.generators}
+    report["projection_homomorphism"] = holds and all(
+        c.f == a.f * b.f and satisfies_S(q, c.f, c.gamma) for (a, b), c in products.items())
+    ident = Mat.identity(q.ring, q.n)
+    report["kernel_matches_SE"] = same_kernel and kernel_gens == [
+        ElMorphism(q, ident, s, check=False) for s in kernel.generators()]
     report["closure_structured"] = (
-        group.base.checks["closure"]
+        base.checks["closure"]
         and report["witness_cosets_exhaustive"]
         and report["projection_surjective"]
-        and all(map(group.contains, products.values()))
+        and report["projection_homomorphism"]
     )
 
     action_ok = True

@@ -239,14 +239,17 @@ def xi_group(ring: Ring, eps: int) -> AbelianGroupPresentation:
 
 def xi_char2_field(ring: Ring) -> AbelianGroupPresentation:
     """Independent char-2 presentation: A tensor_Z A modulo a@b - b@a,
-    a@b - a@(b^2 a) and (c^2 a)@b - a@(c^2 b)."""
+    a@b - a@(b^2 a) and (c^2 a)@b - a@(c^2 b).  Its k^2 generators, k = |A|,
+    and the cells of its 3k^3 + 2k^2 relation rows are checked against the
+    cap before any row is built."""
     if not ring.is_field or ring.char != 2:
-        raise ValueError("xi_char2_field needs a field of characteristic 2")
+        raise Unsupported("xi_char2_field needs a field of characteristic 2")
     if not ring.trivial_involution:
-        raise ValueError("xi_char2_field needs the trivial involution")
+        raise Unsupported("xi_char2_field needs the trivial involution")
     elems = ring.elements()
     k = len(elems)
     check_cap(k * k, "xi generators")
+    check_cap((3 * k**3 + 2 * k**2) * k * k, "xi relations")
     idx = {e: i for i, e in enumerate(elems)}
     ngen = k * k
 
@@ -319,9 +322,9 @@ def arf_group(ring: Ring) -> ArfGroup:
     if key in _ARF_CACHE:
         return _ARF_CACHE[key]
     if not ring.is_field or ring.char != 2:
-        raise ValueError("Arf needs a field of characteristic 2")
+        raise Unsupported("Arf needs a field of characteristic 2")
     if not ring.trivial_involution:
-        raise ValueError("Arf needs the trivial involution")
+        raise Unsupported("Arf needs the trivial involution")
     # a -> a^2 - a is additive in characteristic 2: its image is a subgroup
     image = {ring.sub(ring.mul(a, a), a) for a in ring.elements()}
     out = ArfGroup(ring, *_listed_quotient(ring, ring.elements(), image))
@@ -484,7 +487,9 @@ def dickson(f: Mat, q: QuadFormEl) -> int:
     """Dickson invariant rank(f + 1) mod 2 for f orthogonal to q."""
     ring = q.ring
     if not ring.is_field or ring.char != 2:
-        raise ValueError("Dickson needs a field of characteristic 2")
+        raise Unsupported("Dickson needs a field of characteristic 2")
+    if not ring.trivial_involution:
+        raise Unsupported("Dickson needs the trivial involution")
     if check_min(f, q) is None:
         raise ValueError("f is not orthogonal for q")
     return rank_over_field(f + Mat.identity(ring, q.n)) % 2

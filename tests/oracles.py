@@ -172,3 +172,42 @@ def el_group_report_by_pairs(q: QuadFormEl) -> dict:
         "elements_preview": [[m.f.to_strs(), m.gamma.to_strs()] for m in elems[:16]],
         "extension": extension_check_by_elements(q, elems, omin, se, checks["closure"]),
     }
+
+
+# -- closed-form orders of the classical groups over F_q ------------------------
+# D. E. Taylor, The Geometry of the Classical Groups (1992); J. H. Conway et
+# al., ATLAS of Finite Groups (1985), introduction, table 2.
+
+def _prod(values) -> int:
+    out = 1
+    for v in values:
+        out *= v
+    return out
+
+
+def gl_order(n: int, q: int) -> int:
+    """|GL_n(q)| = prod_{i<n} (q^n - q^i)."""
+    return _prod(q**n - q**i for i in range(n))
+
+
+def sp_order(m: int, q: int) -> int:
+    """|Sp_2m(q)| = q^(m^2) prod_{i=1..m} (q^2i - 1)."""
+    return q ** (m * m) * _prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+
+
+def orthogonal_order(m: int, q: int, sign: int) -> int:
+    """|O^sign_2m(q)|, sign = +1 (Witt index m) or -1 (Witt index m - 1):
+    2 q^(m(m-1)) (q^m - sign) prod_{i=1..m-1} (q^2i - 1), in every
+    characteristic."""
+    return 2 * q ** (m * (m - 1)) * (q**m - sign) * _prod(q ** (2 * i) - 1 for i in range(1, m))
+
+
+def odd_orthogonal_order(m: int, q: int) -> int:
+    """|O_2m+1(q)| for odd q: 2 |Sp_2m(q)|."""
+    return 2 * sp_order(m, q)
+
+
+def unitary_order(n: int, q: int) -> int:
+    """|U_n(q)|, the isometries of a nondegenerate hermitian form on F_{q^2}^n:
+    q^(n(n-1)/2) prod_{i=1..n} (q^i - (-1)^i)."""
+    return q ** (n * (n - 1) // 2) * _prod(q**i - (-1) ** i for i in range(1, n + 1))

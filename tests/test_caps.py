@@ -15,7 +15,7 @@ from hermkq.groups import (
 )
 from hermkq.invariants import grothendieck_witt_monoid, witt_classify, xi_char2_field, xi_group
 from hermkq.linalg import Mat, all_matrices
-from hermkq.rings import F2, F4, Zn
+from hermkq.rings import F2, F4, Zn, ring_from_json
 from oracles import is_invertible_by_enumeration
 
 _F2 = F2()
@@ -25,6 +25,8 @@ _ZERO_2x2 = Mat.zero(_F2, 2, 2)
 _Z4 = Zn(4)
 _Z4_UNITS = [Mat(_Z4, [[1, 0]]), Mat(_Z4, [[0, 1]])]
 _EL_F2 = enumerate_group("el", _HYP_F2)
+_F16 = ring_from_json({"kind": "Fq", "p": 2, "deg": 4, "modulus": [1, 1, 0, 0, 1],
+                       "involution": "trivial"})
 
 # name -> (cap, call, message); each message is the first check_cap the call
 # reaches, one step past the cap
@@ -53,6 +55,12 @@ _CASES = {
                "matrix enumeration: search space 2 exceeds cap 1"),
     "xi": (3, lambda: xi_group(_F2, 1), "xi generators: search space 4 exceeds cap 3"),
     "xi-char2": (3, lambda: xi_char2_field(_F2), "xi generators: search space 4 exceeds cap 3"),
+    # 3k^3 + 2k^2 relation rows of k^2 cells, k = |A|, counted before any row
+    "xi-char2-relations": (127, lambda: xi_char2_field(_F2),
+                           "xi relations: search space 128 exceeds cap 127"),
+    # over F16 the relation matrix has 12 800 x 256 cells: refused at once
+    "xi-char2-f16": (2**20, lambda: xi_char2_field(_F16),
+                     "xi relations: search space 3276800 exceeds cap 1048576"),
     "all-matrices": (15, lambda: list(all_matrices(_F2, 2, 2)),
                      "matrix enumeration: search space 16 exceeds cap 15"),
     "bijectivity": (7, lambda: is_invertible_by_enumeration(Mat.identity(_F2, 3)),

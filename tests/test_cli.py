@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from hermkq import caps, cli
 from hermkq.cli import main
 from hermkq.rings import Ring
@@ -54,8 +55,9 @@ def test_group_command(capsys):
     code, out = run(capsys, "group", "--form", HYP_F2, "--variant", "el")
     assert code == 0
     doc = json.loads(out)
-    assert doc["report"]["order"] == 16
-    assert doc["report"]["extension"]["order_min"] == 2
+    # O+2(2) times the 8 symmetric 2 x 2 matrices over F2
+    assert doc["report"]["order"] == 8 * oracles.orthogonal_order(1, 2, 1)
+    assert doc["report"]["extension"]["order_min"] == oracles.orthogonal_order(1, 2, 1)
 
 
 # the hyperbolic plane as each document variant; max carries phi = phi0 + phi0^*
@@ -64,7 +66,8 @@ _PLANE = {"el": [["0", "1"], ["0", "0"]], "min": [["0", "1"], ["0", "0"]],
 
 
 @pytest.mark.parametrize("ring,orders", [
-    ({"kind": "Fp", "p": 2}, {"max": 6, "min": 2, "el": 16}),
+    ({"kind": "Fp", "p": 2}, {"max": oracles.sp_order(1, 2), "min": oracles.orthogonal_order(1, 2, 1),
+                              "el": 8 * oracles.orthogonal_order(1, 2, 1)}),
     ({"kind": "Zn", "n": 4}, {"max": 16, "min": 4, "el": 256}),
 ], ids=["F2", "Z4"])
 @pytest.mark.parametrize("doc_variant", ["el", "min", "max"])
@@ -93,7 +96,9 @@ HYP_F4 = json.dumps(
 )
 
 
-@pytest.mark.parametrize("form,variant,order", [(HYP4_F2, "max", 720), (HYP_F4, "el", 288)],
+# Sp4(2), and U2(2) times the 16 hermitian 2 x 2 matrices over F4
+@pytest.mark.parametrize("form,variant,order", [(HYP4_F2, "max", oracles.sp_order(2, 2)),
+                                                (HYP_F4, "el", 16 * oracles.unitary_order(2, 2))],
                          ids=["Sp4-F2", "el-F4"])
 def test_group_closure_is_exact(capsys, form, variant, order):
     code, out = run(capsys, "group", "--form", form, "--variant", variant)

@@ -3,7 +3,9 @@
 Each case runs through `main` under `--cap 4096`.  Whatever the answer, the
 exit code is in the documented set, stdout holds exactly one JSON document,
 a refusal carries one of the four error labels, no exception escapes `main`,
-and neither os.environ nor the cap is changed.
+and neither os.environ nor the cap is changed.  A quadratic form or ring
+outside the domain of `arf`, `dickson` or `xi --char2-oracle` is refused as
+`unsupported`, and every `cap-exhausted` message names its cap.
 """
 
 import contextlib
@@ -64,9 +66,24 @@ def cases(spec):
     return out
 
 
+def outside_domain(argv, ring):
+    """Whether argv asks arf, dickson or the char-2 xi oracle about a ring
+    they do not cover: one that is not a field of characteristic 2 with the
+    trivial involution.  A max document holds no quadratic form, so arf and
+    dickson refuse it as `bad-input` first."""
+    command = argv[0]
+    if command == "xi":
+        if "--char2-oracle" not in argv:
+            return False
+    elif command not in ("arf", "dickson") or json.loads(argv[2])["variant"] == "max":
+        return False
+    return not (ring.is_field and ring.char == 2 and ring.trivial_involution)
+
+
 @pytest.mark.parametrize("name", list(RINGS))
 def test_cli_sweep(name):
     env, cap = dict(os.environ), global_cap()
+    ring = ring_from_json(RINGS[name])
     argvs = cases(RINGS[name])
     assert len(argvs) == 55
     for argv in argvs:
@@ -78,5 +95,9 @@ def test_cli_sweep(name):
         if "error" in doc:
             assert doc["error"] in ERRORS, (argv, doc)
             assert code in (2, 3), argv
+        if doc.get("error") == "cap-exhausted":
+            assert "exceeds cap" in doc["message"], (argv, doc)
+        if outside_domain(argv, ring):
+            assert doc.get("error") == "unsupported", (argv, doc)
         assert dict(os.environ) == env, argv
         assert global_cap() == cap, argv

@@ -106,11 +106,12 @@ def test_enumerate_group_orders():
     f2 = F2()
     q = hyperbolic(f2, 1, 1)
     gmin = enumerate_group("min", q)
-    assert gmin.order == 2
+    o2 = oracles.orthogonal_order(1, 2, 1)  # O+2(2), of order 2
+    assert gmin.order == o2
     gel = enumerate_group("el", q)
-    assert gel.order == 16 and gel.kernel_order == 8 and gel.base_order == 2
+    assert gel.order == 8 * o2 and gel.kernel_order == 8 and gel.base_order == o2
     gmax = enumerate_group("max", q.associated())
-    assert gmax.order == 6
+    assert gmax.order == oracles.sp_order(1, 2)  # Sp2(2), of order 6
     assert all(v for v in gel.checks.values() if isinstance(v, bool))
 
 
@@ -318,17 +319,37 @@ def test_frame_search_checks_cap_before_building_columns():
 
 
 def test_frame_search_classical_orders():
-    # D. E. Taylor, The Geometry of the Classical Groups (1992)
+    # against the closed forms of the field slice: symplectic, orthogonal
+    # (both types, odd and even q, and odd rank), unitary over F4 with its
+    # Frobenius, and GL_n(F) as the unitary group of the hyperbolic form
+    # over F x F^op
     f2, f3 = F2(), Fp(3)
     hyp4 = hyperbolic(f2, 1, 2)
     anisotropic = QuadFormEl(f2, 1, Mat.from_strs(f2, [["1", "1"], ["0", "1"]]))
-    minus4 = direct_sum(hyperbolic(f2, 1, 1), anisotropic)
     o3 = QuadFormEl(f3, 1, Mat.scalar(f3, 3, 2))  # phi = 2 + 2 = 1
-    assert len(enumerate_unitary(hyp4.associated())) == 720  # Sp4(2)
-    assert len(enumerate_orthogonal_min(hyp4)) == 72  # O+4(2)
-    assert len(enumerate_orthogonal_min(minus4)) == 120  # O-4(2)
-    assert len(enumerate_unitary(o3.associated())) == 48  # O3(3)
-    assert len(enumerate_orthogonal_min(o3)) == 48
+    cases = [
+        ("max", hyperbolic(f2, 1, 1), oracles.sp_order(1, 2)),  # 6
+        ("max", hyp4, oracles.sp_order(2, 2)),  # 720
+        ("max", hyperbolic(f3, -1, 1), oracles.sp_order(1, 3)),  # 24
+        ("max", hyperbolic(F4("trivial"), 1, 1), oracles.sp_order(1, 4)),  # 60
+        ("min", hyperbolic(f2, 1, 1), oracles.orthogonal_order(1, 2, 1)),  # 2
+        ("min", hyp4, oracles.orthogonal_order(2, 2, 1)),  # 72
+        ("min", anisotropic, oracles.orthogonal_order(1, 2, -1)),  # 6
+        ("min", direct_sum(hyperbolic(f2, 1, 1), anisotropic),
+         oracles.orthogonal_order(2, 2, -1)),  # 120
+        ("min", hyperbolic(f3, 1, 1), oracles.orthogonal_order(1, 3, 1)),  # 4
+        # x^2 + y^2 is anisotropic over F3, where -1 is not a square
+        ("min", QuadFormEl(f3, 1, Mat.identity(f3, 2)), oracles.orthogonal_order(1, 3, -1)),  # 8
+        ("min", hyperbolic(f3, 1, 2), oracles.orthogonal_order(2, 3, 1)),  # 1 152
+        ("max", o3, oracles.odd_orthogonal_order(1, 3)),  # 48
+        ("min", o3, oracles.odd_orthogonal_order(1, 3)),
+        ("max", hyperbolic(F4(), 1, 1), oracles.unitary_order(2, 2)),  # 18
+        ("max", HermForm(F4(), 1, Mat.identity(F4(), 3)), oracles.unitary_order(3, 2)),  # 648
+        ("max", hyperbolic(ProductOpRing(F2()), 1, 1), oracles.gl_order(2, 2)),  # 6
+        ("max", hyperbolic(ProductOpRing(f3), 1, 1), oracles.gl_order(2, 3)),  # 48
+    ]
+    for variant, form, order in cases:
+        assert enumerate_group(variant, form).order == order, (variant, form)
 
 
 def test_frame_search_cap_counts_nodes():
@@ -336,7 +357,7 @@ def test_frame_search_cap_counts_nodes():
     # 16 columns, then the inner products of the four levels: 16*48 + 15*8*16
     # + 90*4*4 + 360*2, where the full scan needed 2^16 candidates
     with scoped_cap(4864):
-        assert len(enumerate_unitary(h)) == 720
+        assert len(enumerate_unitary(h)) == oracles.sp_order(2, 2)
     with scoped_cap(4863), pytest.raises(
             CapExceeded, match="matrix enumeration: search space 4864 exceeds cap 4863"):
         enumerate_unitary(h)
@@ -353,8 +374,8 @@ def test_frame_search_cap_counts_nodes():
 
 
 def test_frame_search_order_of_o6_plus_2():
-    # |O+6(2)| = 40 320 (Taylor 1992), under the default cap
-    assert len(enumerate_orthogonal_min(hyperbolic(F2(), 1, 3))) == 40_320
+    # |O+6(2)| = 40 320, under the default cap
+    assert len(enumerate_orthogonal_min(hyperbolic(F2(), 1, 3))) == oracles.orthogonal_order(3, 2, 1)
 
 
 @pytest.mark.parametrize("ring", [F2(), Zn(4), DualRing(F2())], ids=["F2", "Z4", "Dual-F2"])
@@ -571,38 +592,43 @@ _MUTATION_RINGS = pytest.mark.parametrize("ring", [F2(), Fp(3), F4(), Zn(4)],
                                           ids=["F2", "F3", "F4", "Z4"])
 
 
-def _el_group_and_f(ring):
+def _el_group(ring):
     q = hyperbolic(ring, 1, 1)
     group = enumerate_group("el", q)
     assert group.extension["passed"]
-    ident = Mat.identity(ring, 2)
-    f = next(f for f in reversed(group.base.elements) if f != ident)
-    return q, group, f
+    return q, group
+
+
+def _with_lift(group, i, lift):
+    """The generators with the lift of base generator i replaced (dropped
+    when `lift` is None)."""
+    gens = list(group.generators)
+    gens[i:i + 1] = [] if lift is None else [lift]
+    return gens
 
 
 @_MUTATION_RINGS
 def test_extension_check_detects_a_dropped_witness(ring):
-    # the witness of a base generator, and of the last f
-    q, group, f = _el_group_and_f(ring)
-    for drop in (group.base.generators[0], f):
-        lifts = {g: m for g, m in group.lifts.items() if g != drop}
-        keys = _falsified(q, group, lifts=lifts)
+    # the lift of each base generator in turn is left out
+    q, group = _el_group(ring)
+    for i in range(len(group.base.generators)):
+        keys = _falsified(q, group, generators=_with_lift(group, i, None))
         assert {"witness_cosets_exhaustive", "order_product_law"} <= keys
 
 
 @_MUTATION_RINGS
 def test_extension_check_detects_an_f_without_pairs(ring):
-    # the entry of f holds the lift of 1, so no lift lies over f
-    q, group, f = _el_group_and_f(ring)
-    ident = Mat.identity(ring, 2)
-    keys = _falsified(q, group, lifts={**group.lifts, f: group.lifts[ident]})
+    # the lift of a base generator is replaced by the lift of 1, so no lift
+    # lies over that generator
+    q, group = _el_group(ring)
+    keys = _falsified(q, group, generators=_with_lift(group, 0, el_identity(q)))
     assert {"projection_surjective", "witness_cosets_exhaustive", "order_product_law"} <= keys
 
 
 @_MUTATION_RINGS
 def test_extension_check_detects_a_kernel_pair_outside_S(ring):
     # S(E) enlarged by gamma with gamma^* != eps*gamma, which violates (S)
-    q, group, _ = _el_group_and_f(ring)
+    q, group = _el_group(ring)
     ident = Mat.identity(ring, 2)
     gamma = Mat(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
     assert not satisfies_S(q, ident, gamma)
@@ -613,15 +639,15 @@ def test_extension_check_detects_a_kernel_pair_outside_S(ring):
 
 @_MUTATION_RINGS
 def test_extension_check_detects_a_coset_of_non_witnesses(ring):
-    # the witness of f moved by t, t - eps*t^* != 0: its coset is still a
-    # full coset of S(E), but no pair over f satisfies (S); f is the last
-    # element, and then a base generator
-    q, group, f = _el_group_and_f(ring)
+    # the witness of each base generator in turn moved by t, t - eps*t^* !=
+    # 0: its coset is still a full coset of S(E), but no pair over the
+    # generator satisfies (S)
+    q, group = _el_group(ring)
     t = Mat(ring, [[ring.zero, ring.one], [ring.zero, ring.zero]])
-    for g in (f, group.base.generators[0]):
-        moved = ElMorphism(q, g, group.lifts[g].gamma + t, check=False)
-        assert not satisfies_S(q, g, moved.gamma)
-        keys = _falsified(q, group, lifts={**group.lifts, g: moved})
+    for i, lift in enumerate(group.generators[:len(group.base.generators)]):
+        moved = ElMorphism(q, lift.f, lift.gamma + t, check=False)
+        assert not satisfies_S(q, lift.f, moved.gamma)
+        keys = _falsified(q, group, generators=_with_lift(group, i, moved))
         assert {"witness_cosets_exhaustive", "projection_homomorphism"} <= keys
 
 
@@ -652,6 +678,24 @@ def test_extension_check_detects_a_compose_fault_on_one_kind_of_generating_pair(
     assert {"projection_homomorphism", "closure_structured", "passed"} <= keys
 
 
+def test_extension_check_detects_a_compose_in_the_wrong_order(monkeypatch):
+    # compose_el forms b.a for two lifts a, b: the product still satisfies
+    # (S), but over b.f.a.f, which is not a.f.b.f for two of the base's
+    # generators over F4
+    ring = F4()
+    q = hyperbolic(ring, 1, 1)
+    ident = Mat.identity(ring, 2)
+
+    def swapped(a, b):
+        return compose_el(a, b) if ident in (a.f, b.f) else compose_el(b, a)
+
+    monkeypatch.setattr(groups, "compose_el", swapped)
+    group = enumerate_group("el", q)
+    assert not group.checks["closure"]
+    keys = {k for k, v in group.extension.items() if v is False}
+    assert keys == {"projection_homomorphism", "closure_structured", "passed"}
+
+
 def test_el_certificate_composes_generating_pairs_only(monkeypatch):
     calls = []
 
@@ -667,3 +711,36 @@ def test_el_certificate_composes_generating_pairs_only(monkeypatch):
     assert len(calls) <= gens ** 2 and gens <= math.log2(group.order)
     # O^min has 18 elements, so the former lift pairs alone were 324
     assert gens ** 2 < group.base_order ** 2
+
+
+def test_el_group_solves_check_min_once_per_base_generator(monkeypatch):
+    # building lifts only the base's generators; the preview then finds the
+    # lift of each fibre it reads, and contains one per query
+    calls = []
+
+    def counted(f, q):
+        calls.append(f)
+        return check_min(f, q)
+
+    monkeypatch.setattr(groups, "check_min", counted)
+    for ring in (F2(), F4()):
+        q = hyperbolic(ring, 1, 1)
+        calls.clear()
+        group = enumerate_group("el", q)
+        assert group.checks["closure"] and group.extension["passed"]
+        assert calls == group.base.generators
+        group.to_json()
+        fibres = math.ceil(min(16, group.order) / group.kernel_order)
+        assert len(calls) == len(group.base.generators) + fibres
+        assert calls[len(group.base.generators):] == group.base.elements[:fibres]
+        calls.clear()
+        assert group.contains(el_identity(q)) and calls == [Mat.identity(ring, 2)]
+
+
+def test_el_group_refuses_a_certified_f_without_witness(monkeypatch):
+    # every f of O^min has a witness; check_min failing on one is an internal
+    # failure, not a fibre to skip
+    q = hyperbolic(F2(), 1, 1)
+    monkeypatch.setattr(groups, "check_min", lambda f, q: None)
+    with pytest.raises(AssertionError, match="no witness"):
+        enumerate_group("el", q)
