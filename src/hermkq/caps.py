@@ -73,8 +73,9 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     the pairs of that certified group fibre by fibre, one witness solve per
     f, counts its order |O^min|.|S(E)| first ("el pair enumeration").  A
     ring's split-unit scan counts its elements ("split unit scan"); a
-    trivial involution needs no scan.  The char-2 Xi oracle counts its
-    generators, then its relation cells ("xi relations").
+    trivial involution needs no scan.  The Xi group counts the cells of its
+    relation rows ("xi relations"), and so does the char-2 Xi oracle, which
+    counts its generators first ("xi generators").
 
     The limit is the search cap (`global_cap`) unless `cap` is given.  That
     third argument is for a fixed internal limit that is not the search cap,

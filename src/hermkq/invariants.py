@@ -1,6 +1,10 @@
 """Discrete invariants: Gamma/Lambda, the Xi group, Arf, Dickson, and
 rank-bounded Witt / Grothendieck-Witt classification by exhaustive orbits.
 
+The Xi group is presented on the b^2 products g_i@g_j of a polycyclic
+generating set of Gamma/Lambda, b <= log2 |Gamma/Lambda|; `xi_char2_field`
+presents it on all pairs of field elements, as an independent check.
+
 The classification lists the nondegenerate objects of each rank and walks
 their GL_n congruence orbits.  Min objects are the canonical representatives
 of M_n(R) modulo the shift subgroup S = {gamma - eps*gamma^*}, read off its
@@ -167,73 +171,63 @@ class AbelianGroupPresentation:
 
 
 def xi_group(ring: Ring, eps: int) -> AbelianGroupPresentation:
-    """Bak's 2-torsion obstruction group, presented on Gamma/Lambda pairs.
+    """Bak's 2-torsion obstruction group, presented on generators of Gamma/Lambda.
 
-    Quotient of (Gamma/Lambda) tensor_A (Gamma/Lambda) by the symmetry
-    relations a@b - b@a and the quadratic relations a@b - a@(b a conj(b));
-    tensoring over A uses the twisted actions x: gamma -> conj(x) gamma x
-    (right) and gamma -> x gamma conj(x) (left).
+    Xi is (Gamma/Lambda) tensor_A (Gamma/Lambda) modulo the symmetry
+    relations a@b - b@a and the quadratic relations a@b - a@(b a conj(b)).
+    Tensoring over A balances the twisted actions: (conj(x) a x)@b =
+    a@(x b conj(x)) for every x in A.
+
+    A greedy walk over the representatives keeps each one outside the span
+    reached so far as a generator g_i, with the polycyclic relation
+    m_i*g_i = sum_{j<i} c_j*g_j.  So b <= log2 |Gamma/Lambda| generators
+    give every class integer coordinates.  The tensor square of a finite
+    abelian group is generated by the b^2 symbols g_i@g_j and presented by
+    each relation tensored with each g_j on either side (Lang, Algebra,
+    ch. XVI); then a@b = sum a_i b_j g_i@g_j, and no biadditivity row is
+    needed.  The balancing and symmetry relations are additive in a and in
+    b, so generator pairs suffice, with x over all of A.  The quadratic
+    relation is additive in a only: a runs over the generators and b over
+    every representative.  The cells of all rows are checked against the
+    cap ("xi relations") before any row is built.
     """
     if not ring.is_commutative:
         raise Unsupported("xi_group is restricted to commutative rings")
     gl = gamma_lambda(ring, eps)
-    reps = gl.reps
-    k = len(reps)
-    check_cap(k * k, "xi generators")
-    idx = {r: i for i, r in enumerate(reps)}
-    ngen = k * k
+    mul, conj = ring.mul, ring.conj
+    gens, polycyclic, span = [], [], {gl.reps[0]: ()}  # class -> coordinates
+    for g in gl.reps:
+        if g in span:
+            continue
+        multiples = [g]  # t*g for t = 1, ..., m
+        while multiples[-1] not in span:
+            multiples.append(gl.rep_add(multiples[-1], g))
+        gens.append(g)
+        polycyclic.append(tuple(-c for c in span[multiples[-1]]) + (len(multiples),))
+        span = {gl.rep_add(s, tg): c + (t,) for s, c in span.items()
+                for t, tg in enumerate([gl.reps[0]] + multiples[:-1])}
+    b, k = len(gens), len(gl.reps)
+    # 2b^2 polycyclic, |A|b^2 balancing, b^2 symmetry and bk quadratic rows
+    check_cap(((3 + ring.size) * b * b + b * k) * b * b, "xi relations")
+    zero = (0,) * b
+    unit = [zero[:i] + (1,) + zero[i + 1:] for i in range(b)]
 
-    def gen(i, j):
-        return i * k + j
+    def co(a):  # the coordinates of the class of a in Gamma/Lambda
+        return span[gl.coset[a]]
 
-    def vec():
-        return [0] * ngen
+    def row(u, v, u2=zero, v2=zero):  # u@v - u2@v2 in the symbols g_p@g_q
+        return [x * y - x2 * y2 for x, x2 in zip(u, u2) for y, y2 in zip(v, v2)]
 
-    relations = []
-    # biadditivity in each slot (makes the pairing Z-bilinear on the quotient)
-    for i in range(k):
-        for j in range(k):
-            s = idx[gl.rep_add(reps[i], reps[j])]
-            for l in range(k):
-                r = vec()
-                r[gen(s, l)] += 1
-                r[gen(i, l)] -= 1
-                r[gen(j, l)] -= 1
-                relations.append(r)
-                r = vec()
-                r[gen(l, s)] += 1
-                r[gen(l, i)] -= 1
-                r[gen(l, j)] -= 1
-                relations.append(r)
-    # balancing of the twisted A-actions across the tensor sign
+    polycyclic = [rel + zero[len(rel):] for rel in polycyclic]
+    relations = [r for rel in polycyclic for e in unit for r in (row(rel, e), row(e, rel))]
     for x in ring.elements():
-        for i in range(k):
-            right = gl.coset[ring.mul(ring.mul(ring.conj(x), reps[i]), x)]
-            for j in range(k):
-                left = gl.coset[ring.mul(ring.mul(x, reps[j]), ring.conj(x))]
-                r = vec()
-                r[gen(idx[right], j)] += 1
-                r[gen(i, idx[left])] -= 1
-                relations.append(r)
-    # symmetry and the quadratic relation a@b = a@(b a conj(b))
-    for i in range(k):
-        for j in range(k):
-            r = vec()
-            r[gen(i, j)] += 1
-            r[gen(j, i)] -= 1
-            relations.append(r)
-            bab = gl.coset[
-                ring.mul(ring.mul(reps[j], reps[i]), ring.conj(reps[j]))
-            ]
-            r = vec()
-            r[gen(i, j)] += 1
-            r[gen(i, idx[bab])] -= 1
-            relations.append(r)
-    labels = [
-        f"{ring.to_str(reps[i])}@{ring.to_str(reps[j])}"
-        for i in range(k)
-        for j in range(k)
-    ]
+        right = [co(mul(mul(conj(x), g), x)) for g in gens]
+        left = [co(mul(mul(x, g), conj(x))) for g in gens]
+        relations += [row(u, f, e, v) for u, e in zip(right, unit) for v, f in zip(left, unit)]
+    relations += [row(e, f, f, e) for e in unit for f in unit]
+    relations += [row(e, co(r), e, co(mul(mul(r, g), conj(r))))
+                  for g, e in zip(gens, unit) for r in gl.reps]
+    labels = [f"{ring.to_str(g)}@{ring.to_str(h)}" for g in gens for h in gens]
     return AbelianGroupPresentation(labels, relations)
 
 
@@ -716,12 +710,14 @@ def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int) -> WittTabl
 
     Enumerates forms rank by rank, partitions each rank into congruence
     orbits, then merges any orbit with the orbit of its hyperbolic
-    stabilization two ranks up.
+    stabilization two ranks up.  A negative max_rank is a ValueError.
     """
     if variant == "el":
         variant = "min"  # enlarged and min Witt classes coincide object-wise
     if variant not in ("min", "max"):
         raise ValueError("variant must be min, max or el")
+    if max_rank < 0:
+        raise ValueError(f"max_rank must be at least 0, got {max_rank}")
     ranks = {}
     for r in range(max_rank + 1):
         reps = (

@@ -16,6 +16,7 @@ from hermkq.groups import (
     satisfies_S,
     verify_group_axioms,
 )
+from hermkq.invariants import AbelianGroupPresentation, gamma_lambda
 from hermkq.linalg import Mat, all_matrices, invert
 
 
@@ -211,3 +212,75 @@ def unitary_order(n: int, q: int) -> int:
     """|U_n(q)|, the isometries of a nondegenerate hermitian form on F_{q^2}^n:
     q^(n(n-1)/2) prod_{i=1..n} (q^i - (-1)^i)."""
     return q ** (n * (n - 1) // 2) * _prod(q**i - (-1) ** i for i in range(1, n + 1))
+
+
+def xi_group_by_pairs(ring, eps) -> AbelianGroupPresentation:
+    """Bak's 2-torsion obstruction group, presented on all k^2 pairs of the
+    k = |Gamma/Lambda| representatives, with 2k^3 biadditivity rows.
+
+    Quotient of (Gamma/Lambda) tensor_A (Gamma/Lambda) by the symmetry
+    relations a@b - b@a and the quadratic relations a@b - a@(b a conj(b));
+    tensoring over A uses the twisted actions x: gamma -> conj(x) gamma x
+    (right) and gamma -> x gamma conj(x) (left).
+    """
+    if not ring.is_commutative:
+        raise Unsupported("xi_group_by_pairs is restricted to commutative rings")
+    gl = gamma_lambda(ring, eps)
+    reps = gl.reps
+    k = len(reps)
+    check_cap(k * k, "xi generators")
+    idx = {r: i for i, r in enumerate(reps)}
+    ngen = k * k
+
+    def gen(i, j):
+        return i * k + j
+
+    def vec():
+        return [0] * ngen
+
+    relations = []
+    # biadditivity in each slot (makes the pairing Z-bilinear on the quotient)
+    for i in range(k):
+        for j in range(k):
+            s = idx[gl.rep_add(reps[i], reps[j])]
+            for l in range(k):
+                r = vec()
+                r[gen(s, l)] += 1
+                r[gen(i, l)] -= 1
+                r[gen(j, l)] -= 1
+                relations.append(r)
+                r = vec()
+                r[gen(l, s)] += 1
+                r[gen(l, i)] -= 1
+                r[gen(l, j)] -= 1
+                relations.append(r)
+    # balancing of the twisted A-actions across the tensor sign
+    for x in ring.elements():
+        for i in range(k):
+            right = gl.coset[ring.mul(ring.mul(ring.conj(x), reps[i]), x)]
+            for j in range(k):
+                left = gl.coset[ring.mul(ring.mul(x, reps[j]), ring.conj(x))]
+                r = vec()
+                r[gen(idx[right], j)] += 1
+                r[gen(i, idx[left])] -= 1
+                relations.append(r)
+    # symmetry and the quadratic relation a@b = a@(b a conj(b))
+    for i in range(k):
+        for j in range(k):
+            r = vec()
+            r[gen(i, j)] += 1
+            r[gen(j, i)] -= 1
+            relations.append(r)
+            bab = gl.coset[
+                ring.mul(ring.mul(reps[j], reps[i]), ring.conj(reps[j]))
+            ]
+            r = vec()
+            r[gen(i, j)] += 1
+            r[gen(i, idx[bab])] -= 1
+            relations.append(r)
+    labels = [
+        f"{ring.to_str(reps[i])}@{ring.to_str(reps[j])}"
+        for i in range(k)
+        for j in range(k)
+    ]
+    return AbelianGroupPresentation(labels, relations)

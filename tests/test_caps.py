@@ -27,6 +27,8 @@ _Z4_UNITS = [Mat(_Z4, [[1, 0]]), Mat(_Z4, [[0, 1]])]
 _EL_F2 = enumerate_group("el", _HYP_F2)
 _F16 = ring_from_json({"kind": "Fq", "p": 2, "deg": 4, "modulus": [1, 1, 0, 0, 1],
                        "involution": "trivial"})
+_F256 = ring_from_json({"kind": "Fq", "p": 2, "deg": 8, "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1],
+                        "involution": "trivial"})
 
 # name -> (cap, call, message); each message is the first check_cap the call
 # reaches, one step past the cap
@@ -53,7 +55,12 @@ _CASES = {
                  "coset representative enumeration: search space 2 exceeds cap 1"),
     "gw-max": (1, lambda: grothendieck_witt_monoid(_F2, 1, "max", 2),
                "matrix enumeration: search space 2 exceeds cap 1"),
-    "xi": (3, lambda: xi_group(_F2, 1), "xi generators: search space 4 exceeds cap 3"),
+    # (3 + |A|)b^2 + bk relation rows of b^2 cells, b generators of Gamma/Lambda
+    # of order k: over F2, 7 rows of one cell
+    "xi": (6, lambda: xi_group(_F2, 1), "xi relations: search space 7 exceeds cap 6"),
+    # over F256, 18 624 rows of 64 cells: refused at once at the default cap
+    "xi-f256": (2**20, lambda: xi_group(_F256, 1),
+                "xi relations: search space 1191936 exceeds cap 1048576"),
     "xi-char2": (3, lambda: xi_char2_field(_F2), "xi generators: search space 4 exceeds cap 3"),
     # 3k^3 + 2k^2 relation rows of k^2 cells, k = |A|, counted before any row
     "xi-char2-relations": (127, lambda: xi_char2_field(_F2),

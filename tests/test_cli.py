@@ -175,6 +175,72 @@ def test_xi_without_two_lambda_zero_is_unsupported(capsys, ring, eps):
     assert "2*Lambda = 0" in err["message"]
 
 
+_Z4 = {"kind": "Zn", "n": 4}
+# |Gamma/Lambda| = 16 at epsilon 1, where a presentation on all k^2 pairs of
+# representatives runs for minutes, whatever the cap
+_XI_AT_REACH = {
+    "Dual-Z4+e": ["--cap", "4096", "xi", "--epsilon", "1",
+                  "--ring", json.dumps({"kind": "Dual", "base": _Z4, "conj_e": "+e"})],
+    "Z16": ["xi", "--epsilon", "1", "--ring", json.dumps({"kind": "Zn", "n": 16})],
+    "TruncPoly-Z4+t": ["xi", "--epsilon", "1", "--ring",
+                       json.dumps({"kind": "TruncPoly", "base": _Z4, "k": 2, "conj_t": "+t"})],
+}
+
+
+@pytest.mark.parametrize("argv", list(_XI_AT_REACH.values()), ids=list(_XI_AT_REACH))
+def test_xi_at_reach(capsys, argv):
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["xi"]["group"] == "Z/2"
+    assert report["gamma_lambda"]["quotient_order"] == 16
+
+
+@pytest.mark.parametrize("argv,rank", [(["witt", "--ring", "F2"], -3), (["gw", "--ring", "F2"], -1)],
+                         ids=["witt", "gw"])
+def test_negative_max_rank_is_bad_input(capsys, argv, rank):
+    code, out = run(capsys, *argv, "--max-rank", str(rank))
+    assert code == 2
+    assert json.loads(out) == {"error": "bad-input",
+                               "message": f"max_rank must be at least 0, got {rank}"}
+
+
+def _plane(**changes):
+    doc = {"ring": {"kind": "Fp", "p": 2}, "epsilon": 1, "variant": "el",
+           "matrix": [["0", "1"], ["0", "0"]]}
+    doc.update(changes)
+    return doc
+
+
+# name -> (a malformed or out-of-reach group document, its error label)
+_MUTATED_GROUP_DOCS = {
+    "ragged-matrix": (_plane(matrix=[["0", "1"], ["0"]]), "bad-input"),
+    "unparseable-element": (_plane(matrix=[["0", "x"], ["0", "0"]]), "bad-input"),
+    "epsilon-3": (_plane(epsilon=3), "bad-input"),
+    "unknown-ring-kind": (_plane(ring={"kind": "Oops"}), "bad-input"),
+    "missing-p": (_plane(ring={"kind": "Fp"}), "bad-input"),
+    "missing-epsilon": ({k: v for k, v in _plane().items() if k != "epsilon"}, "bad-input"),
+    # too large to build an additive basis for: refused before any search
+    "huge-prime": (_plane(ring={"kind": "Fp", "p": 10**18 + 3}), "cap-exhausted"),
+    "huge-composite": (_plane(ring={"kind": "Zn", "n": 10**18 + 2}), "cap-exhausted"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MUTATED_GROUP_DOCS))
+def test_mutated_group_document_is_refused(capsys, name):
+    doc, label = _MUTATED_GROUP_DOCS[name]
+    start = time.perf_counter()
+    code, out = run(capsys, "group", "--form", json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == label
+    if label == "cap-exhausted":
+        assert "exceeds cap" in err["message"]
+
+
 _M2_F2 = {"kind": "Mat2", "base": {"kind": "Fp", "p": 2}}
 _POLYS_F2 = {"kind": "PolyS", "base": {"kind": "Fp", "p": 2}}
 _ONE_M2 = json.dumps([["1", "0"], ["0", "1"]])

@@ -5,13 +5,15 @@ exit code is in the documented set, stdout holds exactly one JSON document,
 a refusal carries one of the four error labels, no exception escapes `main`,
 and neither os.environ nor the cap is changed.  A quadratic form or ring
 outside the domain of `arf`, `dickson` or `xi --char2-oracle` is refused as
-`unsupported`, and every `cap-exhausted` message names its cap.
+`unsupported`, and every `cap-exhausted` message names its cap.  The xi
+cases at reach, where |Gamma/Lambda| = 16, answer within a second.
 """
 
 import contextlib
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -80,24 +82,51 @@ def outside_domain(argv, ring):
     return not (ring.is_field and ring.char == 2 and ring.trivial_involution)
 
 
+def run_case(argv, ring):
+    """One case through `main` under `--cap 4096`, with the sweep's checks;
+    returns the exit code and the JSON document."""
+    env, cap = dict(os.environ), global_cap()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--cap", "4096", *argv])
+    assert code in (0, 1, 2, 3), argv
+    doc = json.loads(buf.getvalue())
+    if "error" in doc:
+        assert doc["error"] in ERRORS, (argv, doc)
+        assert code in (2, 3), argv
+    if doc.get("error") == "cap-exhausted":
+        assert "exceeds cap" in doc["message"], (argv, doc)
+    if outside_domain(argv, ring):
+        assert doc.get("error") == "unsupported", (argv, doc)
+    assert dict(os.environ) == env, argv
+    assert global_cap() == cap, argv
+    return code, doc
+
+
 @pytest.mark.parametrize("name", list(RINGS))
 def test_cli_sweep(name):
-    env, cap = dict(os.environ), global_cap()
     ring = ring_from_json(RINGS[name])
     argvs = cases(RINGS[name])
     assert len(argvs) == 55
     for argv in argvs:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(["--cap", "4096", *argv])
-        assert code in (0, 1, 2, 3), argv
-        doc = json.loads(buf.getvalue())
-        if "error" in doc:
-            assert doc["error"] in ERRORS, (argv, doc)
-            assert code in (2, 3), argv
-        if doc.get("error") == "cap-exhausted":
-            assert "exceeds cap" in doc["message"], (argv, doc)
-        if outside_domain(argv, ring):
-            assert doc.get("error") == "unsupported", (argv, doc)
-        assert dict(os.environ) == env, argv
-        assert global_cap() == cap, argv
+        run_case(argv, ring)
+
+
+Z4 = {"kind": "Zn", "n": 4}
+# |Gamma/Lambda| = 16 at epsilon 1, where a presentation on all k^2 pairs of
+# representatives runs for minutes
+XI_AT_REACH = {
+    "Dual-Z4+e": {"kind": "Dual", "base": Z4, "conj_e": "+e"},
+    "Z16": {"kind": "Zn", "n": 16},
+    "TruncPoly-Z4+t": {"kind": "TruncPoly", "base": Z4, "k": 2, "conj_t": "+t"},
+}
+
+
+@pytest.mark.parametrize("name", list(XI_AT_REACH))
+def test_cli_xi_at_reach(name):
+    argv = ["xi", "--ring", json.dumps(XI_AT_REACH[name]), "--epsilon", "1"]
+    start = time.perf_counter()
+    code, doc = run_case(argv, ring_from_json(XI_AT_REACH[name]))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert doc["report"]["xi"]["group"] == "Z/2"

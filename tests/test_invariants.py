@@ -25,6 +25,8 @@ from hermkq.rings import F2, F4, DualRing, Fp, Fq, Mat2Ring, ProductOpRing, Trun
 
 
 F4T = Fq(2, 2, (1, 1, 1), "trivial")
+_F8 = Fq(2, 3, (1, 1, 0, 1))
+_F16 = Fq(2, 4, (1, 1, 0, 0, 1))
 
 
 def test_gamma_lambda_examples():
@@ -44,7 +46,8 @@ def test_xi_examples():
 
 
 def test_xi_char2_cross_oracle():
-    for ring in (F2(), F4T):
+    # over F8 the balancing rows are what cut Z/2 x Z/2 down to Z/2
+    for ring in (F2(), F4T, _F8):
         a = xi_group(ring, 1)
         b = xi_char2_field(ring)
         assert a.same_group(b), (a.label(), b.label())
@@ -52,6 +55,53 @@ def test_xi_char2_cross_oracle():
         xi_char2_field(Zn(4))
     with pytest.raises(ValueError):
         xi_char2_field(F4())  # nontrivial involution
+
+
+# rings whose Gamma/Lambda has at most 6 classes, or 16, or is not defined
+_XI_RINGS = {
+    "F2": F2(), "F3": Fp(3), "F4": F4(), "F4-trivial": F4T, "Z4": Zn(4), "Z6": Zn(6),
+    "Dual-F2-e": DualRing(F2()), "Dual-F2+e": DualRing(F2(), "+e"),
+    "Dual-Z4-e": DualRing(Zn(4)), "Dual-Z4+e": DualRing(Zn(4), "+e"), "Dual-F4": DualRing(F4()),
+    "Trunc-F2-2+t": TruncPolyRing(F2(), 2), "Trunc-F2-2-t": TruncPolyRing(F2(), 2, "-t"),
+    "Trunc-Z4-2+t": TruncPolyRing(Zn(4), 2), "Trunc-Z4-2-t": TruncPolyRing(Zn(4), 2, "-t"),
+    "ProductOp-F2": ProductOpRing(F2()),
+}
+
+
+def test_xi_group_matches_the_pairs_oracle():
+    cases = [(ring, eps) for ring in _XI_RINGS.values() for eps in (1, -1)] + [(Zn(8), 1)]
+    compared = 0
+    for ring, eps in cases:
+        try:
+            k = gamma_lambda(ring, eps).quotient_order
+        except ValueError:
+            with pytest.raises(ValueError):
+                xi_group(ring, eps)
+            continue
+        if k > 8:  # Dual(Z/4, +e) and TruncPoly(Z/4, 2, +t) at eps = 1: k = 16
+            continue
+        a, b = xi_group(ring, eps), oracles.xi_group_by_pairs(ring, eps)
+        assert a.same_group(b), (ring.key(), eps, a.label(), b.label())
+        compared += 1
+    assert compared == 29
+
+
+@pytest.mark.parametrize("ring", [
+    Zn(16), Zn(32), DualRing(Zn(4), "+e"), TruncPolyRing(Zn(4), 2), _F16, DualRing(F4T),
+], ids=["Z16", "Z32", "Dual-Z4+e", "Trunc-Z4-2+t", "F16", "Dual-F4-trivial"])
+def test_xi_group_at_reach(ring):
+    # |Gamma/Lambda| >= 16: past the pairs oracle, and no independent oracle
+    # covers these rings; the answer is pinned as computed
+    assert gamma_lambda(ring, 1).quotient_order >= 16
+    assert xi_group(ring, 1).label() == "Z/2"
+
+
+def test_xi_group_presents_on_generator_pairs():
+    # Gamma/Lambda = F2 over F2: one symbol g@g and 2 + 2 + 1 + 2 relation rows
+    pres = xi_group(F2(), 1)
+    assert (len(pres.labels), len(pres.relations)) == (1, 7)
+    # F8: three generators of (Z/2)^3, so 9 symbols
+    assert len(xi_group(_F8, 1).labels) == 9
 
 
 def test_presentation_normal_form():
