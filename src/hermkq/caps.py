@@ -75,7 +75,10 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     ring's split-unit scan counts its elements ("split unit scan"); a
     trivial involution needs no scan.  The Xi group counts the cells of its
     relation rows ("xi relations"), and so does the char-2 Xi oracle, which
-    counts its generators first ("xi generators").
+    counts its generators first ("xi generators").  The Witt tables count
+    the even hermitian candidates of each rank ("matrix enumeration"), and
+    for the min variant the canonical representatives they would give,
+    checked first ("coset representative enumeration").
 
     The limit is the search cap (`global_cap`) unless `cap` is given.  That
     third argument is for a fixed internal limit that is not the search cap,

@@ -13,8 +13,8 @@ subring and of a projector's ideal), 3 `internal-check-failed` (an identity
 the program checks on its own result failed: a fault in the program, not in
 the input).  Besides the group frame search, the cap bounds the listing of
 S(E) for an enlarged group's preview, the scans of a ring's elements for a
-unit, a split unit or the involution, and the Xi generators (their labels
-are in `caps.check_cap`).
+unit, a split unit or the involution, and the cells of the Xi relations (their
+labels are in `caps.check_cap`).
 `python -m hermkq` runs this interface.
 JSON output is deterministic; --format table renders a flat text view.
 """

@@ -6,19 +6,22 @@ generating set of Gamma/Lambda, b <= log2 |Gamma/Lambda|; `xi_char2_field`
 presents it on all pairs of field elements, as an independent check.
 
 The classification lists the nondegenerate objects of each rank and walks
-their GL_n congruence orbits.  Min objects are the canonical representatives
-of M_n(R) modulo the shift subgroup S = {gamma - eps*gamma^*}, read off its
-closed form (`forms.ShiftSubgroup`): the strict upper triangle fixed, the
-diagonal over R/Lambda, the strict lower triangle free.  Their hermitian
-parts are listed and inverted first, and only the representatives over an
-invertible one are built.  Max objects are the even nondegenerate phi with
-phi^* = eps*phi, generated entry by entry.  The orbit walk applies a small
-generating set of GL_n (transvections along a cycle of coordinates and the
-unit scalings of one coordinate) as one row and one column operation on
-row-major tuples, and puts min classes back in canonical form by the same
-closed form, so no n x n product and no echelon reduction is formed per
-step; orbits are kept as indices into the key-sorted representatives, so
-no key is formed either.
+their GL_n congruence orbits.  Max objects are the even nondegenerate phi
+with phi^* = eps*phi, generated entry by entry and inverted once each.  A
+min object determines its max object, its hermitian part phi0 + eps*phi0^*.
+Min objects are the canonical representatives of M_n(R) modulo the shift
+subgroup S = {gamma - eps*gamma^*}, read off its closed form
+(`forms.ShiftSubgroup`): the strict upper triangle zero, the diagonal over
+R/Lambda, the strict lower triangle free.  So they are listed as the fibres
+over the max objects, from the one enumeration.  The orbit walk applies a
+small generating set of GL_n (transvections along a cycle of coordinates
+and the unit scalings of one coordinate) as one row and one column
+operation on row-major tuples, and puts min classes back in canonical form
+by the same closed form, so no n x n product and no echelon reduction is
+formed per step; orbits are kept as indices into the key-sorted
+representatives, so no key is formed either.  Adding H to an orbit's
+representative moves it two ranks up; that chain ends at a top orbit, and
+the orbits with one top form one stable class.
 """
 
 from __future__ import annotations
@@ -72,7 +75,10 @@ def gamma_lambda(ring: Ring, eps: int) -> GammaLambda:
     """Gamma = {a : conj(a) = eps*a}, Lambda = {b - eps*conj(b)}.  Lambda is
     the image of an additive map, so it is a subgroup as it stands.
 
-    Raises Unsupported unless Lambda lies in Gamma, that is 2*Lambda = 0."""
+    Raises Unsupported unless Lambda lies in Gamma, that is 2*Lambda = 0,
+    and ValueError for an eps outside {1, -1}."""
+    if eps not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
     if ring.size is None:
         raise Unsupported("gamma_lambda needs a finite ring")
     check_cap(ring.size, "gamma_lambda scan")
@@ -537,79 +543,74 @@ def _congruence(ring: Ring, n: int, flat: tuple, move: tuple) -> list:
     return out
 
 
+def _even_hermitian(ring: Ring, eps: int, n: int):
+    """Yield the even nondegenerate phi with phi^* = eps*phi at rank n >= 1.
+
+    phi with phi^* = eps*phi is even, phi = phi0 + eps*phi0^*, exactly when
+    its diagonal lies in T = {a + eps*conj(a)}: off the diagonal take
+    phi0_ij = phi_ij for i > j and 0 above.  So the candidates are generated
+    directly: the diagonal in T, the strict lower triangle free and the
+    strict upper triangle its eps-conjugate, |T|^n |R|^(n(n-1)/2) in all,
+    each inverted once.
+    """
+    if ring.size is None:
+        raise Unsupported("ring not enumerable")
+    even = {ring.add(a, _scale(ring, eps, ring.conj(a))) for a in ring.elements()}
+    lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
+    check_cap(len(even) ** n * ring.size ** len(lower), "matrix enumeration")
+    rows = [[ring.zero] * n for _ in range(n)]
+    for diag in product(even, repeat=n):
+        for i in range(n):
+            rows[i][i] = diag[i]
+        for vals in product(ring.elements(), repeat=len(lower)):
+            for (j, i), x in zip(lower, vals):
+                rows[j][i] = x
+                rows[i][j] = _scale(ring, eps, ring.conj(x))
+            phi = Mat(ring, rows)
+            if invert(phi) is not None:
+                yield phi
+
+
 def _min_class_reps(ring: Ring, eps: int, rank: int) -> list[Mat]:
     """Canonical representatives of nondegenerate min classes at one rank,
     sorted by Mat.key.
 
     A canonical representative (`forms.ShiftSubgroup`) has a diagonal d over
     the representatives of R/Lambda, zero above it and a free strict lower
-    triangle l.  Its hermitian part rep + eps*rep^* has the diagonal tau(d)
-    = d + eps*conj(d), eps*conj(l_ji) at (i, j) and l_ji at (j, i): it
-    depends on l and on the tau-vector only, and determines both.  So each
-    hermitian part is built and inverted once, and the representatives over
-    it, the tau-fibres of the diagonal, are built only when it is
-    invertible.
+    triangle l.  Its hermitian part rep + eps*rep^*, the max object it
+    determines, keeps l below the diagonal, has its eps-conjugate above and
+    tau(d) = d + eps*conj(d) on it.  tau vanishes on Lambda, so it takes
+    R/Lambda onto T, and the representatives are the fibres over the max
+    objects: each phi of `_even_hermitian` with its strict upper triangle
+    cleared and each diagonal entry replaced by its tau-preimages.  As
+    |R/Lambda| >= |T|, this count is checked first.
     """
     if rank == 0:
         return [Mat(ring, [])]
     n = rank
     shifts = shift_subgroup(ring, eps, n)
-    lower = [(j, i) for i in range(n) for j in range(i + 1, n)]
-    check_cap(len(shifts.diagonal) ** n * ring.size ** len(lower),
+    check_cap(len(shifts.diagonal) ** n * ring.size ** (n * (n - 1) // 2),
               "coset representative enumeration")
     fibres: dict = {}
     for d in shifts.diagonal:
         fibres.setdefault(ring.add(d, _scale(ring, eps, ring.conj(d))), []).append(d)
     out = []
-    for low in product(ring.elements(), repeat=len(lower)):
-        herm = [[None] * n for _ in range(n)]
-        rep = [[ring.zero] * n for _ in range(n)]
-        for (j, i), x in zip(lower, low):
-            herm[i][j] = _scale(ring, eps, ring.conj(x))
-            herm[j][i] = x
-            rep[j][i] = x
-        for taus in product(fibres, repeat=n):
+    for phi in _even_hermitian(ring, eps, n):
+        rep = [[x if j < i else ring.zero for j, x in enumerate(row)]
+               for i, row in enumerate(phi.entries)]
+        for diag in product(*(fibres[phi.entries[i][i]] for i in range(n))):
             for i in range(n):
-                herm[i][i] = taus[i]
-            if invert(Mat(ring, herm)) is None:
-                continue
-            for diag in product(*(fibres[t] for t in taus)):
-                for i in range(n):
-                    rep[i][i] = diag[i]
-                out.append(Mat(ring, rep))
+                rep[i][i] = diag[i]
+            out.append(Mat(ring, rep))
     return sorted(out, key=Mat.key)
 
 
 def _max_class_reps(ring: Ring, eps: int, rank: int) -> list[Mat]:
-    """Even nondegenerate hermitian forms at one rank (the max objects).
-
-    phi with phi^* = eps*phi is even, phi = phi0 + eps*phi0^*, exactly when
-    its diagonal lies in T = {a + eps*conj(a)}: off the diagonal take
-    phi0_ij = phi_ij for i < j and 0 below.  So the candidates are generated
-    directly: the diagonal in T, the strict upper triangle free and the
-    strict lower triangle its eps-conjugate, |T|^n |R|^(n(n-1)/2) in all.
-    """
+    """Even nondegenerate hermitian forms at one rank (the max objects),
+    sorted by Mat.key."""
     if rank == 0:
         return [Mat(ring, [])]
-    if ring.size is None:
-        raise Unsupported("ring not enumerable")
-    n = rank
-    even = {ring.add(a, _scale(ring, eps, ring.conj(a))) for a in ring.elements()}
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    check_cap(len(even) ** n * ring.size ** len(upper), "matrix enumeration")
-    out = []
-    for diag in product(even, repeat=n):
-        for vals in product(ring.elements(), repeat=len(upper)):
-            rows = [[ring.zero] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = diag[i]
-            for (i, j), x in zip(upper, vals):
-                rows[i][j] = x
-                rows[j][i] = _scale(ring, eps, ring.conj(x))
-            phi = Mat(ring, rows)
-            if invert(phi) is not None:
-                out.append(phi)
-    return sorted(out, key=Mat.key)
+    return sorted(_even_hermitian(ring, eps, rank), key=Mat.key)
 
 
 def _orbits(ring, eps, rank, reps, variant):
@@ -673,6 +674,15 @@ class WittTable:
         except KeyError:
             raise KeyError("representative not classified") from None
 
+    def sum_class(self, a: Mat, b: Mat) -> int:
+        """Index of the orbit that holds a (+) b at rank a.rows + b.rows."""
+        s = diag_block(self.ring, [a, b])
+        # rank 0 has no entries to put in canonical form, and the shift
+        # table's additive basis could refuse a large ring
+        if self.variant == "min" and s.rows > 0:
+            s = shift_subgroup(self.ring, self.eps, s.rows).coset_canonical(s)
+        return self.class_of(s.rows, s)
+
     def to_json(self):
         return {
             "ring": self.ring.to_json(),
@@ -699,19 +709,19 @@ class WittTable:
         return "\n".join(lines)
 
 
-def _canonicalize(ring, eps, variant, rank, mat):
-    if variant == "min" and rank > 0:
-        return shift_subgroup(ring, eps, rank).coset_canonical(mat)
-    return mat
-
-
 def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int) -> WittTable:
     """Stable classes of nondegenerate forms modulo hyperbolics, rank <= max_rank.
 
-    Enumerates forms rank by rank, partitions each rank into congruence
-    orbits, then merges any orbit with the orbit of its hyperbolic
-    stabilization two ranks up.  A negative max_rank is a ValueError.
+    Partitions each rank into congruence orbits.  Each orbit up to rank
+    max_rank - 2 has one edge, to the orbit of its representative plus H
+    two ranks up, so following the edges from any orbit ends at a top orbit
+    of rank max_rank or max_rank - 1.  A stable class is the set of orbits
+    with one top; its members are sorted, and the classes come in the order
+    of their least members.  A negative max_rank, or an eps outside {1, -1},
+    is a ValueError.
     """
+    if eps not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
     if variant == "el":
         variant = "min"  # enlarged and min Witt classes coincide object-wise
     if variant not in ("min", "max"):
@@ -728,39 +738,18 @@ def witt_classify(ring: Ring, eps: int, variant: str, max_rank: int) -> WittTabl
         ranks[r] = _orbits(ring, eps, r, reps, variant) if reps else []
     table = WittTable(ring, eps, variant, max_rank, ranks)
 
-    # union-find over (rank, orbit index)
-    nodes = [(r, i) for r in ranks for i in range(len(ranks[r]))]
-    parent = {n: n for n in nodes}
-
-    def find(n):
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     hyp = hyperbolic(ring, eps, 1)
     hyp_mat = hyp.phi0 if variant == "min" else hyp.associated().phi
-    for r in ranks:
-        if r + 2 > max_rank:
-            continue
+    top = {}  # (rank, orbit index) -> the top orbit its chain of edges reaches
+    for r in reversed(ranks):
         for i, orbit in enumerate(ranks[r]):
-            rep = orbit[0]
-            stab = diag_block(ring, [rep, hyp_mat])
-            stab = _canonicalize(ring, eps, variant, r + 2, stab)
-            j = table.class_of(r + 2, stab)
-            union((r, i), (r + 2, j))
-
-    groups: dict = {}
-    for n in nodes:
-        groups.setdefault(find(n), []).append(n)
+            up = (r + 2, table.sum_class(orbit[0], hyp_mat)) if r + 2 <= max_rank else None
+            top[(r, i)] = top[up] if up else (r, i)
+    classes: dict = {}
+    for node in sorted(top):
+        classes.setdefault(top[node], []).append(node)
     stable = []
-    for root in sorted(groups):
-        members = sorted(groups[root])
+    for members in classes.values():
         min_rank, idx = members[0]
         rep = ranks[min_rank][idx][0]
         entry = {
@@ -789,7 +778,7 @@ class GWTable:
     eps: int
     variant: str
     max_rank: int
-    classes: list  # dicts: rank, index, orbit_size, representative
+    classes: list  # dicts: index, rank, orbit_size, representative
     sums: dict  # (i, j) -> k  indices into classes
 
     def to_json(self):
@@ -798,39 +787,25 @@ class GWTable:
             "epsilon": self.eps,
             "variant": self.variant,
             "max_rank": self.max_rank,
-            "classes": [
-                {k: v for k, v in c.items() if k != "rep_mat"} for c in self.classes
-            ],
+            "classes": self.classes,
             "sums": {f"{i}+{j}": k for (i, j), k in sorted(self.sums.items())},
         }
 
 
 def grothendieck_witt_monoid(ring, eps, variant, max_rank) -> GWTable:
     """Isomorphism classes with their partial direct-sum table, rank-bounded."""
-    if variant == "el":
-        variant = "min"
     table = witt_classify(ring, eps, variant, max_rank)
-    classes = []
-    lookup = {}
+    first, reps, classes = {}, [], []  # first: rank -> index of its first class
     for r, orbits in table.ranks.items():
-        for i, orbit in enumerate(orbits):
-            lookup[(r, i)] = len(classes)
-            classes.append(
-                {
-                    "index": len(classes),
-                    "rank": r,
-                    "orbit_size": len(orbit),
-                    "representative": orbit[0].to_strs(),
-                    "rep_mat": orbit[0],
-                }
-            )
+        first[r] = len(classes)
+        for orbit in orbits:
+            reps.append(orbit[0])
+            classes.append({"index": len(classes), "rank": r, "orbit_size": len(orbit),
+                            "representative": orbit[0].to_strs()})
     sums = {}
-    for a in classes:
-        for b in classes:
+    for a, x in zip(classes, reps):
+        for b, y in zip(classes, reps):
             r = a["rank"] + b["rank"]
-            if r > max_rank:
-                continue
-            s = diag_block(ring, [a["rep_mat"], b["rep_mat"]])
-            s = _canonicalize(ring, eps, variant, r, s)
-            sums[(a["index"], b["index"])] = lookup[(r, table.class_of(r, s))]
-    return GWTable(ring, eps, variant, max_rank, classes, sums)
+            if r <= max_rank:
+                sums[(a["index"], b["index"])] = first[r] + table.sum_class(x, y)
+    return GWTable(ring, eps, table.variant, max_rank, classes, sums)

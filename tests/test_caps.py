@@ -15,7 +15,7 @@ from hermkq.groups import (
 )
 from hermkq.invariants import grothendieck_witt_monoid, witt_classify, xi_char2_field, xi_group
 from hermkq.linalg import Mat, all_matrices
-from hermkq.rings import F2, F4, Zn, ring_from_json
+from hermkq.rings import F2, F4, DualRing, Fp, Fq, Zn, ring_from_json
 from oracles import is_invertible_by_enumeration
 
 _F2 = F2()
@@ -29,6 +29,8 @@ _F16 = ring_from_json({"kind": "Fq", "p": 2, "deg": 4, "modulus": [1, 1, 0, 0, 1
                        "involution": "trivial"})
 _F256 = ring_from_json({"kind": "Fq", "p": 2, "deg": 8, "modulus": [1, 1, 0, 1, 1, 0, 0, 0, 1],
                         "involution": "trivial"})
+_F1031_2 = Fq(1031, 2, (1, 0, 1), "frobenius")  # x^2 + 1 is irreducible as 1031 = 3 mod 4
+_DUAL_F1031 = DualRing(Fp(1031))
 
 # name -> (cap, call, message); each message is the first check_cap the call
 # reaches, one step past the cap
@@ -68,6 +70,11 @@ _CASES = {
     # over F16 the relation matrix has 12 800 x 256 cells: refused at once
     "xi-char2-f16": (2**20, lambda: xi_char2_field(_F16),
                      "xi relations: search space 3276800 exceeds cap 1048576"),
+    # a ring of 1031^2 elements with a nontrivial involution: refused at once
+    "split-unit-f1031-2": (2**20, lambda: _F1031_2.find_split_unit(),
+                           "split unit scan: search space 1062961 exceeds cap 1048576"),
+    "split-unit-dual-f1031": (2**20, lambda: _DUAL_F1031.find_split_unit(),
+                              "split unit scan: search space 1062961 exceeds cap 1048576"),
     "all-matrices": (15, lambda: list(all_matrices(_F2, 2, 2)),
                      "matrix enumeration: search space 16 exceeds cap 15"),
     "bijectivity": (7, lambda: is_invertible_by_enumeration(Mat.identity(_F2, 3)),

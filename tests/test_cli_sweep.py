@@ -5,8 +5,8 @@ exit code is in the documented set, stdout holds exactly one JSON document,
 a refusal carries one of the four error labels, no exception escapes `main`,
 and neither os.environ nor the cap is changed.  A quadratic form or ring
 outside the domain of `arf`, `dickson` or `xi --char2-oracle` is refused as
-`unsupported`, and every `cap-exhausted` message names its cap.  The xi
-cases at reach, where |Gamma/Lambda| = 16, answer within a second.
+`unsupported`, every `cap-exhausted` message names its cap, and each case
+ends within a second, the xi cases at reach (|Gamma/Lambda| = 16) too.
 """
 
 import contextlib
@@ -83,12 +83,14 @@ def outside_domain(argv, ring):
 
 
 def run_case(argv, ring):
-    """One case through `main` under `--cap 4096`, with the sweep's checks;
-    returns the exit code and the JSON document."""
+    """One case through `main` under `--cap 4096`, with the sweep's checks
+    and a bound of one second; returns the exit code and the JSON document."""
     env, cap = dict(os.environ), global_cap()
     buf = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(buf):
         code = main(["--cap", "4096", *argv])
+    assert time.perf_counter() - start < 1.0, argv
     assert code in (0, 1, 2, 3), argv
     doc = json.loads(buf.getvalue())
     if "error" in doc:
@@ -125,8 +127,6 @@ XI_AT_REACH = {
 @pytest.mark.parametrize("name", list(XI_AT_REACH))
 def test_cli_xi_at_reach(name):
     argv = ["xi", "--ring", json.dumps(XI_AT_REACH[name]), "--epsilon", "1"]
-    start = time.perf_counter()
     code, doc = run_case(argv, ring_from_json(XI_AT_REACH[name]))
-    assert time.perf_counter() - start < 1.0
     assert code == 0
     assert doc["report"]["xi"]["group"] == "Z/2"

@@ -20,7 +20,7 @@ from hermkq.invariants import (
     xi_char2_field,
     xi_group,
 )
-from hermkq.linalg import Mat, all_matrices, invert
+from hermkq.linalg import Mat, all_matrices, diag_block, invert
 from hermkq.rings import F2, F4, DualRing, Fp, Fq, Mat2Ring, ProductOpRing, TruncPolyRing, Zn
 
 
@@ -210,6 +210,15 @@ def test_witt_f2_min():
     assert (2, table.class_of(2, hyp2)) in members
     hyp4 = hyperbolic(F2(), 1, 2).min_canonical()
     assert (4, table.class_of(4, hyp4)) in members
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_lambda(F2(), 0), lambda: xi_group(F2(), 2),
+    lambda: witt_classify(Fp(3), 2, "max", 2), lambda: grothendieck_witt_monoid(F2(), -2, "min", 1),
+], ids=["gamma-lambda", "xi", "witt", "gw"])
+def test_epsilon_outside_plus_minus_one_is_refused(call):
+    with pytest.raises(ValueError, match="epsilon must be"):
+        call()
 
 
 def test_witt_f2_max_collapses():
@@ -425,3 +434,41 @@ def test_gl_moves_generate_gl3_z4():
                 seen.add(nxt)
                 frontier.append(nxt)
     assert len(seen) == 2**9 * 168
+
+
+def _stable_classes_by_one_block(table):
+    """The stable classes of `table`, each orbit stabilized straight to its
+    top rank by one block H(k) and grouped by the orbit it lands in."""
+    ring, eps, top_rank = table.ring, table.eps, table.max_rank
+    groups = {}
+    for r, orbits in table.ranks.items():
+        k = (top_rank - r) // 2
+        hyp = hyperbolic(ring, eps, k)
+        block = hyp.phi0 if table.variant == "min" else hyp.associated().phi
+        for i, orbit in enumerate(orbits):
+            s = diag_block(ring, [orbit[0], block])
+            if table.variant == "min" and s.rows > 0:
+                s = shift_subgroup(ring, eps, s.rows).coset_canonical(s)
+            groups.setdefault((s.rows, table.class_of(s.rows, s)), []).append([r, i])
+    return sorted(groups.values())
+
+
+_STABLE_CASES = {**{f"{name}-2": (ring, 2) for name, ring in _CLASS_RINGS.items()},
+                 "F2-4": (F2(), 4), "F3-3": (Fp(3), 3)}
+
+
+@pytest.mark.parametrize("ring,max_rank", list(_STABLE_CASES.values()), ids=list(_STABLE_CASES))
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("variant", ["min", "max"])
+def test_stable_classes_match_one_hyperbolic_block(ring, max_rank, eps, variant):
+    table = witt_classify(ring, eps, variant, max_rank)
+    members = [c["members"] for c in table.stable_classes]
+    assert members == _stable_classes_by_one_block(table)
+    assert [c["class"] for c in table.stable_classes] == list(range(len(members)))
+
+
+def test_gw_rank_zero_needs_no_shift_table():
+    # rank 0 has no entries to canonicalize; the shift table's additive basis
+    # would refuse Z/6006
+    table = grothendieck_witt_monoid(Zn(6006), 1, "min", 0)
+    assert len(table.classes) == 1 and table.sums == {(0, 0): 0}
