@@ -11,11 +11,21 @@ products, blocks and determinant are those of `Mat`, and its s-adjoint is
 its dual by the hermitian form Delta of the datum, endomorphisms of the
 tensor factor carry the twisted adjoint X -> Delta^{-1} X^bar-t Delta.  All
 identities below are verified exactly.
+
+A substitution p(phi) -- a cup product, Lemma 2's shift, the linearization
+replay -- is a sum over the powers Delta phi^k (phi^k for the replay's
+unimodular factors), and every such sum with one datum needs the same
+powers.  So the datum owns them: `DeltaDatum.powers` forms each power once
+and keeps it on the datum, where it is freed with the datum (a module table
+keyed by object identity would outlive it, and could answer for a later
+object at a reused address).  The powers are derived from Delta and phi, so
+the datum's equality and repr ignore them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .additive import extend_span, solve_affine
 from .caps import Unsupported
@@ -71,18 +81,43 @@ def _as_matpoly(m: Mat) -> MatPoly:
     return MatPoly._trusted(m.ring, m.entries, m.rows, m.cols)
 
 
-def _substitute(p: Mat, phi: Mat, left: Mat) -> Mat:
-    """sum_k p_k (x) left*phi^k for p = sum_k p_k s^k over A[s]: the ring
-    homomorphism s -> phi into the Kronecker algebra, with `left` (Delta for
-    a cup product, 1 for a plain substitution) on the second factor."""
-    out = Mat.zero(p.ring.base, p.rows * left.rows, p.cols * left.cols)
-    power = left
-    for k, c in enumerate(_as_matpoly(p).coeffs):
-        if k:
-            power = power * phi
-        if not c.is_zero():
-            out = out + kron(c, power)
-    return out
+def _substitute(p: Mat, d: "DeltaDatum", gram: bool = True) -> Mat:
+    """sum_k p_k (x) L phi^k for p = sum_k p_k s^k over A[s], with L = Delta
+    (a cup product) or L = 1 (a plain substitution, `gram=False`): the ring
+    homomorphism s -> phi into the Kronecker algebra, with L on the second
+    factor.
+
+    The powers L phi^k are read from the datum (`DeltaDatum.powers`), which
+    forms each one once for all the substitutions into it.  Block (i, j) of
+    the output is e(phi) = sum_k e_k L phi^k for the entry e = p[i][j] over
+    A[s], summed once per distinct entry over its nonzero coefficients and
+    written straight into the output rows.
+    """
+    R = d.ring
+    add, mul, zero = R.add, R.mul, R.zero
+    m = d.m
+    powers = d.powers(max(map(len, chain.from_iterable(p.entries)), default=0), gram)
+    blocks = {(): [(zero,) * m] * m}  # entry -> the rows of its block
+
+    def block_of(e) -> list:
+        # e is trimmed, so its top coefficient is a nonzero first term
+        (c, first), *rest = [(c, powers[k].entries) for k, c in enumerate(e) if c != zero]
+        rows = [[mul(c, x) for x in row] for row in first]
+        for c, power in rest:
+            rows = [list(map(add, acc, [mul(c, x) for x in row])) for acc, row in zip(rows, power)]
+        return rows
+
+    out = []
+    for prow in p.entries:
+        row_blocks = []
+        for e in prow:
+            b = blocks.get(e)
+            if b is None:
+                b = blocks[e] = block_of(e)
+            row_blocks.append(b)
+        for a in range(m):
+            out.append(tuple([x for b in row_blocks for x in b[a]]))
+    return Mat._trusted(R, tuple(out), p.rows * m, p.cols * m)
 
 
 def _poly_unit(ring: Ring, coeffs: tuple) -> bool:
@@ -165,6 +200,10 @@ class DeltaDatum:
     gram: Mat
     phi: Mat
     gram_inv: Mat = field(default=None, repr=False)
+    # [Delta, Delta phi, Delta phi^2, ...] and [1, phi, phi^2, ...], grown by
+    # `powers`; derived from gram and phi, so not part of the datum's value
+    _gram_powers: list = field(default=None, init=False, compare=False, repr=False)
+    _phi_powers: list = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.gram.star() != self.gram.scale_sign(self.eta):
@@ -173,11 +212,24 @@ class DeltaDatum:
         if inv is None:
             raise DegenerateFormError("gram must be invertible")
         object.__setattr__(self, "gram_inv", inv)
-        if self.phi + self.adjoint(self.phi) != Mat.identity(self.ring, self.m):
+        identity = Mat.identity(self.ring, self.m)
+        if self.phi + self.adjoint(self.phi) != identity:
             raise ValueError("phi fails phi + phi^* = 1")
+        self._gram_powers = [self.gram]
+        self._phi_powers = [identity]
 
     def adjoint(self, x: Mat) -> Mat:
         return self.gram_inv * x.star() * self.gram
+
+    def powers(self, count: int, gram: bool = True) -> list[Mat]:
+        """At least `count` of the powers L phi^k, k = 0, 1, ..., with
+        L = Delta (or 1 when `gram` is False).  Each power is formed once per
+        datum and kept: every cup product, shift and replay with this datum
+        substitutes into the same powers."""
+        out = self._gram_powers if gram else self._phi_powers
+        while len(out) < count:
+            out.append(out[-1] * self.phi)
+        return out
 
     @staticmethod
     def from_quadform(q: QuadFormEl) -> "DeltaDatum":
@@ -203,6 +255,7 @@ class AlmostHermitian:
     g: Mat
     nilpotent: Mat
     index: int
+    _linear: PolyQuadForm = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def from_matrix(ring: Ring, eps: int, g: Mat) -> "AlmostHermitian":
@@ -229,10 +282,14 @@ class AlmostHermitian:
             raise AssertionError("almost hermitian identity failed")
 
     def linear_form(self) -> PolyQuadForm:
-        zero = Mat.zero(self.ring, self.g.rows, self.g.cols)
-        return PolyQuadForm(
-            self.ring, self.eps, MatPoly(self.ring, self.g.rows, self.g.cols, [zero, self.g])
-        )
+        """The form g*s; built once per object, so that its A[s] determinant
+        is taken once however many data it is paired with."""
+        if self._linear is None:
+            zero = Mat.zero(self.ring, self.g.rows, self.g.cols)
+            self._linear = PolyQuadForm(
+                self.ring, self.eps, MatPoly(self.ring, self.g.rows, self.g.cols, [zero, self.g])
+            )
+        return self._linear
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +307,7 @@ def cup_product(theta: PolyQuadForm, d: DeltaDatum) -> QuadFormEl:
         raise ValueError("cup product factors must share a ring")
     if not theta.nondegenerate():
         raise DegenerateFormError("theta is degenerate")
-    return QuadFormEl(theta.ring, theta.eps * d.eta, _substitute(theta.theta, d.phi, d.gram))
+    return QuadFormEl(theta.ring, theta.eps * d.eta, _substitute(theta.theta, d))
 
 
 def kappa_hermitian_two_ways(theta: PolyQuadForm, d: DeltaDatum):
@@ -259,7 +316,7 @@ def kappa_hermitian_two_ways(theta: PolyQuadForm, d: DeltaDatum):
     kappa = cup_product(theta, d).phi0
     eps_out = theta.eps * d.eta
     direct = kappa + kappa.star().scale_sign(eps_out)
-    lifted = _substitute(theta.hermitian(), d.phi, d.gram)  # H(s) = theta + eps theta^*
+    lifted = _substitute(theta.hermitian(), d)  # H(s) = theta + eps theta^*
     return direct, lifted
 
 
@@ -292,7 +349,7 @@ def lemma2_shift(theta: PolyQuadForm, z: Mat, d: DeltaDatum | None = None):
     if d is not None:
         kappa = cup_product(theta, d).phi0
         kappa2 = cup_product(theta2, d).phi0
-        gamma = _substitute(z, d.phi, d.gram)
+        gamma = _substitute(z, d)
         eps_out = theta.eps * d.eta
         if kappa2 != kappa + gamma - gamma.star().scale_sign(eps_out):
             raise AssertionError("explicit cup-product shift failed")
@@ -421,11 +478,11 @@ def linearize_cup_soundness(
         if step["kind"] == "degree_reduction":
             hyp_kappa = kron(hyperbolic(R, 1, rank).phi0, d.gram)
             stabilized = diag_block(R, [kappa, hyp_kappa])
-            q_sub = _substitute(step["_q"], d.phi, Mat.identity(R, d.m))
+            q_sub = _substitute(step["_q"], d, gram=False)
             kappa = q_sub.star() * stabilized * q_sub
             rank *= 3
         else:
-            gamma = _substitute(step["_z"], d.phi, d.gram)
+            gamma = _substitute(step["_z"], d)
             kappa = kappa + gamma - gamma.star().scale_sign(eps_out)
     return cup_product(almost.linear_form(), d).phi0 == kappa
 

@@ -200,16 +200,15 @@ def block(ring: Ring, grid) -> Mat:
 
 
 def diag_block(ring: Ring, mats) -> Mat:
-    total_r = sum(m.rows for m in mats)
     total_c = sum(m.cols for m in mats)
-    out = [[ring.zero] * total_c for _ in range(total_r)]
-    r = c = 0
+    z = ring.zero
+    rows = []
+    c = 0
     for m in mats:
-        for i in range(m.rows):
-            out[r + i][c: c + m.cols] = list(m.entries[i])
-        r += m.rows
+        left, right = (z,) * c, (z,) * (total_c - c - m.cols)
+        rows.extend(left + row + right for row in m.entries)
         c += m.cols
-    return Mat(ring, out)
+    return Mat._trusted(ring, tuple(rows), len(rows), total_c)
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -218,11 +217,10 @@ def kron(a: Mat, b: Mat) -> Mat:
     if not R.is_commutative:
         raise ValueError("kron needs a commutative ring")
     mul = R.mul
-    out = []
-    for arow in a.entries:
-        for brow in b.entries:
-            out.append([mul(x, y) for x in arow for y in brow])
-    return Mat(R, out)
+    out = tuple(
+        tuple([mul(x, y) for x in arow for y in brow]) for arow in a.entries for brow in b.entries
+    )
+    return Mat._trusted(R, out, a.rows * b.rows, a.cols * b.cols)
 
 
 def _gauss_jordan(R: Ring, a: list, width: int) -> int:

@@ -941,6 +941,9 @@ class PolySRing(Ring):
         self.size = None
         self.char = base.char
         self.is_commutative = base.is_commutative
+        # row i: the pairs (k, image of C(i, k) (-1)^k) with a nonzero image,
+        # the expansion of (1 - s)^i; grown by `_conj` as degrees need
+        self._binomial_rows = []
         super().__init__()
 
     def _zero(self):
@@ -950,14 +953,14 @@ class PolySRing(Ring):
         return (self.base.one,)
 
     def _add(self, a, b):
-        B = self.base
-        n = max(len(a), len(b))
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else B.zero
-            y = b[i] if i < len(b) else B.zero
-            out.append(B.add(x, y))
-        return _poly_trim_ring(out, B)
+        # elements are trimmed: the sum keeps the longer one's top
+        # coefficient unless the two have the same length
+        if len(a) < len(b):
+            a, b = b, a
+        head = list(map(self.base.add, a, b))
+        if len(a) > len(b):
+            return tuple(head) + a[len(b):]
+        return _poly_trim_ring(head, self.base)
 
     def _neg(self, a):
         return tuple(self.base.neg(c) for c in a)
@@ -975,14 +978,19 @@ class PolySRing(Ring):
     def _conj(self, a):
         """conj(sum c_i s^i) = sum conj(c_i) (1-s)^i, expanded binomially."""
         B = self.base
-        out = [B.zero] * (len(a) or 1)
-        for i, c in enumerate(a):
+        add, mul, zero = B.add, B.mul, B.zero
+        rows = self._binomial_rows
+        while len(rows) < len(a):
+            i = len(rows)
+            images = ((k, B.int_embed(math.comb(i, k) * (-1) ** k)) for k in range(i + 1))
+            rows.append([(k, x) for k, x in images if x != zero])
+        out = [zero] * (len(a) or 1)
+        for c, row in zip(a, rows):
             cc = B.conj(c)
-            if cc == B.zero:
+            if cc == zero:
                 continue
-            for k in range(i + 1):
-                coeff = B.int_embed(math.comb(i, k) * (-1) ** k)
-                out[k] = B.add(out[k], B.mul(cc, coeff))
+            for k, x in row:
+                out[k] = add(out[k], mul(cc, x))
         return _poly_trim_ring(out, B)
 
     def _contains(self, a):

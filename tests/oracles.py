@@ -5,6 +5,7 @@ from itertools import product
 
 from hermkq.additive import additive_basis, solve_affine
 from hermkq.caps import Unsupported, check_cap
+from hermkq.clauwens import MatPoly
 from hermkq.forms import QuadFormEl, selfadjoint_subgroup
 from hermkq.groups import (
     ElMorphism,
@@ -17,12 +18,27 @@ from hermkq.groups import (
     verify_group_axioms,
 )
 from hermkq.invariants import AbelianGroupPresentation, gamma_lambda
-from hermkq.linalg import Mat, all_matrices, invert
+from hermkq.linalg import Mat, all_matrices, invert, kron
 
 
 def _shift_map(eps):
     """L(g) = g - eps*g^*, whose solutions of L(gamma) = d are the witnesses."""
     return lambda g: g - g.star().scale_sign(eps)
+
+
+def substitute_by_kron(p: Mat, phi: Mat, left: Mat) -> Mat:
+    """sum_k p_k (x) left*phi^k for p = sum_k p_k s^k over A[s], one
+    Kronecker product per nonzero coefficient matrix and the powers formed
+    afresh: the definition of the substitution s -> phi."""
+    out = Mat.zero(p.ring.base, p.rows * left.rows, p.cols * left.cols)
+    power = left
+    coeffs = MatPoly._trusted(p.ring, p.entries, p.rows, p.cols).coeffs
+    for k, c in enumerate(coeffs):
+        if k:
+            power = power * phi
+        if not c.is_zero():
+            out = out + kron(c, power)
+    return out
 
 
 def is_invertible_by_enumeration(m: Mat) -> bool:

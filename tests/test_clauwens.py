@@ -16,6 +16,7 @@ from hermkq.clauwens import (
     _generated_subring,
     _poly_unit,
     _stabilize_theta,
+    _substitute,
     cup_product,
     kappa_hermitian_two_ways,
     kappa_nondegenerate,
@@ -29,7 +30,7 @@ from hermkq.clauwens import (
 from hermkq.cli import main
 from hermkq.forms import DegenerateFormError, QuadFormEl, hyperbolic, min_equal
 from hermkq.linalg import Mat, _det_comm, all_matrices, block, invert, kron
-from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, PolySRing, Zn
+from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, PolySRing, Zn, ring_from_json
 
 
 F2_ = F2()
@@ -573,3 +574,106 @@ def test_projector_ideal_past_the_span_limit_is_refused_at_once():
     with pytest.raises(CapExceeded, match="^ideal span exceeds cap$"):
         projector_conjugator(p0, p0, gens)
     assert time.perf_counter() - start < 2.0
+
+
+# ---------------------------------------------------------------------------
+# substitution p(phi) from the datum's powers, against its definition
+
+SUBSTITUTION_RINGS = [
+    ("F2", F2_), ("F3", Fp(3)), ("F4", F4()), ("Z4", Zn(4)), ("DualF2", DualRing(F2_)),
+    ("F1031", Fp(1031)),  # not coded: entries are plain ints, operations the definitions
+]
+
+
+def _random_datum(ring, rng, n=2):
+    """A datum from a random nondegenerate n x n form over `ring`."""
+    elems = ring.elements()
+    while True:
+        phi0 = Mat(ring, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
+        q = QuadFormEl(ring, 1, phi0)
+        if q.nondegenerate:
+            return DeltaDatum.from_quadform(q)
+
+
+def _random_poly_mat(ring, rng, rows, cols, degree):
+    """A rows x cols matrix over A[s] of degree exactly `degree` when it has
+    entries (its top coefficient matrix is nonzero), zero when degree < 0."""
+    elems = ring.elements()
+    nonzero = [x for x in elems if x != ring.zero]
+    coeffs = [Mat(ring, [[rng.choice(elems) for _ in range(cols)] for _ in range(rows)])
+              for _ in range(degree + 1)]
+    if rows and cols and degree >= 0 and coeffs[-1].is_zero():
+        top = [list(r) for r in coeffs[-1].entries]
+        top[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(nonzero)
+        coeffs[-1] = Mat(ring, top)
+    return MatPoly(ring, rows, cols, coeffs)
+
+
+@pytest.mark.parametrize("ring", [r for _, r in SUBSTITUTION_RINGS],
+                         ids=[name for name, _ in SUBSTITUTION_RINGS])
+def test_substitution_matches_the_sum_of_kronecker_products(ring):
+    from oracles import substitute_by_kron
+
+    rng = random.Random(29)
+    d = _random_datum(ring, rng)
+    ident = Mat.identity(ring, d.m)
+    # rising degrees, then lower ones, so that the datum's powers are also
+    # read at a shorter length than they hold; -1 is the zero polynomial
+    shapes = [(2, 2), (1, 2), (2, 1), (1, 1), (0, 0)]
+    for degree in (-1, 0, 1, 2, 3, 4, 2, 0, -1, 3):
+        for rows, cols in shapes:
+            p = _random_poly_mat(ring, rng, rows, cols, degree)
+            got = _substitute(p, d)
+            assert got == substitute_by_kron(p, d.phi, d.gram)
+            assert (got.rows, got.cols) == (rows * d.m, cols * d.m)
+            assert _substitute(p, d, gram=False) == substitute_by_kron(p, d.phi, ident)
+    assert len(d._gram_powers) == len(d._phi_powers) == 5  # up to degree 4
+
+
+def test_substitution_cache_is_per_datum_and_not_part_of_its_value(monkeypatch):
+    from oracles import substitute_by_kron
+
+    f2 = ring_from_json({"kind": "Fp", "p": 2})
+    assert f2 is ring_from_json({"kind": "Fp", "p": 2})  # one interned ring
+    gram = Mat.from_strs(f2, [["0", "1"], ["1", "0"]])
+    # phi + gram^-1 phi^t gram = 1 over F2 exactly when phi's trace is 1
+    d1 = DeltaDatum(f2, 1, 2, gram, Mat.from_strs(f2, [["0", "0"], ["0", "1"]]))
+    d2 = DeltaDatum(f2, 1, 2, gram, Mat.from_strs(f2, [["1", "1"], ["1", "0"]]))
+    hyp = Mat.from_strs(f2, [["0", "1"], ["0", "0"]])
+    s1 = Mat.from_strs(f2, [["1", "0"], ["0", "1"]])
+    s2 = Mat.from_strs(f2, [["0", "1"], ["1", "1"]])
+    s3 = Mat.from_strs(f2, [["1", "1"], ["0", "0"]])  # s3 + s3^t != 0
+    z = MatPoly(f2, 2, 2, [Mat.zero(f2, 2), s2, s1, s3])
+    w = MatPoly(f2, 2, 2, [Mat.zero(f2, 2), s3])
+    # hyp + z - z^* and hyp + w - w^* have hyp's invertible hermitian part
+    theta = PolyQuadForm(f2, 1, MatPoly(f2, 2, 2, [hyp]) + z - z.star())
+    low = PolyQuadForm(f2, 1, MatPoly(f2, 2, 2, [hyp]) + w - w.star())
+    assert (theta.degree(), low.degree()) == (3, 1)
+    kappas = {}
+    for form in (low, theta, low):  # alternate data and degrees
+        for d in (d1, d2):
+            kappa = cup_product(form, d).phi0
+            assert kappa == substitute_by_kron(form.theta, d.phi, d.gram)
+            kappas.setdefault(id(d), set()).add(kappa)
+    assert kappas[id(d1)] != kappas[id(d2)]
+
+    fresh = DeltaDatum(f2, 1, 2, gram, d1.phi)
+    assert len(d1._gram_powers) == 4 and len(fresh._gram_powers) == 1
+    assert d1 == fresh and fresh == d1 and d1 != d2
+    assert repr(d1) == repr(fresh)
+    if DeltaDatum.__hash__ is not None:
+        assert hash(d1) == hash(fresh)
+
+    # a fresh datum: lemma 2's three substitutions and the cup product after
+    # it read one set of powers, formed by three products (Delta phi^k, k <= 3)
+    products = []
+    mul = Mat.__mul__
+
+    def counting_mul(a, b):
+        products.append((a.rows, b.cols))
+        return mul(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counting_mul)
+    lemma2_shift(theta, z, fresh)
+    cup_product(theta, fresh)
+    assert 0 < len(products) <= 3

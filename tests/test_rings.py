@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from itertools import product
 
@@ -403,3 +404,45 @@ def test_tables_are_shared_by_key_but_split_units_are_not():
     split = ring_from_json({**doc, "split_unit": "2"})
     assert plain is not split and plain.tables is split.tables
     assert split.split_unit == split.from_str("2") and plain.split_unit is None
+
+
+POLYS_BASES = [F2(), Fp(3), Zn(4), Zn(9), F4(), DualRing(F2())]
+
+
+def _trimmed(coeffs, base):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == base.zero:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_polys_add_and_conj_match_their_definitions(data):
+    base = data.draw(st.sampled_from(POLYS_BASES))
+    ring = base.poly_s()
+    poly = st.lists(st.sampled_from(base.elements()), max_size=6).map(
+        lambda c: _trimmed(c, base))
+    a, b = data.draw(poly), data.draw(poly)
+    zero = base.zero
+
+    def padded(p, n):
+        return list(p) + [zero] * (n - len(p))
+
+    n = max(len(a), len(b))
+    total = ring.add(a, b)
+    assert total == _trimmed(map(base.add, padded(a, n), padded(b, n)), base)
+
+    # conj(sum c_i s^i) = sum conj(c_i) (1 - s)^i, written out binomially
+    expanded = [zero] * len(a)
+    for i, c in enumerate(a):
+        for k in range(i + 1):
+            term = base.mul(base.conj(c), base.int_embed(math.comb(i, k) * (-1) ** k))
+            expanded[k] = base.add(expanded[k], term)
+    ca, cb = ring.conj(a), ring.conj(b)
+    assert ca == _trimmed(expanded, base)
+    assert ring.conj(ca) == a
+    product_ = ring.mul(a, b)
+    assert ring.conj(product_) == ring.mul(ca, cb)  # every base here is commutative
+    for out in (total, ca, cb, product_):
+        assert isinstance(out, tuple) and ring.contains(out)  # contains: trimmed
