@@ -259,8 +259,6 @@ class AlmostHermitian:
 
     @staticmethod
     def from_matrix(ring: Ring, eps: int, g: Mat) -> "AlmostHermitian":
-        if g.rows == 0:
-            return AlmostHermitian(ring, eps, g, g, 0)
         ginv = invert(g)
         if ginv is None:
             raise DegenerateFormError("almost hermitian g must be invertible")
@@ -273,8 +271,6 @@ class AlmostHermitian:
         return out
 
     def validate(self):
-        if self.g.rows == 0:
-            return
         ident = Mat.identity(self.ring, self.g.rows)
         lhs = self.g.star()
         rhs = (self.g * (ident + self.nilpotent)).scale_sign(self.eps)
@@ -328,6 +324,17 @@ def kappa_nondegenerate(theta: PolyQuadForm, d: DeltaDatum) -> bool:
     return invert(direct) is not None
 
 
+def _carry_verdict(theta: PolyQuadForm, theta2: PolyQuadForm) -> PolyQuadForm:
+    """Give theta2 theta's verdict with no determinant, once the caller has
+    checked that H(theta2) is H(theta), or Q^* (H(theta) (+) H_hyp) Q for a
+    unimodular Q: det H is a unit of A[s] for both or for neither.  A
+    degenerate theta is refused, as the constructor refuses it."""
+    if not theta.nondegenerate():
+        raise DegenerateFormError("hermitian part is not invertible over A[s]")
+    theta2._nondegenerate = True
+    return theta2
+
+
 def lemma2_shift(theta: PolyQuadForm, z: Mat, d: DeltaDatum | None = None):
     """Shift theta by Z - eps*Z^*; cup products change by an explicit shift.
 
@@ -341,10 +348,7 @@ def lemma2_shift(theta: PolyQuadForm, z: Mat, d: DeltaDatum | None = None):
     theta2 = PolyQuadForm(theta.ring, theta.eps, shifted, check=False)
     if theta2.hermitian() != theta.hermitian():
         raise AssertionError("shift changed the hermitian part")
-    # the same hermitian part, so theta's verdict is theta2's
-    if not theta.nondegenerate():
-        raise DegenerateFormError("hermitian part is not invertible over A[s]")
-    theta2._nondegenerate = True
+    _carry_verdict(theta, theta2)  # the same hermitian part
     witness = None
     if d is not None:
         kappa = cup_product(theta, d).phi0
@@ -429,7 +433,8 @@ def linearize(theta: PolyQuadForm):
             raise AssertionError("degree reduction failed to drop the degree")
         if not _congruent_hermitian_parts(eps, middle, q_factor, new_theta):
             raise AssertionError("transcript step failed its exact recheck")
-        work = PolyQuadForm(R, eps, new_theta)
+        # Q is block unitriangular and H_hyp has unit determinant
+        work = _carry_verdict(work, PolyQuadForm(R, eps, new_theta, check=False))
         transcript.append(
             {
                 "step": len(transcript),

@@ -250,7 +250,8 @@ class EnumeratedGroup:
     key, and `checks` is the report of `verify_group_axioms` on it: the
     booleans `identity`, `inverses` and `closure`, all exact, and the
     closure's cost as `closure_products` (the coset products h.r and
-    representative products r.s formed, at most 2(|G| - 1)) and
+    representative products r.s, all the products the certificate forms, at
+    most 2(|G| - 1)) and
     `closure_generators` (the size of `generators`, the generating set it
     picked).
 
@@ -380,10 +381,14 @@ def verify_group_axioms(elements, compose, inverse, identity):
     the stage but 1 is a representative.  With x^k = 1, the representative
     product x^(k-1).x = 1 was then formed, and the walk stopped there.
 
-    Inverses: a newly reached h.r has the inverse r^-1 h^-1, and a new
-    representative r.s the inverse s^-1 r^-1, one `compose` each; `inverse`
-    is called on the generators only, and on the unreached elements when
-    the walk ends early.
+    Computed: `identity`, 1 in the set, and `closure`, by the walk.
+    `inverses` is computed on the generators only when closure holds, and
+    follows from algebra for the rest: each member is a word in the
+    generators, so a unit when they are, and the powers of a unit a of the
+    finite closed set repeat, a^i = a^j with i < j, so a^k = 1 for k = j - i
+    >= 1 and a^-1 = a^(k-1) lies in the set.  When the walk ends early,
+    `inverses` is computed on every element: inverse(x) in the set, the
+    definition itself.
 
     Returns the report and the generators, in the order they were picked.
 
@@ -394,25 +399,13 @@ def verify_group_axioms(elements, compose, inverse, identity):
     are at most log2|G| generators, and H of stage i has at least 2^(i-1)
     >= i elements.  So the i representative products of each of the
     stage's [H' : H] - 1 representatives number at most |H'| - |H|, and
-    over all stages `closure_products` is at most 2(|G| - 1).
+    over all stages `closure_products` is at most 2(|G| - 1).  These are
+    all the products formed, and `inverse` is called once per generator.
     """
     elem_set = set(elements)
-    inv = {identity: identity}  # reached element -> its inverse, None if a factor has none
-    reached = [identity]
+    reached = {identity: None}  # an insertion-ordered set
     gens = []
     products = 0
-    inverses = True
-
-    def add(p, pinv):
-        nonlocal inverses
-        inverses = inverses and pinv in elem_set
-        inv[p] = pinv
-        reached.append(p)
-
-    def product_inverse(a, b):
-        # (a.b)^-1 = b^-1 a^-1, or None when a factor has none
-        ainv, binv = inv[a], inv[b]
-        return None if ainv is None or binv is None else compose(binv, ainv)
 
     def coset(stage, r):
         # H.r for the stage's H; 1.r = r is reached already
@@ -422,8 +415,7 @@ def verify_group_axioms(elements, compose, inverse, identity):
             products += 1
             if p not in elem_set:
                 return False
-            if p not in inv:
-                add(p, product_inverse(h, r))
+            reached[p] = None
         return True
 
     def represent(stage, reps, r, s):
@@ -433,19 +425,19 @@ def verify_group_axioms(elements, compose, inverse, identity):
         products += 1
         if t not in elem_set:
             return False
-        if t in inv:
+        if t in reached:
             return True
-        add(t, product_inverse(r, s))
+        reached[t] = None
         reps.append(t)
         return coset(stage, t)
 
     closure = True
     for x in elements:
-        if x in inv:
+        if x in reached:
             continue
         gens.append(x)
-        stage = reached[:]
-        add(x, inverse(x))
+        stage = list(reached)
+        reached[x] = None
         reps = [x]
         closure = coset(stage, x)
         i = 0
@@ -454,13 +446,9 @@ def verify_group_axioms(elements, compose, inverse, identity):
             i += 1
         if not closure:
             break
-    if not closure:
-        inverses = inverses and all(
-            inverse(x) in elem_set for x in elements if x not in inv
-        )
     return {
         "identity": identity in elem_set,
-        "inverses": inverses,
+        "inverses": all(inverse(x) in elem_set for x in (gens if closure else elements)),
         "closure": closure,
         "closure_products": products,
         "closure_generators": len(gens),

@@ -371,6 +371,8 @@ def nilpotency_index(m: Mat) -> int | None:
     """
     if not m.is_square():
         raise ValueError("nilpotency needs a square matrix")
+    if m.rows == 0:
+        return 0  # m^0 = I_0 is the zero matrix
     power = Mat.identity(m.ring, m.rows)
     for k in range(1, _nilpotency_bound(m.ring, m.rows) + 1):
         power = power * m

@@ -229,6 +229,23 @@ def test_linearize_step_recheck_catches_a_wrong_theta():
     assert not _congruent_hermitian_parts(1, middle, q, wrong)
 
 
+
+@pytest.mark.parametrize("ring", [F2_, Zn(4)], ids=["F2", "Z4"])
+def test_linearize_takes_no_determinant_past_its_input(ring, monkeypatch):
+    # each step's form is congruent to the last one (+) a hyperbolic block,
+    # which `_congruent_hermitian_parts` checks, so it keeps theta's verdict
+    e12, zero = Mat.from_strs(ring, [["0", "1"], ["0", "0"]]), Mat.zero(ring, 2)
+    z = MatPoly(ring, 2, 2, [zero, zero, zero, e12])
+    theta = PolyQuadForm(ring, 1, MatPoly(ring, 2, 2, [e12]) + z - z.star())
+    assert theta.degree() == 3
+    from hermkq import clauwens
+
+    calls = []
+    monkeypatch.setattr(clauwens, "_det_comm", lambda m: calls.append(m) or _det_comm(m))
+    almost, transcript = linearize(theta)
+    assert [s["kind"] for s in transcript][:2] == ["degree_reduction"] * 2
+    assert calls == []
+
 def test_linearize_soundness_small():
     theta = PolyQuadForm.from_coeff_mats(
         F2_, 1, [Mat.identity(F2_, 1), Mat.zero(F2_, 1), Mat.identity(F2_, 1)]

@@ -352,6 +352,27 @@ def test_clauwens_lemma4_command(capsys):
     assert json.loads(out)["report"]["residual_zero"] is True
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["lemma4", "--ring", "F2", "--sigma", "[]", "--delta-form", HYP_F2,
+     "--zeta", '[["0","0"],["0","0"]]', "--depth", "0"],
+    ["lemma4", "--ring", "F2", "--sigma", "[]", "--delta-form", HYP_F2,
+     "--zeta", '[["0","0"],["0","0"]]', "--depth", "2"],
+    ["sqrt-nilpotent", "--ring", '{"kind":"Fp","p":3}', "--nu", "[]"],
+], ids=["lemma4-depth0", "lemma4-depth2", "sqrt-nilpotent-F3"])
+def test_clauwens_accepts_rank_zero(capsys, argv):
+    code, out = run(capsys, "clauwens", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["report"]["nilpotency_index"] == 0
+
+
+def test_clauwens_sqrt_rank_zero_over_f2_is_unsupported(capsys):
+    # F2 has no split unit, whatever the rank
+    code, out = run(capsys, "clauwens", "sqrt-nilpotent", "--ring", "F2", "--nu", "[]")
+    assert code == 2
+    assert json.loads(out)["error"] == "unsupported"
+
 def _bad_input(capsys, *argv):
     code, out = run(capsys, *argv)
     assert code == 2

@@ -5,13 +5,16 @@ exit code is in the documented set, stdout holds exactly one JSON document,
 a refusal carries one of the four error labels, no exception escapes `main`,
 and neither os.environ nor the cap is changed.  A quadratic form or ring
 outside the domain of `arf`, `dickson` or `xi --char2-oracle` is refused as
-`unsupported`, every `cap-exhausted` message names its cap, and each case
-ends within a second, the xi cases at reach (|Gamma/Lambda| = 16) too.
+`unsupported`, every `cap-exhausted` message names its cap, a max or min
+group certified with exit 0 took at most 2(|G| - 1) products and log2|G|
+generators, and each case ends within a second, the xi cases at reach
+(|Gamma/Lambda| = 16) too.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import time
 
@@ -100,6 +103,10 @@ def run_case(argv, ring):
         assert "exceeds cap" in doc["message"], (argv, doc)
     if outside_domain(argv, ring):
         assert doc.get("error") == "unsupported", (argv, doc)
+    if argv[0] == "group" and argv[-1] in ("max", "min") and code == 0:
+        order, checks = doc["report"]["order"], doc["report"]["checks"]
+        assert checks["closure_products"] <= 2 * (order - 1), (argv, checks)
+        assert checks["closure_generators"] <= math.log2(order), (argv, checks)
     assert dict(os.environ) == env, argv
     assert global_cap() == cap, argv
     return code, doc

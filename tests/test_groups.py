@@ -437,6 +437,34 @@ def test_axioms_match_all_pairs(ring):
             assert checks["closure_products"] <= 2 * (group.order - 1)
 
 
+
+@pytest.mark.parametrize("ring", [
+    F2(), Fp(3), F4(), Zn(4), DualRing(F2()), Mat2Ring(F2()),
+], ids=["F2", "F3", "F4", "Z4", "Dual-F2", "Mat2-F2"])
+def test_axioms_form_only_the_closure_products(ring):
+    # the members' inverses follow from closure and the generators' own, so
+    # the certificate forms no product but the coset and representative ones
+    _, quads = _nondegenerate_forms(ring, 1)
+    if not isinstance(ring, Mat2Ring):
+        quads += [hyperbolic(ring, 1, 1)]
+    for q in quads:
+        for variant in ("max", "min"):
+            group = enumerate_group(variant, q)
+            calls = {"compose": 0, "inverse": 0}
+
+            def mul(a, b):
+                calls["compose"] += 1
+                return a * b
+
+            def inv(a):
+                calls["inverse"] += 1
+                return invert(a)
+
+            checks, gens = verify_group_axioms(group.elements, mul, inv,
+                                               Mat.identity(q.ring, q.n))
+            assert checks == group.checks and gens == group.generators
+            assert calls == {"compose": checks["closure_products"], "inverse": len(gens)}
+
 def test_axioms_detect_broken_sets():
     f2 = F2()
     sp4 = enumerate_unitary(hyperbolic(f2, 1, 2).associated())

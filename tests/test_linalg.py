@@ -314,6 +314,12 @@ def test_nilpotency_index_with_nilpotent_scalars(ring, entries, index):
         assert not power.is_zero() and (power * m).is_zero()
 
 
+
+@pytest.mark.parametrize("ring", [F2(), Zn(9), PolySRing(F2())], ids=["F2", "Z9", "PolyS-F2"])
+def test_nilpotency_index_of_the_empty_matrix_is_zero(ring):
+    # m^0 = I_0 is already the zero matrix
+    assert nilpotency_index(Mat.zero(ring, 0)) == 0
+
 def test_nilpotency_index_stops_at_a_closed_bound():
     # a unit of large order over Fp(101) and s - s^2 over F3[s], whose powers
     # never repeat, are refused after log2|R^n| resp. n*log2(|B|)^2 powers,
