@@ -5,12 +5,15 @@ projector conjugation).
 
 Conventions.  A polynomial matrix is a `Mat` over `PolySRing(A)`: its sums,
 products, blocks and determinant are those of `Mat`, and its s-adjoint is
-`Mat.star()`, the conjugate transpose with s -> 1-s expanded binomially.
+`Mat.star()`, the conjugate transpose with s -> 1-s in each entry.
 `MatPoly` only builds such a matrix from its coefficient matrices C_k
-(sum C_k s^k) and prints it as that list.  After identifying a module with
-its dual by the hermitian form Delta of the datum, endomorphisms of the
-tensor factor carry the twisted adjoint X -> Delta^{-1} X^bar-t Delta.  All
-identities below are verified exactly.
+(sum C_k s^k) and prints it as that list.  An entry is an element of A[s] in
+its ring's one representation (a bitmask int over F2, a coefficient tuple
+otherwise; see `rings`), so this module reads and builds entries only
+through `PolySRing.to_coeffs`, `from_coeffs` and `coeff_count`.  After
+identifying a module with its dual by the hermitian form Delta of the datum,
+endomorphisms of the tensor factor carry the twisted adjoint
+X -> Delta^{-1} X^bar-t Delta.  All identities below are verified exactly.
 
 A substitution p(phi) -- a cup product, Lemma 2's shift, the linearization
 replay -- is a sum over the powers Delta phi^k (phi^k for the replay's
@@ -29,9 +32,9 @@ from itertools import chain
 
 from .additive import extend_span, solve_affine
 from .caps import Unsupported
-from .forms import DegenerateFormError, QuadFormEl, hyperbolic, psi_normalize
+from .forms import DegenerateFormError, QuadFormEl, hyperbolic
 from .linalg import Mat, _det_comm, block, diag_block, invert, kron, nilpotency_index
-from .rings import Ring, _poly_trim_ring
+from .rings import PolySRing, Ring
 
 
 # ---------------------------------------------------------------------------
@@ -49,24 +52,26 @@ class MatPoly(Mat):
         coeffs = list(coeffs)
         if any(c.rows != rows or c.cols != cols for c in coeffs):
             raise ValueError("coefficient shape mismatch")
+        ps = ring.poly_s()
         super().__init__(
-            ring.poly_s(),
+            ps,
             [
-                [_poly_trim_ring([c.entries[i][j] for c in coeffs], ring) for j in range(cols)]
+                [ps.from_coeffs([c.entries[i][j] for c in coeffs]) for j in range(cols)]
                 for i in range(rows)
             ],
         )
 
     @property
     def degree(self) -> int:
-        return max((len(e) for row in self.entries for e in row), default=0) - 1
+        return max(map(self.ring.coeff_count, chain.from_iterable(self.entries)), default=0) - 1
 
     @property
     def coeffs(self) -> list[Mat]:
-        base = self.ring.base
-        zero = base.zero
+        ps = self.ring
+        zero = ps.base.zero
+        rows = [[ps.to_coeffs(e) for e in row] for row in self.entries]
         return [
-            Mat(base, [[e[k] if k < len(e) else zero for e in row] for row in self.entries])
+            Mat(ps.base, [[e[k] if k < len(e) else zero for e in row] for row in rows])
             for k in range(self.degree + 1)
         ]
 
@@ -90,21 +95,23 @@ def _substitute(p: Mat, d: "DeltaDatum", gram: bool = True) -> Mat:
     The powers L phi^k are read from the datum (`DeltaDatum.powers`), which
     forms each one once for all the substitutions into it.  Block (i, j) of
     the output is e(phi) = sum_k e_k L phi^k for the entry e = p[i][j] over
-    A[s], summed once per distinct entry over its nonzero coefficients and
-    written straight into the output rows.
+    A[s], summed once per distinct entry over its nonzero coefficients (a
+    coefficient 1 takes the rows of its power as they are) and written
+    straight into the output rows.
     """
-    R = d.ring
-    add, mul, zero = R.add, R.mul, R.zero
+    R, ps = d.ring, p.ring
+    add, mul, zero, one = R.add, R.mul, R.zero, R.one
     m = d.m
-    powers = d.powers(max(map(len, chain.from_iterable(p.entries)), default=0), gram)
-    blocks = {(): [(zero,) * m] * m}  # entry -> the rows of its block
+    powers = d.powers(max(map(ps.coeff_count, chain.from_iterable(p.entries)), default=0), gram)
+    blocks = {ps.zero: [(zero,) * m] * m}  # entry -> the rows of its block
 
     def block_of(e) -> list:
-        # e is trimmed, so its top coefficient is a nonzero first term
-        (c, first), *rest = [(c, powers[k].entries) for k, c in enumerate(e) if c != zero]
-        rows = [[mul(c, x) for x in row] for row in first]
-        for c, power in rest:
-            rows = [list(map(add, acc, [mul(c, x) for x in row])) for acc, row in zip(rows, power)]
+        rows = None  # e is not zero, so some coefficient sets it
+        for k, c in enumerate(ps.to_coeffs(e)):
+            if c != zero:
+                power = powers[k].entries
+                term = power if c == one else [[mul(c, x) for x in row] for row in power]
+                rows = term if rows is None else [tuple(map(add, acc, t)) for acc, t in zip(rows, term)]
         return rows
 
     out = []
@@ -120,9 +127,10 @@ def _substitute(p: Mat, d: "DeltaDatum", gram: bool = True) -> Mat:
     return Mat._trusted(R, tuple(out), p.rows * m, p.cols * m)
 
 
-def _poly_unit(ring: Ring, coeffs: tuple) -> bool:
+def _poly_unit(ps: PolySRing, u) -> bool:
     """u(s) is a unit of A[s] iff u(0) is a unit and every higher coefficient
     is nilpotent (A commutative)."""
+    coeffs, ring = ps.to_coeffs(u), ps.base
     if not coeffs:
         return False
     if ring.inv(coeffs[0]) is None:
@@ -171,28 +179,22 @@ class PolyQuadForm:
         if self._nondegenerate is None:
             if self.n and not self.ring.is_commutative:
                 raise Unsupported("polynomial determinant needs a commutative ring")
-            self._nondegenerate = self.n == 0 or _poly_unit(
-                self.ring, _det_comm(self.hermitian())
-            )
+            herm = self.hermitian()
+            self._nondegenerate = self.n == 0 or _poly_unit(herm.ring, _det_comm(herm))
         return self._nondegenerate
 
     def degree(self) -> int:
         return self.theta.degree
-
-    def to_json(self):
-        return {
-            "ring": self.ring.to_json(),
-            "epsilon": self.eps,
-            "rank": self.n,
-            "coefficients": self.theta.to_strs(),
-        }
 
 
 @dataclass
 class DeltaDatum:
     """Quadratic datum after dual identification: gram Delta (invertible,
     Delta^* = eta*Delta) and phi with phi + phi^dagger = 1 for the twisted
-    adjoint x -> Delta^{-1} x^bar-t Delta."""
+    adjoint x -> Delta^{-1} x^bar-t Delta.  A `gram_inv` given is checked by
+    the one product Delta gram_inv = 1, as a one-sided inverse is two-sided
+    over the m x m matrices of a commutative or a finite ring; without one,
+    Delta is inverted."""
 
     ring: Ring
     eta: int
@@ -208,11 +210,13 @@ class DeltaDatum:
     def __post_init__(self):
         if self.gram.star() != self.gram.scale_sign(self.eta):
             raise ValueError("gram fails Delta^* = eta*Delta")
-        inv = invert(self.gram)
-        if inv is None:
-            raise DegenerateFormError("gram must be invertible")
-        object.__setattr__(self, "gram_inv", inv)
         identity = Mat.identity(self.ring, self.m)
+        if self.gram_inv is None:
+            self.gram_inv = invert(self.gram)
+            if self.gram_inv is None:
+                raise DegenerateFormError("gram must be invertible")
+        elif self.gram * self.gram_inv != identity:
+            raise ValueError("gram_inv is not the inverse of gram")
         if self.phi + self.adjoint(self.phi) != identity:
             raise ValueError("phi fails phi + phi^* = 1")
         self._gram_powers = [self.gram]
@@ -233,17 +237,15 @@ class DeltaDatum:
 
     @staticmethod
     def from_quadform(q: QuadFormEl) -> "DeltaDatum":
-        psi = psi_normalize(q)
-        return DeltaDatum(q.ring, q.eps, q.n, q.associated().phi, psi)
-
-    def to_json(self):
-        return {
-            "ring": self.ring.to_json(),
-            "eta": self.eta,
-            "rank": self.m,
-            "gram": self.gram.to_strs(),
-            "phi": self.phi.to_strs(),
-        }
+        """The datum of q: Delta = phi0 + eps*phi0^*, and phi the
+        normalization psi = Delta^{-1} phi0 of `forms.psi_normalize`.  The
+        inverse is the one q's hermitian form keeps, and psi + psi^dagger = 1
+        is checked once, by the constructor."""
+        h = q.associated()
+        inv = h.inverse()
+        if inv is None:
+            raise DegenerateFormError("psi normalization needs a nondegenerate form")
+        return DeltaDatum(q.ring, q.eps, q.n, h.phi, inv * q.phi0, inv)
 
 
 @dataclass
@@ -375,7 +377,7 @@ def _degree_reduction_factor(theta: PolyQuadForm) -> Mat:
     big = theta.degree()
     ident = Mat.identity(ps, n)
     zero = Mat.zero(ps, n)
-    s_minus_one = Mat.scalar(ps, n, (R.neg(R.one), R.one))
+    s_minus_one = Mat.scalar(ps, n, ps.from_coeffs((R.neg(R.one), R.one)))
     theta_top = MatPoly(R, n, n, [Mat.zero(R, n)] * (big - 1) + [theta.theta.coeffs[big]])
     return block(
         ps,

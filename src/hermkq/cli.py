@@ -11,7 +11,8 @@ else the default, or a fixed internal limit that --cap does not raise: the
 ring size an additive basis is built for, and the spans of a generated
 subring and of a projector's ideal), 3 `internal-check-failed` (an identity
 the program checks on its own result failed: a fault in the program, not in
-the input).  Besides the group frame search, the cap bounds the listing of
+the input).  A reader that closes standard output early changes none of
+these: the report is dropped and the exit code is still the verdict's.  Besides the group frame search, the cap bounds the listing of
 S(E) for an enlarged group's preview, the scans of a ring's elements for a
 unit, a split unit or the involution, and the cells of the Xi relations (their
 labels are in `caps.check_cap`).
@@ -24,6 +25,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import sys
 
 from . import __version__
 from .caps import CapExceeded, Unsupported, scoped_cap
@@ -67,6 +70,18 @@ def _load_json(arg: str):
     return json.loads(arg)
 
 
+def _print(text: str) -> None:
+    """Print a line to standard output.  When its reader has gone (a closed
+    pipe), the line is dropped and standard output is pointed at the null
+    device, so that the flush at exit writes nowhere and raises nothing."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(command: str, input_doc, report, fmt: str, passed: bool) -> int:
     doc = {
         "tool": "hermkq",
@@ -77,9 +92,9 @@ def _emit(command: str, input_doc, report, fmt: str, passed: bool) -> int:
         "report": report,
     }
     if fmt == "table":
-        print(_tableize(doc))
+        _print(_tableize(doc))
     else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _print(json.dumps(doc, sort_keys=True, indent=2))
     return 0 if passed else 1
 
 
@@ -164,7 +179,7 @@ def cmd_witt(args, fmt):
     ring = ring_from_json(ring_doc)
     table = witt_classify(ring, args.epsilon, args.variant, args.max_rank)
     if fmt == "table":
-        print(table.to_table())
+        _print(table.to_table())
         return 0
     return _emit(
         "witt",
@@ -314,9 +329,9 @@ def cmd_verify(args, fmt):
     if fmt == "table":
         for suite in report["suites"]:
             status = "PASS" if suite["passed"] else "FAIL"
-            print(f"criterion {suite['criterion']:>2}  {suite['name']:<28} {status}"
-                  f"  ({suite['seconds']}s)")
-        print("all passed" if report["passed"] else "FAILURES present")
+            _print(f"criterion {suite['criterion']:>2}  {suite['name']:<28} {status}"
+                   f"  ({suite['seconds']}s)")
+        _print("all passed" if report["passed"] else "FAILURES present")
         return 0 if report["passed"] else 1
     return _emit("verify", {"suites": names}, report, fmt, report["passed"])
 
@@ -428,7 +443,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.cap is not None and args.cap <= 0:
-        print(json.dumps({"error": "bad-input",
+        _print(json.dumps({"error": "bad-input",
                           "message": f"--cap must be positive, got {args.cap}"}))
         return 2
     for attr in ("ring",):
@@ -438,14 +453,14 @@ def main(argv=None) -> int:
         with scoped_cap(args.cap):
             return _DISPATCH[args.command](args, args.format)
     except CapExceeded as exc:
-        print(json.dumps({"error": "cap-exhausted", "message": str(exc)}))
+        _print(json.dumps({"error": "cap-exhausted", "message": str(exc)}))
         return 2
     except Unsupported as exc:
-        print(json.dumps({"error": "unsupported", "message": str(exc)}))
+        _print(json.dumps({"error": "unsupported", "message": str(exc)}))
         return 2
     except (ValueError, KeyError, json.JSONDecodeError, DegenerateFormError) as exc:
-        print(json.dumps({"error": "bad-input", "message": str(exc)}))
+        _print(json.dumps({"error": "bad-input", "message": str(exc)}))
         return 2
     except AssertionError as exc:
-        print(json.dumps({"error": "internal-check-failed", "message": str(exc)}))
+        _print(json.dumps({"error": "internal-check-failed", "message": str(exc)}))
         return 3

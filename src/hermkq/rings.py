@@ -24,7 +24,11 @@ more to build than a short computation spends on arithmetic.
   zero is 0 and `elements()` keeps that order.  `encode` and `decode` turn
   tuples into codes and back.  Above the limit the tuples themselves are
   the elements.
-- PolyS is infinite; its elements are tuples of coefficients.
+- PolyS is infinite and never coded.  Its elements are tuples of
+  coefficients, lowest degree first with no zero on top, except over the
+  two-element field (Fp(2) or Zn(2)): there they are ints, bit k holding
+  the coefficient of s^k, so that a sum is one xor.  `PolySRing.to_coeffs`,
+  `from_coeffs` and `coeff_count` read either as coefficient tuples.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import product
+from operator import pos, xor
 
 from .caps import Unsupported, check_cap
 
@@ -160,6 +165,7 @@ class Ring:
             self._code()
         else:  # the definition is the operation: no table to try first
             self.add, self.neg, self.mul, self.conj = self._add, self._neg, self._mul, self._conj
+            self.sub = self._sub
             self.contains, self.to_str, self.from_str = self._contains, self._to_str, self._from_str
 
     def _codable(self) -> bool:
@@ -183,6 +189,8 @@ class Ring:
     # coded ring, below, read its tables instead, except `from_str`, which
     # parses by the definition and then encodes.  Zn (so Fp) takes the hooks
     # as its operations either way, as they cost no more than a lookup.
+    # `_sub` alone has a definition here, a + (-b), for the kinds with no
+    # shorter one; a coded ring's `sub` is one lookup, add[a][neg[b]].
     def _zero(self):
         raise NotImplementedError
 
@@ -200,6 +208,9 @@ class Ring:
 
     def _conj(self, a):
         raise NotImplementedError
+
+    def _sub(self, a, b):
+        return self.add(a, self.neg(b))
 
     def _contains(self, a) -> bool:
         raise NotImplementedError
@@ -223,7 +234,8 @@ class Ring:
         return self.tables.conj[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        tables = self.tables
+        return tables.add[a][tables.neg[b]]
 
     def int_embed(self, n: int):
         """Image of the integer n under Z -> ring."""
@@ -433,9 +445,12 @@ class Zn(Ring):
     def _conj(self, a):
         return a
 
+    def _sub(self, a, b):
+        return (a - b) % self.n
+
     # a lookup costs no less than the definition, so the element operations
     # are the hooks themselves
-    add, neg, mul, conj = _add, _neg, _mul, _conj
+    add, neg, mul, conj, sub = _add, _neg, _mul, _conj, _sub
 
     def inv(self, a):
         if math.gcd(a, self.n) != 1:
@@ -926,7 +941,11 @@ class ProductOpRing(_PairRing):
 
 
 class PolySRing(Ring):
-    """A[s] with conj(s) = 1 - s.  Exact arithmetic on variable-length tuples.
+    """A[s] with conj(s) = 1 - s.  An element is the tuple of its
+    coefficients, lowest degree first, with no zero on top; over the
+    two-element field `PolySRing(F2())` is an `_F2PolySRing`, whose elements
+    are bitmask ints.  `to_coeffs`, `from_coeffs` and `coeff_count` read and
+    build elements as coefficient tuples whichever the representation.
 
     The ring is infinite; enumerate() walks the polynomials of degree at most
     degree_bound when one is configured (a sample of the ring, used by the
@@ -934,6 +953,12 @@ class PolySRing(Ring):
     """
 
     kind = "PolyS"
+
+    def __new__(cls, base: Ring, degree_bound: int | None = None):
+        # the representation is chosen from the base alone
+        if cls is PolySRing and isinstance(base, Zn) and base.n == 2:
+            cls = _F2PolySRing
+        return super().__new__(cls)
 
     def __init__(self, base: Ring, degree_bound: int | None = None):
         self.base = base
@@ -945,6 +970,19 @@ class PolySRing(Ring):
         # the expansion of (1 - s)^i; grown by `_conj` as degrees need
         self._binomial_rows = []
         super().__init__()
+
+    coeff_count = staticmethod(len)
+    """The number of coefficients of an element up to its top nonzero one:
+    its degree + 1, and 0 for zero."""
+
+    def to_coeffs(self, a) -> tuple:
+        """The coefficients of a, lowest degree first, with no zero on top."""
+        return a
+
+    def from_coeffs(self, coeffs):
+        """The element with this sequence of coefficients, lowest degree
+        first; zeros on top are dropped."""
+        return _poly_trim_ring(list(coeffs), self.base)
 
     def _zero(self):
         return ()
@@ -1004,13 +1042,14 @@ class PolySRing(Ring):
         return self._polys_up_to(self.degree_bound)
 
     def _polys_up_to(self, bound: int) -> list:
+        """The polynomials of degree at most `bound`, ordered by length and
+        then by coefficient tuple."""
         if self.base.size is None:
             raise Unsupported("PolyS base not enumerable")
         check_cap(self.base.size ** (bound + 1), "PolyS sample")
-        out = []
-        for coeffs in product(self.base.elements(), repeat=bound + 1):
-            out.append(_poly_trim_ring(list(coeffs), self.base))
-        return sorted(set(out), key=lambda t: (len(t), t))
+        polys = {_poly_trim_ring(list(c), self.base)
+                 for c in product(self.base.elements(), repeat=bound + 1)}
+        return [self.from_coeffs(t) for t in sorted(polys, key=lambda t: (len(t), t))]
 
     def sample_elements(self):
         bound = self.degree_bound if self.degree_bound is not None else 2
@@ -1019,7 +1058,7 @@ class PolySRing(Ring):
         raise Unsupported("PolyS sample too large")
 
     def _to_str(self, a):
-        return json.dumps([self.base.to_str(c) for c in a], separators=(",", ":"))
+        return json.dumps([self.base.to_str(c) for c in self.to_coeffs(a)], separators=(",", ":"))
 
     def _from_str(self, s):
         """A JSON list of coefficients, lowest degree first, each written as
@@ -1029,7 +1068,7 @@ class PolySRing(Ring):
             isinstance(c, bool) or not isinstance(c, (str, int)) for c in coeffs
         ):
             raise ValueError(f"bad PolyS element {s!r}: expected a JSON list of coefficients")
-        return _poly_trim_ring([self.base.from_str(str(c)) for c in coeffs], self.base)
+        return self.from_coeffs([self.base.from_str(str(c)) for c in coeffs])
 
     def to_json(self):
         out = {"kind": "PolyS", "base": self.base.to_json()}
@@ -1042,6 +1081,80 @@ def _poly_trim_ring(coeffs, base):
     while coeffs and coeffs[-1] == base.zero:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _f2_mul(a: int, b: int) -> int:
+    """The carry-less product in F2[s]: b shifted by each set bit of a."""
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b * low
+        a ^= low
+    return out
+
+
+def _f2_conj_bytes() -> list:
+    """p(1 + s) for every p of F2[s] of degree < 8, indexed by p: the table
+    doubles once per bit k, the polynomials with top bit k getting
+    (1 + s)^k on top of the image of their lower bits.  (1 + s)^k has
+    coefficient C(k, j) mod 2 at s^j, which is 1 exactly when the bits of j
+    are among those of k (Lucas)."""
+    table = [0]
+    for k in range(8):
+        power = sum(1 << j for j in range(k + 1) if j & k == j)
+        table += [c ^ power for c in table]
+    return table
+
+
+_F2_CONJ_BYTE = _f2_conj_bytes()
+_F2_BYTE_COEFFS = [tuple(p >> k & 1 for k in range(p.bit_length())) for p in range(256)]
+
+
+def _f2_conj(a: int) -> int:
+    """p(s) -> p(1 + s) in F2[s], a Taylor shift.  Write p = sum_i B_i s^(8i)
+    with each B_i of degree < 8; as (1 + s)^8 = 1 + s^8, p(1 + s) is
+    sum_i B_i(1 + s) (1 + s^8)^i: a table entry per byte, summed by Horner's
+    rule in 1 + s^8, whose product with c is c ^ (c << 8)."""
+    if a < 256:
+        return _F2_CONJ_BYTE[a]
+    out = 0
+    for shift in range((a.bit_length() - 1) & ~7, -1, -8):
+        out ^= (out << 8) ^ _F2_CONJ_BYTE[(a >> shift) & 255]
+    return out
+
+
+class _F2PolySRing(PolySRing):
+    """F2[s], the `PolySRing` of the two-element field: an element is an int
+    whose bit k is the coefficient of s^k.  A sum or difference is one xor,
+    -a is a, a product is carry-less (`_f2_mul`) and conj(p) = p(1 + s) a
+    Taylor shift (`_f2_conj`).  Strings are those of the tuple form."""
+
+    coeff_count = staticmethod(int.bit_length)
+
+    def to_coeffs(self, a) -> tuple:
+        if a < 256:
+            return _F2_BYTE_COEFFS[a]
+        return tuple(a >> k & 1 for k in range(a.bit_length()))
+
+    def from_coeffs(self, coeffs):
+        a = 0
+        for c in reversed(coeffs):  # each c is 0 or 1
+            a = a << 1 | c
+        return a
+
+    def _zero(self):
+        return 0
+
+    def _one(self):
+        return 1
+
+    _add = _sub = staticmethod(xor)
+    _neg = staticmethod(pos)  # -a = a in characteristic 2
+    _mul = staticmethod(_f2_mul)
+    _conj = staticmethod(_f2_conj)
+
+    def _contains(self, a):
+        return isinstance(a, int) and a >= 0
 
 
 class TruncPolyRing(_TupleRing):

@@ -300,3 +300,46 @@ def xi_group_by_pairs(ring, eps) -> AbelianGroupPresentation:
         for j in range(k)
     ]
     return AbelianGroupPresentation(labels, relations)
+
+
+# F2[s] by schoolbook arithmetic on coefficient lists, lowest degree first,
+# with no zero on top: the definitions that the bitmask ring must agree with
+
+
+def f2s_trim(coeffs) -> tuple:
+    coeffs = [c % 2 for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def f2s_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return f2s_trim(x + y for x, y in zip(a, b))
+
+
+def f2s_sub(a, b) -> tuple:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return f2s_trim(x - y for x, y in zip(a, b))
+
+
+def f2s_mul(a, b) -> tuple:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return f2s_trim(out)
+
+
+def f2s_conj(a) -> tuple:
+    """a(1 - s) by Horner's rule: ((c_n (1 - s) + c_{n-1}) (1 - s) + ...)."""
+    out = ()
+    for c in reversed(a):
+        out = f2s_add(f2s_mul(out, (1, -1)), (c,))
+    return out
+
+
+def f2s_to_str(a) -> str:
+    return "[" + ",".join(f'"{c}"' for c in a) + "]"

@@ -59,6 +59,32 @@ def test_delta_datum_validation():
         DeltaDatum(F2_, 1, 2, Mat.zero(F2_, 2), Mat.zero(F2_, 2))
 
 
+def test_delta_datum_checks_a_given_inverse_by_one_product():
+    gram = Mat.from_strs(F2_, [["0", "1"], ["1", "0"]])
+    phi = Mat.from_strs(F2_, [["0", "0"], ["0", "1"]])
+    assert DeltaDatum(F2_, 1, 2, gram, phi, gram) == DeltaDatum(F2_, 1, 2, gram, phi)
+    with pytest.raises(ValueError, match="gram_inv is not the inverse of gram"):
+        DeltaDatum(F2_, 1, 2, gram, phi, Mat.identity(F2_, 2))
+    with pytest.raises(ValueError, match="phi fails"):
+        DeltaDatum(F2_, 1, 2, gram, Mat.zero(F2_, 2), gram)
+
+
+def test_delta_datum_from_a_form_inverts_its_gram_once(monkeypatch):
+    import hermkq.clauwens
+    import hermkq.forms
+
+    calls = []
+    for module in (hermkq.clauwens, hermkq.forms):
+        monkeypatch.setattr(module, "invert", lambda m, f=module.invert: calls.append(m) or f(m))
+    for q in (hyperbolic(F2_, 1, 2), QuadFormEl(F2_, 1, Mat.from_strs(F2_, [["1", "1"], ["0", "1"]]))):
+        calls.clear()
+        d = DeltaDatum.from_quadform(q)
+        assert calls == [q.associated().phi] and d.gram_inv * d.gram == Mat.identity(F2_, q.n)
+        assert d == DeltaDatum(F2_, 1, q.n, d.gram, d.phi)  # the same datum, built directly
+    with pytest.raises(DegenerateFormError, match="needs a nondegenerate form"):
+        DeltaDatum.from_quadform(QuadFormEl(F2_, 1, Mat.zero(F2_, 2)))
+
+
 def test_matpoly_star_s_is_involutive():
     coeffs = [
         Mat.from_strs(F2_, [["1", "0"], ["1", "1"]]),
@@ -88,18 +114,19 @@ def test_matpoly_star_s_is_involutive():
 
 
 def test_poly_det_and_units():
+    ps2 = F2_.poly_s()
     ident = MatPoly(F2_, 2, 2, [Mat.identity(F2_, 2)])
-    assert _det_comm(ident) == (F2_.one,)
+    assert ps2.to_coeffs(_det_comm(ident)) == (F2_.one,)
     s_shift = MatPoly(F2_, 1, 1, [Mat.zero(F2_, 1), Mat.identity(F2_, 1)])
-    assert not _poly_unit(F2_, _det_comm(s_shift))
+    assert not _poly_unit(ps2, _det_comm(s_shift))
     z4 = Zn(4)
+    ps = z4.poly_s()
     # 1 + 2s is a unit of Z/4[s] (2 nilpotent)
-    assert _poly_unit(z4, (1, 2))
-    assert not _poly_unit(z4, (2, 1))
+    assert _poly_unit(ps, ps.from_coeffs((1, 2)))
+    assert not _poly_unit(ps, ps.from_coeffs((2, 1)))
     # the determinant over Z/4[s] is multiplicative at rank 2
     mats = list(all_matrices(z4, 2, 2))[::37]
     polys = [MatPoly(z4, 2, 2, [a, b]) for a in mats for b in mats[::2]]
-    ps = z4.poly_s()
     for p in polys[::5]:
         for q in polys[::7]:
             assert _det_comm(p * q) == ps.mul(_det_comm(p), _det_comm(q))

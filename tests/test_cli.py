@@ -424,6 +424,27 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["ring-check", "--ring", RING_F2], 0),
+    (["form-check", "--form", json.dumps({"ring": {"kind": "Fp", "p": 2}, "epsilon": 1,
+                                          "variant": "el", "matrix": [["0"]]})], 1),
+    (["ring-check", "--ring", '{"kind":"Fp","p":4}'], 2),
+    (["--format", "table", "verify", "xi-computations"], 0),
+], ids=["passed", "failed", "refused", "table"])
+def test_a_closed_stdout_keeps_the_verdicts_exit_code(argv, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        done = subprocess.run([sys.executable, "-m", "hermkq", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, "")
+
+
 def test_verify_unknown_suite(capsys):
     code, out = run(capsys, "verify", "no-such-suite")
     assert code == 2

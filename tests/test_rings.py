@@ -4,8 +4,9 @@ import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from hermkq.caps import CapExceeded, Unsupported, scoped_cap
 from hermkq.rings import (
     DualRing,
@@ -207,13 +208,32 @@ def test_polys_requires_bound():
 
 def test_polys_conj_is_one_minus_s():
     ps = PolySRing(F2())
-    s = (0, 1)
-    assert ps.conj(s) == (1, 1)  # 1 - s = 1 + s over F2
+    s = ps.from_coeffs((0, 1))
+    assert ps.to_coeffs(ps.conj(s)) == (1, 1)  # 1 - s = 1 + s over F2
     assert ps.conj(ps.conj(s)) == s
     z5 = PolySRing(Fp(5))
-    s5 = (0, 1)
-    assert z5.conj(s5) == (1, 4)
+    s5 = z5.from_coeffs((0, 1))
+    assert z5.to_coeffs(z5.conj(s5)) == (1, 4)
     assert z5.conj(z5.mul(s5, s5)) == z5.mul(z5.conj(s5), z5.conj(s5))
+
+
+def test_sub_is_the_sum_with_the_negative_in_every_kind():
+    # coded rings in odd characteristic, where -b differs from b
+    coded = [DualRing(Fp(3), "+e"), TruncPolyRing(Fp(3), 2, "-t"), Fq(3, 2, (1, 0, 1)),
+             ProductOpRing(Zn(4))]
+    uncoded = [Zn(18), Fp(17), DualRing(Zn(5)), Mat2Ring(Fp(3))]
+    assert all(ring.tables is not None for ring in coded)
+    assert all(ring.tables is None for ring in uncoded)
+    for ring in shipped_rings() + coded + uncoded:
+        elems = ring.elements()[:30]
+        for a in elems:
+            for b in elems:
+                assert ring.sub(a, b) == ring.add(a, ring.neg(b)), (ring.kind, a, b)
+    for base in (F2(), Zn(4), F4()):
+        ps = PolySRing(base, degree_bound=2)
+        for a in ps.sample_elements()[:20]:
+            for b in ps.sample_elements()[-20:]:
+                assert ps.sub(a, b) == ps.add(a, ps.neg(b))
 
 
 def test_truncpoly_conj_sign():
@@ -416,6 +436,42 @@ def _trimmed(coeffs, base):
     return tuple(coeffs)
 
 
+F2S_COEFFS = st.lists(st.integers(0, 1), max_size=24).map(oracles.f2s_trim)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(F2S_COEFFS, F2S_COEFFS)
+# degrees 8, 16 and 23: the Taylor shift of a polynomial past one byte
+@example((0,) * 8 + (1,), (1,) * 17)
+@example((1,) * 17, (0,) * 16 + (1,))
+@example((1, 0, 1) * 7 + (1, 1, 1), (1,) * 24)
+def test_f2s_bitmasks_match_the_schoolbook_oracle(ta, tb):
+    ring = PolySRing(F2())
+    a, b = ring.from_coeffs(ta), ring.from_coeffs(tb)
+    assert type(a) is int and ring.to_coeffs(a) == ta and ring.coeff_count(a) == len(ta)
+    assert ring.to_coeffs(ring.add(a, b)) == oracles.f2s_add(ta, tb)
+    assert ring.to_coeffs(ring.sub(a, b)) == oracles.f2s_sub(ta, tb)
+    assert ring.to_coeffs(ring.neg(a)) == oracles.f2s_sub((), ta)
+    assert ring.to_coeffs(ring.mul(a, b)) == oracles.f2s_mul(ta, tb)
+    assert ring.to_coeffs(ring.conj(a)) == oracles.f2s_conj(ta)
+    assert ring.conj(ring.conj(a)) == a
+    assert ring.to_str(a) == oracles.f2s_to_str(ta) and ring.from_str(ring.to_str(a)) == a
+
+
+@pytest.mark.parametrize("base", [F2(), Zn(2)], ids=["Fp2", "Zn2"])
+def test_f2s_is_bitmasks_however_the_ring_is_made(base):
+    spec = {"kind": "PolyS", "base": base.to_json()}
+    for ring in (PolySRing(base), base.poly_s(), ring_from_json(spec),
+                 ring_from_json({**spec, "degree_bound": 2})):
+        assert ring.kind == "PolyS" and ring.to_json()["base"] == base.to_json()
+        assert (ring.zero, ring.one) == (0, 1)
+    # the sample keeps its order: by length, then by coefficient tuple
+    sample = PolySRing(base, degree_bound=2).sample_elements()
+    assert [PolySRing(base).to_coeffs(a) for a in sample] == [
+        (), (1,), (0, 1), (1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    assert PolySRing(Zn(4)).zero == () and PolySRing(F4()).one == (F4().one,)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_polys_add_and_conj_match_their_definitions(data):
@@ -423,26 +479,28 @@ def test_polys_add_and_conj_match_their_definitions(data):
     ring = base.poly_s()
     poly = st.lists(st.sampled_from(base.elements()), max_size=6).map(
         lambda c: _trimmed(c, base))
-    a, b = data.draw(poly), data.draw(poly)
+    ta, tb = data.draw(poly), data.draw(poly)  # coefficient tuples
+    a, b = ring.from_coeffs(ta), ring.from_coeffs(tb)
     zero = base.zero
 
     def padded(p, n):
         return list(p) + [zero] * (n - len(p))
 
-    n = max(len(a), len(b))
+    n = max(len(ta), len(tb))
     total = ring.add(a, b)
-    assert total == _trimmed(map(base.add, padded(a, n), padded(b, n)), base)
+    assert ring.to_coeffs(total) == _trimmed(map(base.add, padded(ta, n), padded(tb, n)), base)
 
     # conj(sum c_i s^i) = sum conj(c_i) (1 - s)^i, written out binomially
-    expanded = [zero] * len(a)
-    for i, c in enumerate(a):
+    expanded = [zero] * len(ta)
+    for i, c in enumerate(ta):
         for k in range(i + 1):
             term = base.mul(base.conj(c), base.int_embed(math.comb(i, k) * (-1) ** k))
             expanded[k] = base.add(expanded[k], term)
     ca, cb = ring.conj(a), ring.conj(b)
-    assert ca == _trimmed(expanded, base)
+    assert ring.to_coeffs(ca) == _trimmed(expanded, base)
     assert ring.conj(ca) == a
     product_ = ring.mul(a, b)
     assert ring.conj(product_) == ring.mul(ca, cb)  # every base here is commutative
     for out in (total, ca, cb, product_):
-        assert isinstance(out, tuple) and ring.contains(out)  # contains: trimmed
+        # an element of the ring's one representation; contains: trimmed
+        assert isinstance(out, type(ring.zero)) and ring.contains(out)
