@@ -12,10 +12,11 @@ ring size an additive basis is built for, and the spans of a generated
 subring and of a projector's ideal), 3 `internal-check-failed` (an identity
 the program checks on its own result failed: a fault in the program, not in
 the input).  A reader that closes standard output early changes none of
-these: the report is dropped and the exit code is still the verdict's.  Besides the group frame search, the cap bounds the listing of
-S(E) for an enlarged group's preview, the scans of a ring's elements for a
-unit, a split unit or the involution, and the cells of the Xi relations (their
-labels are in `caps.check_cap`).
+these: the report is dropped and the exit code is still the verdict's.
+Besides the group frame search, the cap bounds the listing of S(E) for an
+enlarged group's preview, the scans of a ring's elements for a unit, a split
+unit or the involution, and the cells of the Xi relations (their labels are
+in `caps.check_cap`).
 `python -m hermkq` runs this interface.
 JSON output is deterministic; --format table renders a flat text view.
 """
@@ -444,7 +445,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.cap is not None and args.cap <= 0:
         _print(json.dumps({"error": "bad-input",
-                          "message": f"--cap must be positive, got {args.cap}"}))
+                           "message": f"--cap must be positive, got {args.cap}"}))
         return 2
     for attr in ("ring",):
         if hasattr(args, attr) and getattr(args, attr):

@@ -1,7 +1,7 @@
 """Independent oracles that only the tests use: each answers a question the
 library answers too, by a different and simpler method."""
 
-from itertools import product
+from itertools import product, zip_longest
 
 from hermkq.additive import additive_basis, solve_affine
 from hermkq.caps import Unsupported, check_cap
@@ -314,15 +314,11 @@ def f2s_trim(coeffs) -> tuple:
 
 
 def f2s_add(a, b) -> tuple:
-    n = max(len(a), len(b))
-    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
-    return f2s_trim(x + y for x, y in zip(a, b))
+    return f2s_trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def f2s_sub(a, b) -> tuple:
-    n = max(len(a), len(b))
-    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
-    return f2s_trim(x - y for x, y in zip(a, b))
+    return f2s_add(a, [-c for c in b])
 
 
 def f2s_mul(a, b) -> tuple:
