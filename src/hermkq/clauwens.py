@@ -23,6 +23,15 @@ and keeps it on the datum, where it is freed with the datum (a module table
 keyed by object identity would outlive it, and could answer for a later
 object at a reused address).  The powers are derived from Delta and phi, so
 the datum's equality and repr ignore them.
+
+Data are shared in turn: `DeltaDatum.from_quadform` keeps the data it
+builds on the form's ring object, keyed by (eps, phi0), so that every query
+with an equal form over that ring reads one gram inverse, one psi check and
+one list of powers.  The table keeps at most `_DATA_PER_RING` (64) data per
+ring, the oldest going first, and goes with the ring; a datum is frozen, and
+only its power lists grow.  Shared data pay off where few forms serve many
+queries, as a fixed Delta does in the cup product, Lemma 2's shift and the
+linearization's soundness check.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .forms import DegenerateFormError, QuadFormEl, hyperbolic
 from .linalg import Mat, _det_comm, block, diag_block, invert, kron, nilpotency_index
 from .rings import PolySRing, Ring
 
+_DATA_PER_RING = 64  # data `DeltaDatum.from_quadform` keeps per ring, oldest out first
 
 # ---------------------------------------------------------------------------
 # polynomial matrices
@@ -187,14 +197,14 @@ class PolyQuadForm:
         return self.theta.degree
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaDatum:
     """Quadratic datum after dual identification: gram Delta (invertible,
     Delta^* = eta*Delta) and phi with phi + phi^dagger = 1 for the twisted
     adjoint x -> Delta^{-1} x^bar-t Delta.  A `gram_inv` given is checked by
     the one product Delta gram_inv = 1, as a one-sided inverse is two-sided
     over the m x m matrices of a commutative or a finite ring; without one,
-    Delta is inverted."""
+    Delta is inverted.  A datum is frozen, as `from_quadform` shares it."""
 
     ring: Ring
     eta: int
@@ -212,15 +222,16 @@ class DeltaDatum:
             raise ValueError("gram fails Delta^* = eta*Delta")
         identity = Mat.identity(self.ring, self.m)
         if self.gram_inv is None:
-            self.gram_inv = invert(self.gram)
-            if self.gram_inv is None:
+            inv = invert(self.gram)
+            if inv is None:
                 raise DegenerateFormError("gram must be invertible")
+            object.__setattr__(self, "gram_inv", inv)
         elif self.gram * self.gram_inv != identity:
             raise ValueError("gram_inv is not the inverse of gram")
         if self.phi + self.adjoint(self.phi) != identity:
             raise ValueError("phi fails phi + phi^* = 1")
-        self._gram_powers = [self.gram]
-        self._phi_powers = [identity]
+        object.__setattr__(self, "_gram_powers", [self.gram])
+        object.__setattr__(self, "_phi_powers", [identity])
 
     def adjoint(self, x: Mat) -> Mat:
         return self.gram_inv * x.star() * self.gram
@@ -240,12 +251,28 @@ class DeltaDatum:
         """The datum of q: Delta = phi0 + eps*phi0^*, and phi the
         normalization psi = Delta^{-1} phi0 of `forms.psi_normalize`.  The
         inverse is the one q's hermitian form keeps, and psi + psi^dagger = 1
-        is checked once, by the constructor."""
-        h = q.associated()
-        inv = h.inverse()
-        if inv is None:
-            raise DegenerateFormError("psi normalization needs a nondegenerate form")
-        return DeltaDatum(q.ring, q.eps, q.n, h.phi, inv * q.phi0, inv)
+        is checked once, by the constructor.
+
+        The datum is shared: a form equal to one met before over the same
+        ring object, in eps and phi0, gets the datum built for that one.
+        Each ring object keeps at most `_DATA_PER_RING` (64) data, the
+        oldest going first; a ring made afresh, such as one with a split
+        unit (never interned), starts with none."""
+        data = q.ring._delta_data
+        if data is None:
+            data = q.ring._delta_data = {}
+        key = (q.eps, q.phi0)
+        d = data.get(key)
+        if d is None:
+            h = q.associated()
+            inv = h.inverse()
+            if inv is None:
+                raise DegenerateFormError("psi normalization needs a nondegenerate form")
+            d = DeltaDatum(q.ring, q.eps, q.n, h.phi, inv * q.phi0, inv)
+            if len(data) >= _DATA_PER_RING:
+                del data[next(iter(data))]
+            data[key] = d
+        return d
 
 
 @dataclass
@@ -311,16 +338,26 @@ def cup_product(theta: PolyQuadForm, d: DeltaDatum) -> QuadFormEl:
 def kappa_hermitian_two_ways(theta: PolyQuadForm, d: DeltaDatum):
     """The hermitian part of kappa computed directly and by substituting phi
     into the hermitian s-polynomial H; they must agree entrywise."""
-    kappa = cup_product(theta, d).phi0
-    eps_out = theta.eps * d.eta
-    direct = kappa + kappa.star().scale_sign(eps_out)
+    return _hermitian_two_ways(theta, d, cup_product(theta, d))
+
+
+def _hermitian_two_ways(theta: PolyQuadForm, d: DeltaDatum, kappa: QuadFormEl):
+    """`kappa_hermitian_two_ways` for kappa = `cup_product(theta, d)`,
+    already formed."""
+    direct = kappa.phi0 + kappa.phi0.star().scale_sign(kappa.eps)
     lifted = _substitute(theta.hermitian(), d)  # H(s) = theta + eps theta^*
     return direct, lifted
 
 
 def kappa_nondegenerate(theta: PolyQuadForm, d: DeltaDatum) -> bool:
     """Invertibility of kappa + kappa^*; equals the substitution H(phi)."""
-    direct, lifted = kappa_hermitian_two_ways(theta, d)
+    return _kappa_nondegenerate(theta, d, cup_product(theta, d))
+
+
+def _kappa_nondegenerate(theta: PolyQuadForm, d: DeltaDatum, kappa: QuadFormEl) -> bool:
+    """`kappa_nondegenerate` for kappa = `cup_product(theta, d)`, already
+    formed: H(phi) = kappa + kappa^* is still checked."""
+    direct, lifted = _hermitian_two_ways(theta, d, kappa)
     if direct != lifted:
         raise AssertionError("substitution H(phi) disagrees with kappa + kappa^*")
     return invert(direct) is not None

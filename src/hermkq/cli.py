@@ -34,8 +34,8 @@ from .caps import CapExceeded, Unsupported, scoped_cap
 from .clauwens import (
     DeltaDatum,
     PolyQuadForm,
+    _kappa_nondegenerate,
     cup_product,
-    kappa_nondegenerate,
     lemma4_recursion,
     linearize,
     projector_conjugator,
@@ -268,7 +268,7 @@ def cmd_clauwens(args, fmt):
             "kappa": kappa.phi0.to_strs(),
             "epsilon": kappa.eps,
             "rank": kappa.n,
-            "nondegenerate": kappa_nondegenerate(theta, d),
+            "nondegenerate": _kappa_nondegenerate(theta, d, kappa),
         }
         return _emit("clauwens product", {"theta": theta_doc, "delta": delta_doc},
                      report, fmt, report["nondegenerate"])

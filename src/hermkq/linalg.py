@@ -58,7 +58,12 @@ class Mat:
 
     @staticmethod
     def from_strs(ring: Ring, rows) -> "Mat":
-        return Mat(ring, [[ring.from_str(s) for s in row] for row in rows])
+        parse = ring.from_str
+        entries = tuple([tuple([parse(s) for s in row]) for row in rows])
+        cols = len(entries[0]) if entries else 0
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged matrix")
+        return Mat._trusted(ring, entries, len(entries), cols)
 
     def to_strs(self):
         return [[self.ring.to_str(x) for x in row] for row in self.entries]

@@ -45,7 +45,9 @@ from .caps import Unsupported, check_cap
 _TABLE_LIMIT = 16  # a finite ring of at most this many elements is coded
 _FQ_TABLE_LIMIT = 256  # and an Fq of at most this many
 _TABLES: dict = {}  # ring key -> RingTables, shared by the rings with that key
-_INTERNED: dict = {}  # ring key -> the ring `ring_from_json` returns for it
+# ring key, or canonical JSON of a spec given for it -> the ring
+# `ring_from_json` returns for it
+_INTERNED: dict = {}
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981  # see `_is_prime`
 
@@ -107,16 +109,19 @@ class InvolutionReport:
 class RingTables:
     """The Cayley tables of a coded ring, whose elements are the codes
     0..size-1: `add[a][b]`, `mul[a][b]`, `neg[a]` and `conj[a]` are codes,
-    and `strs[a]` is the canonical string of code a.
+    `strs[a]` is the canonical string of code a, and `parse` maps each
+    canonical string back to its code.
 
     For a tuple kind, `decode[a]` is the tuple over the base that code a
     stands for, the a-th of the kind's enumeration, and `encode` maps the
     tuples back to codes; for Fp, Zn and Fq both are None.  Every entry is
     one evaluation of the ring's definition, the hooks `_add`, `_mul`, ...
-    of its kind, on the elements the codes stand for.
+    of its kind, on the elements the codes stand for; `parse[strs[a]]` is
+    `from_str`'s definition evaluated on strs[a], so a string in `parse`
+    parses by lookup to what the definition gives.
     """
 
-    __slots__ = ("add", "mul", "neg", "conj", "strs", "decode", "encode")
+    __slots__ = ("add", "mul", "neg", "conj", "strs", "parse", "decode", "encode")
 
     def __init__(self, ring: "Ring"):
         self.decode = self.encode = None
@@ -134,6 +139,7 @@ class RingTables:
         self.neg = codes([ring._neg(x) for x in elems])
         self.conj = codes([ring._conj(x) for x in elems])
         self.strs = [ring._to_str(x) for x in elems]
+        self.parse = {t: codes([ring._from_str(t)])[0] for t in self.strs}
 
 
 class Ring:
@@ -150,6 +156,9 @@ class Ring:
     char: int = 0
     _key: str | None = None
     _poly_s: "PolySRing | None" = None
+    # (eps, phi0) -> the `clauwens.DeltaDatum` of that form over this ring
+    # object, filled by `DeltaDatum.from_quadform`
+    _delta_data: dict | None = None
     tables: RingTables | None = None
     """The ring's Cayley tables when it is coded (see the module docstring),
     else None.  Hot loops may read them directly instead of calling the
@@ -186,9 +195,10 @@ class Ring:
 
     # Each kind defines its elements by these hooks.  A ring that is not
     # coded takes them as its element operations (`__init__`); those of a
-    # coded ring, below, read its tables instead, except `from_str`, which
-    # parses by the definition and then encodes.  Zn (so Fp) takes the hooks
-    # as its operations either way, as they cost no more than a lookup.
+    # coded ring, below, read its tables instead; its `from_str` looks a
+    # canonical string up in `parse` and parses any other by the definition,
+    # then encodes.  Zn (so Fp) takes the hooks as its operations either
+    # way, as they cost no more than a lookup.
     # `_sub` alone has a definition here, a + (-b), for the kinds with no
     # shorter one; a coded ring's `sub` is one lookup, add[a][neg[b]].
     def _zero(self):
@@ -378,9 +388,13 @@ class Ring:
         return self.tables.strs[a]
 
     def from_str(self, s: str):
+        tables = self.tables
+        if isinstance(s, str):  # anything else is refused by the definition
+            code = tables.parse.get(s)
+            if code is not None:
+                return code
         x = self._from_str(s)
-        encode = self.tables.encode
-        return x if encode is None else encode[x]
+        return x if tables.encode is None else tables.encode[x]
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -1244,15 +1258,25 @@ def ring_from_json(doc) -> Ring:
 
     A spec that sets no split unit, at any depth, gives one shared ring per
     key, so that the matrices of separate calls, and those the subgroup
-    caches keep, share one ring object and compare rings by identity.  A
-    spec with a split unit gives a new ring, so that the unit stays with it.
+    caches keep, share one ring object and compare rings by identity.  The
+    shared ring is looked up first by the spec's canonical JSON
+    (`json.dumps(doc, sort_keys=True)`), under which it is also kept, so a
+    spec met before builds nothing; specs that differ in key order or in a
+    default field reach the same ring through its key.  A spec with a split
+    unit gives a new ring, so that the unit stays with it.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    spec = json.dumps(doc, sort_keys=True)
+    ring = _INTERNED.get(spec)
+    if ring is not None:
+        return ring
     ring = _ring_from_spec(doc)
     if _sets_split_unit(doc):
         return ring
-    return _INTERNED.setdefault(ring.key(), ring)
+    ring = _INTERNED.setdefault(ring.key(), ring)
+    _INTERNED[spec] = ring
+    return ring
 
 
 def _sets_split_unit(doc) -> bool:

@@ -28,7 +28,7 @@ from hermkq.clauwens import (
     sqrt_one_plus_nu_t,
 )
 from hermkq.cli import main
-from hermkq.forms import DegenerateFormError, QuadFormEl, hyperbolic, min_equal
+from hermkq.forms import DegenerateFormError, QuadFormEl, form_from_json, hyperbolic, min_equal
 from hermkq.linalg import Mat, _det_comm, all_matrices, block, invert, kron
 from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, PolySRing, Zn, ring_from_json
 
@@ -76,13 +76,94 @@ def test_delta_datum_from_a_form_inverts_its_gram_once(monkeypatch):
     calls = []
     for module in (hermkq.clauwens, hermkq.forms):
         monkeypatch.setattr(module, "invert", lambda m, f=module.invert: calls.append(m) or f(m))
-    for q in (hyperbolic(F2_, 1, 2), QuadFormEl(F2_, 1, Mat.from_strs(F2_, [["1", "1"], ["0", "1"]]))):
+    f2 = Fp(2)  # a fresh ring object, which has met none of these forms
+    for phi0 in (hyperbolic(f2, 1, 2).phi0, Mat.from_strs(f2, [["1", "1"], ["0", "1"]])):
+        q = QuadFormEl(f2, 1, phi0)
         calls.clear()
         d = DeltaDatum.from_quadform(q)
-        assert calls == [q.associated().phi] and d.gram_inv * d.gram == Mat.identity(F2_, q.n)
-        assert d == DeltaDatum(F2_, 1, q.n, d.gram, d.phi)  # the same datum, built directly
+        assert calls == [q.associated().phi] and d.gram_inv * d.gram == Mat.identity(f2, q.n)
+        assert d == DeltaDatum(f2, 1, q.n, d.gram, d.phi)  # the same datum, built directly
+        calls.clear()
+        assert DeltaDatum.from_quadform(QuadFormEl(f2, 1, Mat(f2, phi0.entries))) is d
+        assert calls == []  # an equal form reads the datum already built
     with pytest.raises(DegenerateFormError, match="needs a nondegenerate form"):
-        DeltaDatum.from_quadform(QuadFormEl(F2_, 1, Mat.zero(F2_, 2)))
+        DeltaDatum.from_quadform(QuadFormEl(f2, 1, Mat.zero(f2, 2)))
+    with pytest.raises(DegenerateFormError, match="needs a nondegenerate form"):
+        DeltaDatum.from_quadform(QuadFormEl(f2, 1, Mat.zero(f2, 2)))  # a refusal is not kept
+
+
+def test_equal_forms_share_a_datum_per_ring_object():
+    f2 = ring_from_json({"kind": "Fp", "p": 2})
+    rows = [["1", "1"], ["0", "1"]]
+    d = DeltaDatum.from_quadform(QuadFormEl(f2, 1, Mat.from_strs(f2, rows)))
+    form = {"ring": {"kind": "Fp", "p": 2}, "epsilon": 1, "variant": "el", "matrix": rows}
+    assert DeltaDatum.from_quadform(form_from_json(form)) is d  # the interned ring
+    other = Fp(2)  # a second F2 object keeps its own data
+    twin = DeltaDatum.from_quadform(QuadFormEl(other, 1, Mat.from_strs(other, rows)))
+    assert twin is not d and twin == d and twin.ring is other
+    # a ring with a split unit is made afresh for every spec, with no data
+    spec = {"kind": "Fp", "p": 3, "split_unit": "2"}
+    f3a, f3b = ring_from_json(spec), ring_from_json(spec)
+    plane = [["0", "1"], ["0", "0"]]
+    da = DeltaDatum.from_quadform(QuadFormEl(f3a, 1, Mat.from_strs(f3a, plane)))
+    db = DeltaDatum.from_quadform(QuadFormEl(f3b, 1, Mat.from_strs(f3b, plane)))
+    assert f3a is not f3b and da is not db and da == db
+    # epsilon is part of the form: the same phi0 at eps -1 is another datum
+    dm = DeltaDatum.from_quadform(QuadFormEl(f3a, -1, Mat.from_strs(f3a, plane)))
+    assert dm is not da and dm.eta == -1
+    assert DeltaDatum.from_quadform(QuadFormEl(f3a, 1, Mat.from_strs(f3a, plane))) is da
+
+
+def test_shared_data_are_bounded_per_ring_oldest_out_first():
+    import hermkq.clauwens
+
+    limit = hermkq.clauwens._DATA_PER_RING
+    assert limit == 64
+    ring = Fp(1031)  # the rank-1 forms [[a]], a != 0, are nondegenerate and distinct
+    forms = [QuadFormEl(ring, 1, Mat(ring, [[a]])) for a in range(1, limit + 2)]
+    data = [DeltaDatum.from_quadform(q) for q in forms]  # the last pushes out the first
+    assert all(DeltaDatum.from_quadform(q) is d for q, d in zip(forms[1:], data[1:]))
+    again = DeltaDatum.from_quadform(forms[0])
+    assert again is not data[0] and again == data[0]
+    assert DeltaDatum.from_quadform(forms[1]) is not data[1]  # now the oldest went
+    assert len(ring._delta_data) == limit
+
+
+def test_powers_grown_by_one_query_are_read_by_the_next(monkeypatch):
+    f2 = Fp(2)
+    hyp = Mat.from_strs(f2, [["0", "1"], ["0", "0"]])
+    s3 = Mat.from_strs(f2, [["1", "1"], ["0", "0"]])  # s3 + s3^t != 0
+    z = MatPoly(f2, 2, 2, [Mat.zero(f2, 2), Mat.zero(f2, 2), Mat.zero(f2, 2), s3])
+    theta = PolyQuadForm(f2, 1, MatPoly(f2, 2, 2, [hyp]) + z - z.star())
+    assert theta.degree() == 3
+    products = []
+    mul = Mat.__mul__
+
+    def counting_mul(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counting_mul)
+    counts = []
+    for _ in range(2):  # two queries, each with its own parse of the form
+        products.clear()
+        d = DeltaDatum.from_quadform(QuadFormEl(f2, 1, Mat(f2, hyp.entries)))
+        kappa = cup_product(theta, d)
+        counts.append((len(products), sum(b is d.phi for b in products)))
+    assert counts[0][1] == 3  # Delta phi, Delta phi^2, Delta phi^3, formed once
+    assert counts[1] == (0, 0)  # the second query forms no product at all
+    monkeypatch.undo()
+    assert kappa.phi0 == _substitute(theta.theta, DeltaDatum(f2, 1, 2, d.gram, d.phi))
+
+
+def test_delta_datum_is_frozen():
+    from dataclasses import FrozenInstanceError
+
+    d = DeltaDatum.from_quadform(QuadFormEl(Fp(2), 1, hyperbolic(Fp(2), 1, 1).phi0))
+    for name in ("ring", "eta", "m", "gram", "phi", "gram_inv"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(d, name, None)
+    assert d.powers(3)[2] == d.gram * d.phi * d.phi  # the powers still grow
 
 
 def test_matpoly_star_s_is_involutive():

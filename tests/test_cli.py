@@ -285,6 +285,23 @@ def test_clauwens_product_command(capsys):
     assert doc["report"]["rank"] == 4 and doc["report"]["nondegenerate"]
 
 
+def test_clauwens_product_forms_its_cup_product_once(capsys, monkeypatch):
+    import hermkq.clauwens
+
+    theta = json.dumps(
+        {"ring": {"kind": "Fp", "p": 2}, "epsilon": 1,
+         "coefficients": [[["1", "0"], ["0", "0"]], [["0", "1"], ["1", "0"]]]}
+    )
+    substituted = []
+    substitute = hermkq.clauwens._substitute
+    monkeypatch.setattr(hermkq.clauwens, "_substitute",
+                        lambda p, d, *a: substituted.append(p) or substitute(p, d, *a))
+    code, out = run(capsys, "clauwens", "product", "--theta", theta, "--delta-form", HYP_F2)
+    assert code == 0 and json.loads(out)["report"]["nondegenerate"]
+    # theta for kappa, then H(s) for the check H(phi) = kappa + kappa^*
+    assert len(substituted) == 2 and substituted[1] != substituted[0]
+
+
 def test_clauwens_linearize_command(capsys):
     theta = json.dumps(
         {"ring": {"kind": "Fp", "p": 2}, "epsilon": 1,

@@ -30,6 +30,18 @@ def test_conj_transpose_examples():
     assert m.star().to_strs() == [["0", "0"], ["1", "0"]]
 
 
+def test_from_strs_matches_the_constructor():
+    f4 = F4()
+    for rows in ([["w", "1"], ["w+1", "0"]], [["1", "0", "w"]], [["w"], ["1"]], []):
+        m = Mat.from_strs(f4, rows)
+        assert m == Mat(f4, [[f4.from_str(s) for s in row] for row in rows])
+        assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
+        assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+    for ragged in ([["1", "0"], ["0"]], [["1"], []], [[], ["1"]]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            Mat.from_strs(f4, ragged)
+
+
 def test_star_antimultiplicative_random():
     rng = random.Random(7)
     for ring in (F2(), F4(), Zn(8), Mat2Ring(F2()), DualRing(F4())):

@@ -418,6 +418,80 @@ def test_plain_specs_give_one_ring_and_split_units_stay_apart():
     assert ring_from_json(doc) is plain and plain.base.split_unit is None
 
 
+def test_specs_that_differ_in_key_order_or_a_default_give_one_ring(monkeypatch):
+    import hermkq.rings
+
+    f2 = {"kind": "Fp", "p": 2}
+    variants = {
+        "Fp": [{"p": 7, "kind": "Fp"}, {"kind": "Fp", "p": 7}],
+        "Fq": [{"kind": "Fq", "p": 2, "deg": 2, "modulus": [1, 1, 1]},
+               {"modulus": [1, 1, 1], "involution": "trivial", "deg": 2, "p": 2, "kind": "Fq"}],
+        "Dual": [{"kind": "Dual", "base": f2}, {"conj_e": "-e", "base": {"p": 2, "kind": "Fp"},
+                                                "kind": "Dual"}],
+        "TruncPoly": [{"kind": "TruncPoly", "base": f2, "k": 2},
+                      {"kind": "TruncPoly", "base": f2, "k": 2, "conj_t": "+t"}],
+        "PolyS": [{"kind": "PolyS", "base": f2}, {"kind": "PolyS", "base": f2, "degree_bound": None},
+                  '{"base": {"kind": "Fp", "p": 2}, "kind": "PolyS"}'],
+    }
+    for kind, specs in variants.items():
+        ring = ring_from_json(specs[0])
+        assert all(ring_from_json(spec) is ring for spec in specs), kind
+    # a spec met before is looked up, not built
+    built = []
+    build = hermkq.rings._ring_from_spec
+    monkeypatch.setattr(hermkq.rings, "_ring_from_spec", lambda doc: built.append(doc) or build(doc))
+    for specs in variants.values():
+        for spec in specs:
+            ring_from_json(spec)
+    assert built == []
+    # a split unit still gives a new ring per call, built each time
+    split = {"kind": "Fp", "p": 7, "split_unit": "4"}
+    assert ring_from_json(split) is not ring_from_json(split)
+    assert len(built) == 2
+
+
+CODED = [
+    ring
+    for ring in shipped_rings() + [make() for make in CODED_RINGS.values()] + [
+        Zn(16),
+        Fq(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # 256 elements, the largest coded Fq
+    ]
+    if ring.tables is not None
+]
+
+
+@pytest.mark.parametrize("ring", CODED, ids=[f"{i}-{r.kind}{r.size}" for i, r in enumerate(CODED)])
+def test_every_code_parses_back_from_its_string(ring):
+    assert all(ring.from_str(ring.to_str(a)) == a for a in ring.elements())
+    for bad in (["1"], 1, None):
+        with pytest.raises(ValueError):
+            ring.from_str(bad)
+
+
+# strings that are not canonical, each with the canonical string of what
+# `from_str` gives for it (as its definition does)
+NONCANONICAL = [
+    (Fp(2), [("3", "1"), ("-1", "1"), (" 1", "1"), ("02", "0")]),
+    (Zn(4), [("5", "1"), ("-1", "3")]),
+    (F4(), [(" w ", "w"), ("1+w", "w+1"), ("w+w", "0"), ("2*w", "0"), ("1*w^1", "w")]),
+    (DualRing(F2()), [("0+e", "e"), ("1+1*e", "1+e"), ("(1)", "1"), ("3", "1")]),
+    (Mat2Ring(F2()), [('[["1", "0"], ["0", "1"]]', '[["1","0"],["0","1"]]'),
+                      ('[["3","0"],["0","1"]]', '[["1","0"],["0","1"]]')]),
+    (ProductOpRing(F2()), [(" (1|0) ", "(1|0)"), ("(3|2)", "(1|0)")]),
+    (TruncPolyRing(F2(), 3), [('["1"]', '["1","0","0"]'), ("[]", '["0","0","0"]')]),
+]
+
+
+@pytest.mark.parametrize("ring, pairs", NONCANONICAL, ids=[r.kind for r, _ in NONCANONICAL])
+def test_noncanonical_strings_parse_by_the_definition(ring, pairs):
+    for s, canonical in pairs:
+        assert s not in ring.tables.parse
+        assert ring.to_str(ring.from_str(s)) == canonical, s
+    for s in ("", "x", "[[", "w^9"):
+        with pytest.raises(ValueError):
+            ring.from_str(s)
+
+
 def test_tables_are_shared_by_key_but_split_units_are_not():
     doc = {"kind": "Dual", "base": {"kind": "Fp", "p": 3}, "conj_e": "+e"}
     plain = ring_from_json(doc)
