@@ -73,7 +73,10 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     the pairs of that certified group fibre by fibre, one witness solve per
     f, counts its order |O^min|.|S(E)| first ("el pair enumeration").  A
     ring's split-unit scan counts its elements ("split unit scan"); a
-    trivial involution needs no scan.  The Xi group counts the cells of its
+    trivial involution needs no scan.  The scan for an inverse counts them
+    too ("unit scan"); only an uncoded Dual, TruncPoly, Mat2 or ProductOp
+    ring runs it, as a coded ring reads its inverse table and Zn and Fq have
+    a formula.  The Xi group counts the cells of its
     relation rows ("xi relations"), and so does the char-2 Xi oracle, which
     counts its generators first ("xi generators").  The Witt tables count
     the even hermitian candidates of each rank ("matrix enumeration"), and

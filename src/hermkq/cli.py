@@ -14,9 +14,10 @@ the program checks on its own result failed: a fault in the program, not in
 the input).  A reader that closes standard output early changes none of
 these: the report is dropped and the exit code is still the verdict's.
 Besides the group frame search, the cap bounds the listing of S(E) for an
-enlarged group's preview, the scans of a ring's elements for a unit, a split
-unit or the involution, and the cells of the Xi relations (their labels are
-in `caps.check_cap`).
+enlarged group's preview, the scans of a ring's elements for a split unit or
+the involution, and for a unit when the ring is not coded (a coded ring reads
+its inverse table), and the cells of the Xi relations (their labels are in
+`caps.check_cap`).
 `python -m hermkq` runs this interface.
 JSON output is deterministic; --format table renders a flat text view.
 """

@@ -106,13 +106,26 @@ def _frame_search(diag: Mat, herm: Mat, diag_class) -> list[Mat]:
     diagonal test form its candidate list L_j.  A frame is the columns
     chosen for the first positions together with the candidate lists of the
     open ones.  Choosing c at position j refines each later list L_k to the
-    d with (c^* herm) d = herm_jk, one inner product per pair, and a frame
+    d with (c^* herm) d = herm_jk, one test per pair, and a frame
     with an empty list is dropped.  The (k, j) entry needs no test: herm^* =
     eps*herm (as `HermForm` enforces), so f_k^* herm f_j = eps*conj(f_j^*
     herm f_k) = eps*conj(herm_jk) = herm_kj.  The leaves are
     therefore exactly the f whose Gram matrix f^* herm f equals herm off the
     diagonal and whose diagonal passes the diagonal tests.  No Mat is built
     before the output.
+
+    A pair is tested by list reads, with no call.  The columns are listed
+    in `product` order, so column d has its first h = ceil(n/2) coordinates
+    at index d // w among the |R|^h such tuples, w = |R|^(n-h), and its last
+    n - h at index d % w among theirs.  For a candidate c, vh lists c^* herm's
+    partial inner product with every tuple of first coordinates and vl with
+    every tuple of last ones (over a coded ring at n = 2 both are rows of
+    `tables.mul`); for each later position k, wl_k = herm_jk - vl.  Then
+    (c^* herm) d = herm_jk exactly when vh[d // w] == wl_k[d % w].  A level
+    makes these half tables, once for each distinct candidate, only when its
+    pair tests outnumber the entries they need, |R|^h + |R|^(n-h) per later
+    position and once more for vl; otherwise each pair takes one inner
+    product.  The last level has no pair to test and makes none.
 
     The cap counts search nodes.  The column pass is |R|^n nodes, checked
     before any column is built.  Before each level the inner products that
@@ -125,7 +138,8 @@ def _frame_search(diag: Mat, herm: Mat, diag_class) -> list[Mat]:
         raise Unsupported("ring not enumerable")
     nodes = ring.size**n
     check_cap(nodes, "matrix enumeration")
-    conj, tables = ring.conj, ring.tables
+    conj, tables, elems = ring.conj, ring.tables, ring.elements()
+    add, mul, sub, zero = ring.add, ring.mul, ring.sub, ring.zero
     if tables is not None:
         add_t, mul_t = tables.add, tables.mul
 
@@ -136,8 +150,6 @@ def _frame_search(diag: Mat, herm: Mat, diag_class) -> list[Mat]:
                     acc = add_t[acc][mul_t[a][b]]
             return acc
     else:
-        add, mul, zero = ring.add, ring.mul, ring.zero
-
         def dot(u, v):
             acc = zero
             for a, b in zip(u, v):
@@ -145,7 +157,15 @@ def _frame_search(diag: Mat, herm: Mat, diag_class) -> list[Mat]:
                     acc = add(acc, mul(a, b))
             return acc
 
-    cols = list(product(ring.elements(), repeat=n))
+    def products(coeffs) -> list:
+        """sum_i coeffs_i x_i for every tuple x over R, in `product` order."""
+        out = None
+        for a in coeffs:
+            row = mul_t[a] if tables is not None else [mul(a, x) for x in elems]
+            out = row if out is None else [add(p, r) for p in out for r in row]
+        return out
+
+    cols = list(product(elems, repeat=n))
     herm_cols = list(zip(*herm.entries))
     diag_cols = None if diag is herm else list(zip(*diag.entries))
     want = [diag_class(diag.entries[j][j]) for j in range(n)]
@@ -160,25 +180,44 @@ def _frame_search(diag: Mat, herm: Mat, diag_class) -> list[Mat]:
         for j in range(n):
             if value == want[j]:
                 lists[j].append(c)
+    h = (n + 1) // 2
+    w = ring.size ** (n - h)
     frames = [((), lists)] if all(lists) else []  # (columns chosen, lists of the open positions)
     for j in range(n):
-        nodes += sum(len(here) * max(1, sum(map(len, later))) for _, (here, *later) in frames)
+        sizes = [(len(here), sum(map(len, later))) for _, (here, *later) in frames]
+        nodes += sum(size * max(1, tests) for size, tests in sizes)
         check_cap(nodes, "matrix enumeration")
         targets = herm.entries[j][j + 1:]
+        # the half tables of each candidate of this level, made once it is met
+        pairs = sum(size * tests for size, tests in sizes)
+        distinct = {c for _, (here, *_) in frames for c in here}
+        by_halves = pairs > len(distinct) * (ring.size**h + w * (len(targets) + 1))
+        halves = {}
         kept = []
         for chosen, (here, *later) in frames:
             for c in here:
                 covec = covecs[c]
+                if by_halves:
+                    if c not in halves:
+                        vl = products(covec[h:])
+                        halves[c] = products(covec[:h]), [[sub(t, v) for v in vl] for t in targets]
+                    vh, wls = halves[c]
                 refined = []
-                for lst, target in zip(later, targets):
-                    lst = [d for d in lst if dot(covec, cols[d]) == target]
+                for k, lst in enumerate(later):
+                    if by_halves:
+                        wl = wls[k]
+                        lst = [d for d in lst if vh[d // w] == wl[d % w]]
+                    else:
+                        target = targets[k]
+                        lst = [d for d in lst if dot(covec, cols[d]) == target]
                     if not lst:
                         break
                     refined.append(lst)
                 else:
                     kept.append((chosen + (c,), refined))
         frames = kept
-    return [Mat(ring, list(zip(*(cols[c] for c in chosen)))) for chosen, _ in frames]
+    return [Mat._trusted(ring, tuple(zip(*(cols[c] for c in chosen))), n, n)
+            for chosen, _ in frames]
 
 
 def enumerate_unitary(h: HermForm) -> list[Mat]:

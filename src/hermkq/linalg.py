@@ -49,7 +49,8 @@ class Mat:
     @staticmethod
     def identity(ring: Ring, n: int) -> "Mat":
         z, o = ring.zero, ring.one
-        return Mat(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
+        rows = tuple([tuple([o if i == j else z for j in range(n)]) for i in range(n)])
+        return Mat._trusted(ring, rows, n, n)
 
     @staticmethod
     def scalar(ring: Ring, n: int, value) -> "Mat":
@@ -66,7 +67,9 @@ class Mat:
         return Mat._trusted(ring, entries, len(entries), cols)
 
     def to_strs(self):
-        return [[self.ring.to_str(x) for x in row] for row in self.entries]
+        tables = self.ring.tables
+        to_str = self.ring.to_str if tables is None else tables.strs.__getitem__
+        return [list(map(to_str, row)) for row in self.entries]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -229,20 +232,31 @@ def kron(a: Mat, b: Mat) -> Mat:
 
 
 def _gauss_jordan(R: Ring, a: list, width: int) -> int:
-    """Bring the rows `a` (lists over the field R) to reduced row echelon form
-    in the first `width` columns, in place; return the rank."""
-    zero, mul, sub = R.zero, R.mul, R.sub
+    """Bring the rows `a` (lists over R, a field or a commutative local ring)
+    to reduced row echelon form in the first `width` columns, in place,
+    pivoting on the first unit of each column among the open rows; return the
+    number of pivots, the rank over a field.
+
+    Over a field the first unit is the first nonzero entry.  Over a local
+    ring the non-units are its one maximal ideal M, so a column with no unit
+    among the open rows is zero modulo M there: modulo M it lies in the span
+    of the pivot columns before it.  Each step is invertible (a swap, a unit
+    scaling, a row subtraction), so the first `width` columns then have
+    dependent columns over the residue field R/M, and a square matrix
+    with fewer than `width` pivots has a determinant in M: it is singular.
+    """
+    zero, mul, sub, inv = R.zero, R.mul, R.sub, R.inv
     rank = 0
     for col in range(width):
         if rank == len(a):
             break
         for r in range(rank, len(a)):
-            if a[r][col] != zero:
+            x = a[r][col]
+            if x != zero and (pinv := inv(x)) is not None:
                 break
         else:
             continue
         a[rank], a[r] = a[r], a[rank]
-        pinv = R.inv(a[rank][col])
         prow = a[rank] = [mul(pinv, x) for x in a[rank]]
         for i, row in enumerate(a):
             f = row[col]
@@ -252,14 +266,21 @@ def _gauss_jordan(R: Ring, a: list, width: int) -> int:
     return rank
 
 
-def _field_inverse(m: Mat) -> Mat | None:
-    """Gauss-Jordan on [m | 1]: the right half becomes m^-1 when m has full rank."""
+def _local_inverse(m: Mat) -> Mat | None:
+    """Gauss-Jordan on [m | 1] over a field or a commutative local ring
+    (`_gauss_jordan`): the right half becomes m^-1 when every column of m
+    has a unit pivot, and m is singular otherwise.  Over a ring that is not
+    a field the result is checked, m*X = X*m = 1, as the adjugate's was."""
     R = m.ring
     n = m.rows
-    a = [list(row) + list(ident) for row, ident in zip(m.entries, Mat.identity(R, n).entries)]
+    ident = Mat.identity(R, n)
+    a = [list(row + irow) for row, irow in zip(m.entries, ident.entries)]
     if _gauss_jordan(R, a, n) < n:
         return None
-    return Mat(R, [row[n:] for row in a])
+    inv = Mat._trusted(R, tuple(tuple(row[n:]) for row in a), n, n)
+    if not R.is_field and (m * inv != ident or inv * m != ident):
+        raise AssertionError("local inverse failed verification")
+    return inv
 
 
 def _det_comm(m: Mat):
@@ -289,7 +310,8 @@ def _det_comm(m: Mat):
 
 
 def _adjugate_inverse(m: Mat) -> Mat | None:
-    """Inverse over a commutative ring: adj(m) * det(m)^{-1}."""
+    """Inverse over a commutative ring that is not local: adj(m) * det(m)^{-1},
+    checked two-sided."""
     R = m.ring
     n = m.rows
     det = _det_comm(m)
@@ -322,21 +344,25 @@ def _adjugate_inverse(m: Mat) -> Mat | None:
 def invert(m: Mat) -> Mat | None:
     """Two-sided inverse of m, or None.
 
-    Fields use Gauss-Jordan on [m | 1]; other commutative rings the
-    adjugate (the matrix is invertible iff its determinant is a unit);
-    noncommutative rings solve the additive system m*X = 1 over Z/char with
-    `additive.solve_affine` (a Howell echelon, exact in every
-    characteristic) and confirm X*m = 1.  Over the finite ring M_n(R) a
-    right inverse is two-sided, hence unique, so one solution is all there
-    is.
+    Fields and the other commutative local rings (`Ring.is_local`: Fp, Fq,
+    Zn(p^k), and Dual and TruncPoly over a local base) take Gauss-Jordan
+    on [m | 1] pivoting on units (`_local_inverse`), exact because a column
+    with no unit left is zero modulo the maximal ideal.  Other commutative
+    rings (Zn(6), Dual(Z/6), ProductOp(F2), ...) take the adjugate, as m is
+    invertible iff its determinant is a unit.  Both check their result
+    two-sided, except over a field.  Noncommutative rings solve the
+    additive system m*X = 1 over Z/char with `additive.solve_affine` (a
+    Howell echelon, exact in every characteristic) and confirm X*m = 1.
+    Over the finite ring M_n(R) a right inverse is two-sided, hence unique,
+    so one solution is all there is.
     """
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
     if m.rows == 0:
         return m
     R = m.ring
-    if R.is_field:
-        return _field_inverse(m)
+    if R.is_local:
+        return _local_inverse(m)
     if R.is_commutative:
         return _adjugate_inverse(m)
     from .additive import solve_affine  # local import to avoid a cycle

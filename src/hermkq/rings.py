@@ -76,6 +76,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime_power(n: int) -> bool:
+    """Whether n = p^k for a prime p and k >= 1, exact wherever `_is_prime`
+    is: a small prime factor must be the only one, and otherwise p > 41 > 2^5,
+    so k is at most log_32 n."""
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+    return any((r := _iroot(n, k)) ** k == n and _is_prime(r)
+               for k in range(1, n.bit_length() // 5 + 1))
+
+
 def _text(s, kind: str) -> str:
     """s itself; every element encoding is a string, anything else is bad input."""
     if not isinstance(s, str):
@@ -118,10 +141,11 @@ class RingTables:
     one evaluation of the ring's definition, the hooks `_add`, `_mul`, ...
     of its kind, on the elements the codes stand for; `parse[strs[a]]` is
     `from_str`'s definition evaluated on strs[a], so a string in `parse`
-    parses by lookup to what the definition gives.
+    parses by lookup to what the definition gives.  `inv[a]` is the b with
+    ab = ba = 1, read off `mul`, or None when a is not a unit.
     """
 
-    __slots__ = ("add", "mul", "neg", "conj", "strs", "parse", "decode", "encode")
+    __slots__ = ("add", "mul", "neg", "conj", "inv", "strs", "parse", "decode", "encode")
 
     def __init__(self, ring: "Ring"):
         self.decode = self.encode = None
@@ -138,6 +162,11 @@ class RingTables:
         self.mul = [codes([mul(x, y) for y in elems]) for x in elems]
         self.neg = codes([ring._neg(x) for x in elems])
         self.conj = codes([ring._conj(x) for x in elems])
+        one = codes([ring.one])[0]
+        self.inv = [None] * ring.size
+        for a, row in enumerate(self.mul):
+            if one in row and self.mul[b := row.index(one)][a] == one:
+                self.inv[a] = b
         self.strs = [ring._to_str(x) for x in elems]
         self.parse = {t: codes([ring._from_str(t)])[0] for t in self.strs}
 
@@ -148,6 +177,9 @@ class Ring:
     kind = "abstract"
     is_commutative = True
     is_field = False
+    # commutative with one maximal ideal, the non-units: Fp, Fq, Zn(p^k), and
+    # Dual and TruncPoly over a local base
+    is_local = False
     # conj(a) = a for every a.  Exact for Zn, Fp and Fq, the kinds that can
     # be fields; another kind may leave it False under a trivial involution
     # (Dual(F2), where -e = e)
@@ -174,7 +206,7 @@ class Ring:
             self._code()
         else:  # the definition is the operation: no table to try first
             self.add, self.neg, self.mul, self.conj = self._add, self._neg, self._mul, self._conj
-            self.sub = self._sub
+            self.sub, self.inv = self._sub, self._inv
             self.contains, self.to_str, self.from_str = self._contains, self._to_str, self._from_str
 
     def _codable(self) -> bool:
@@ -197,10 +229,13 @@ class Ring:
     # coded takes them as its element operations (`__init__`); those of a
     # coded ring, below, read its tables instead; its `from_str` looks a
     # canonical string up in `parse` and parses any other by the definition,
-    # then encodes.  Zn (so Fp) takes the hooks as its operations either
-    # way, as they cost no more than a lookup.
-    # `_sub` alone has a definition here, a + (-b), for the kinds with no
-    # shorter one; a coded ring's `sub` is one lookup, add[a][neg[b]].
+    # then encodes.  Zn (so Fp) takes the hooks `_add` to `_sub` as its
+    # operations either way, as they cost no more than a lookup.
+    # `_sub` has a definition here, a + (-b), for the kinds with no shorter
+    # one; a coded ring's `sub` is one lookup, add[a][neg[b]].  So has `_inv`,
+    # a scan of the elements under the cap ("unit scan"), which only an
+    # uncoded ring of a kind with no inverse formula runs (Zn and Fq have
+    # one); a coded ring's `inv`, Zn's too, is one lookup in `RingTables.inv`.
     def _zero(self):
         raise NotImplementedError
 
@@ -221,6 +256,16 @@ class Ring:
 
     def _sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def _inv(self, a):
+        if self.size is None:
+            raise Unsupported("inverse scan needs a finite ring")
+        check_cap(self.size, "unit scan")
+        one = self.one
+        for b in self.elements():
+            if self.mul(a, b) == one and self.mul(b, a) == one:
+                return b
+        return None
 
     def _contains(self, a) -> bool:
         raise NotImplementedError
@@ -273,15 +318,8 @@ class Ring:
         return result
 
     def inv(self, a):
-        """Multiplicative inverse, or None.  Generic scan for small rings."""
-        if self.size is None:
-            raise Unsupported("inverse scan needs a finite ring")
-        check_cap(self.size, "unit scan")
-        one = self.one
-        for b in self.elements():
-            if self.mul(a, b) == one and self.mul(b, a) == one:
-                return b
-        return None
+        """The two-sided inverse of a, or None when a is not a unit."""
+        return self.tables.inv[a]
 
     def contains(self, a) -> bool:
         """Whether a is an element of the ring.  A coded ring holds exactly
@@ -439,6 +477,7 @@ class Zn(Ring):
         self.size = n
         self.char = n
         self.is_field = _is_prime(n)
+        self.is_local = self.is_field or _is_prime_power(n)
         super().__init__()
 
     def _zero(self):
@@ -466,7 +505,7 @@ class Zn(Ring):
     # are the hooks themselves
     add, neg, mul, conj, sub = _add, _neg, _mul, _conj, _sub
 
-    def inv(self, a):
+    def _inv(self, a):
         if math.gcd(a, self.n) != 1:
             return None
         return pow(a, -1, self.n)
@@ -549,7 +588,7 @@ class Fq(Ring):
     """Fp[w]/(modulus); elements are indices sum(c_i * p^i) of coefficient digits."""
 
     kind = "Fq"
-    is_field = True
+    is_field = is_local = True
 
     def __init__(self, p: int, deg: int, modulus, involution: str = "trivial"):
         if not _is_prime(p):
@@ -624,7 +663,7 @@ class Fq(Ring):
     def _codable(self) -> bool:
         return self.size <= _FQ_TABLE_LIMIT
 
-    def inv(self, a):
+    def _inv(self, a):
         if a == 0:
             return None
         return self.pow(a, self.size - 2)
@@ -770,6 +809,7 @@ class DualRing(_PairRing):
         self.size = None if base.size is None else base.size**2
         self.char = base.char
         self.is_commutative = base.is_commutative
+        self.is_local = base.is_local
         super().__init__()
 
     def _zero(self):
@@ -1187,6 +1227,7 @@ class TruncPolyRing(_TupleRing):
         self.size = None if base.size is None else base.size**k
         self.char = base.char
         self.is_commutative = base.is_commutative
+        self.is_local = base.is_local
         super().__init__()
 
     def _zero(self):

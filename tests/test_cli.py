@@ -273,6 +273,15 @@ def test_whitehead_command(capsys):
     assert json.loads(out)["report"]["passed"] is True
 
 
+def test_whitehead_over_a_ring_that_is_not_local(capsys):
+    # Z/6006 is not local and has no additive basis under the cap, and no
+    # entry of alpha is a unit: only the adjugate inverts alpha
+    code, out = run(capsys, "whitehead", "--ring", '{"kind":"Zn","n":6006}',
+                    "--alpha", '[["2","3"],["3","2"]]', "--beta", '[["1","1"],["0","1"]]')
+    assert code == 0
+    assert json.loads(out)["report"]["passed"] is True
+
+
 def test_clauwens_product_command(capsys):
     theta = json.dumps(
         {"ring": {"kind": "Fp", "p": 2}, "epsilon": 1,

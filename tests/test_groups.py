@@ -373,6 +373,23 @@ def test_frame_search_cap_counts_nodes():
         enumerate_unitary(HermForm(ps, 1, Mat.identity(ps, 1)))
 
 
+@pytest.mark.parametrize("eps, order", [(1, oracles.orthogonal_order(1, 17, 1)),
+                                        (-1, oracles.sp_order(1, 17))], ids=["O+2", "Sp2"])
+def test_frame_search_over_an_uncoded_field(eps, order):
+    # Fp(17) has no tables: its 289 columns are tested by the ring's own
+    # operations, per pair for the 33 isotropic columns of O+2(17), and by
+    # half tables for the 289 of Sp2(17)
+    ring = Fp(17)
+    assert ring.tables is None
+    q = hyperbolic(ring, eps, 1)
+    found_max, found_min = enumerate_unitary(q.associated()), enumerate_orthogonal_min(q)
+    assert len(found_max) == len(found_min) == order
+    # 2 is a unit, so the two variants have the same members
+    assert found_max == found_min
+    h = q.associated().phi
+    assert all(f.star() * h * f == h for f in found_max)
+
+
 def test_frame_search_order_of_o6_plus_2():
     # |O+6(2)| = 40 320, under the default cap
     assert len(enumerate_orthogonal_min(hyperbolic(F2(), 1, 3))) == oracles.orthogonal_order(3, 2, 1)

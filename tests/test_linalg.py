@@ -9,6 +9,7 @@ from hermkq.caps import scoped_cap
 from hermkq.invariants import AbelianGroupPresentation
 from hermkq.linalg import (
     Mat,
+    _det_comm,
     all_matrices,
     invert,
     kron,
@@ -302,6 +303,55 @@ def test_inverse_is_two_sided(data):
     if mi is not None:
         ident = Mat.identity(ring, 2)
         assert m * mi == ident and mi * m == ident
+
+
+INVERT_RINGS = {
+    "Z4": Zn(4), "Z8": Zn(8), "Z9": Zn(9), "Z25": Zn(25),
+    "Dual-F2": DualRing(F2()), "Dual-Z4-e": DualRing(Zn(4), "-e"),
+    "Dual-Z4+e": DualRing(Zn(4), "+e"), "Dual-F3": DualRing(Fp(3)),
+    "Dual-F5": DualRing(Fp(5)),  # 25 elements: uncoded, its units found by a scan
+    "TruncPoly-F3-2+t": TruncPolyRing(Fp(3), 2, "+t"),
+    "TruncPoly-F3-2-t": TruncPolyRing(Fp(3), 2, "-t"),
+    "F4": F4(), "F17": Fp(17), "Z6": Zn(6), "Z12": Zn(12),
+}
+
+
+@pytest.mark.parametrize("name", list(INVERT_RINGS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_invert_over_local_and_composite_rings(name, data):
+    # local rings take the unit-pivot elimination, Z/6 and Z/12 the adjugate;
+    # a singular matrix is drawn as well: a last row that is a combination
+    # of the others, or non-units throughout one column
+    ring = INVERT_RINGS[name]
+    elems = ring.elements()
+    n = data.draw(st.integers(1, 3), label="n")
+    rows = [[data.draw(st.sampled_from(elems)) for _ in range(n)] for _ in range(n)]
+    singular = data.draw(st.sampled_from(["random", "dependent", "nonunit column"]))
+    if singular == "dependent":
+        coeffs = [data.draw(st.sampled_from(elems)) for _ in range(n - 1)]
+        last = [ring.zero] * n
+        for c, row in zip(coeffs, rows):
+            last = [ring.add(x, ring.mul(c, y)) for x, y in zip(last, row)]
+        rows[-1] = last
+    elif singular == "nonunit column":
+        nonunits = [x for x in elems if ring.inv(x) is None]
+        col = data.draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = data.draw(st.sampled_from(nonunits))
+    m = Mat(ring, rows)
+    mi = invert(m)
+    ident = Mat.identity(ring, n)
+    if mi is not None:
+        assert m * mi == ident and mi * m == ident
+    if n <= 2:
+        assert (mi is not None) == is_invertible_by_enumeration(m)
+    else:
+        assert (mi is not None) == (ring.inv(_det_comm(m)) is not None)
+    # a zero determinant, and over a local ring a determinant in the maximal
+    # ideal, is singular; over Z/6 two non-units can make a unit determinant
+    if singular == "dependent" or singular == "nonunit column" and ring.is_local:
+        assert mi is None
 
 
 @pytest.mark.parametrize("ring,entries,index", [

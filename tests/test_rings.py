@@ -21,6 +21,7 @@ from hermkq.rings import (
     TruncPolyRing,
     Zn,
     _is_prime,
+    _is_prime_power,
     ring_from_json,
 )
 
@@ -153,6 +154,40 @@ def test_is_prime_matches_sympy_below_two_hundred_thousand():
     import sympy
 
     assert [n for n in range(200_000) if _is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_is_prime_power_matches_sympy():
+    import sympy
+
+    small = [n for n in range(2, 20_000)
+             if _is_prime_power(n) != (len(sympy.factorint(n)) == 1)]
+    assert small == []
+    # no prime factor below 43, so the roots are tried: 43^3, 10007^2 and
+    # 1 000 003^3 are prime powers, 43 * 47, 43^2 * 47 and 10007 * 10009 not
+    for n in (43**3, 10007**2, 1_000_003**3, 2**61 - 1):
+        assert _is_prime_power(n)
+    for n in (43 * 47, 43**2 * 47, 10007 * 10009, 10**30):
+        assert not _is_prime_power(n)
+
+
+@pytest.mark.parametrize("ring, local", [
+    (Fp(2), True), (Fp(17), True), (Fp(10**9 + 7), True), (F4(), True),
+    (Fq(3, 2, (2, 2, 1), "frobenius"), True),
+    (Zn(4), True), (Zn(8), True), (Zn(9), True), (Zn(25), True), (Zn(3**40), True),
+    (Zn(43**3), True), (Zn(6), False), (Zn(12), False), (Zn(6006), False),
+    (Zn(10**30), False), (Zn(43 * 47), False),
+    (DualRing(F2()), True), (DualRing(Zn(4), "+e"), True), (DualRing(Fp(5)), True),
+    (DualRing(Zn(6)), False),
+    (TruncPolyRing(Fp(3), 2), True), (TruncPolyRing(F4(), 3, "-t"), True),
+    (TruncPolyRing(Zn(6), 2), False),
+    (Mat2Ring(F2()), False), (ProductOpRing(F2()), False), (ProductOpRing(Fp(3)), False),
+    (PolySRing(F2()), False), (PolySRing(Fp(3)), False),
+], ids=lambda x: x.key() if isinstance(x, Ring) else str(x))
+def test_is_local_per_kind(ring, local):
+    assert ring.is_local is local
+    # a local ring is commutative, and a field is local
+    assert not ring.is_local or ring.is_commutative
+    assert ring.is_local or not ring.is_field
 
 
 @pytest.mark.parametrize("n", [3_215_031_751, 3_825_123_056_546_413_051,
@@ -458,6 +493,17 @@ CODED = [
     ]
     if ring.tables is not None
 ]
+
+
+@pytest.mark.parametrize("ring", CODED, ids=[f"{i}-{r.kind}{r.size}" for i, r in enumerate(CODED)])
+def test_inverse_table_is_the_scan(ring):
+    # the scan definition: the first b with ab = ba = 1, else None
+    one, mul = ring.one, ring.mul
+    scan = [next((b for b in ring.elements() if mul(a, b) == one and mul(b, a) == one), None)
+            for a in ring.elements()]
+    assert ring.tables.inv == scan
+    assert [ring.inv(a) for a in ring.elements()] == scan
+    assert ring.inv(ring.zero) is None and ring.inv(ring.one) == ring.one
 
 
 @pytest.mark.parametrize("ring", CODED, ids=[f"{i}-{r.kind}{r.size}" for i, r in enumerate(CODED)])
