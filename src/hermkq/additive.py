@@ -2,20 +2,23 @@
 
 Every shipped finite ring has additive group isomorphic to (Z/char)^d with a
 basis discoverable by a greedy scan.  That turns additive constraints in
-matrix unknowns (all the "does there exist gamma" conditions) into linear
-systems over Z/char, prime or not, which one Howell-form echelon of the
-system's graph (`snf.LinearMap`) solves exactly.
+matrix unknowns into linear systems over Z/char, prime or not, which one
+Howell-form echelon of the system's graph (`snf.LinearMap`) solves exactly:
+`solve_affine`, for the maps with no closed form (inverses over
+noncommutative rings, the lemma-4 congruences).  The shift map gamma -
+eps*gamma^* and its sibling gamma + eps*gamma^* split entry by entry and
+are read off a per-entry table instead (`forms.ShiftSubgroup`).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import operator
 from math import prod
 
 from .caps import CapExceeded, Unsupported, check_cap
 from .linalg import Mat
 from .rings import Ring
-from .snf import Echelon, LinearMap, solve_mod
+from .snf import Echelon, solve_mod
 
 _BASIS_CACHE: dict = {}
 # fixed bound on the ring size an additive basis is built for, not the search cap
@@ -97,9 +100,7 @@ def mat_coords(basis: AdditiveBasis, m: Mat) -> tuple:
     return tuple(out)
 
 
-def mat_from_coords(basis: AdditiveBasis, rows: int, cols: int, vec, ring=None) -> Mat:
-    """The matrix with coordinates vec, over `ring` (by default the basis's
-    ring, which may be another object with the same key)."""
+def mat_from_coords(basis: AdditiveBasis, rows: int, cols: int, vec) -> Mat:
     d = basis.dim
     out = []
     idx = 0
@@ -109,19 +110,20 @@ def mat_from_coords(basis: AdditiveBasis, rows: int, cols: int, vec, ring=None) 
             row.append(basis.element_from_coords(vec[idx: idx + d]))
             idx += d
         out.append(row)
-    return Mat(ring or basis.ring, out)
+    return Mat(basis.ring, out)
 
 
-def extend_span(span: set, x, limit: int, message: str) -> bool:
+def extend_span(span: set, x, limit: int, message: str, add=operator.add) -> bool:
     """Grow `span`, a finite additive subgroup held as a set, to span + Z*x
     in place; return whether it grew.
 
     The new elements are listed coset by coset, each layer the last one
     shifted by x, until the next layer falls back into the span: a coset of
     a subgroup is either inside it or disjoint from it.  That costs about
-    one addition per new element.  Uses only `+` and hashing, so it serves every
-    ring kind, finite or not.  Raises CapExceeded(message) before the span
-    would hold more than `limit` elements.
+    one addition per new element.  Uses only `add` (`+` on matrices, or a
+    ring's own `add` on its elements) and hashing, so it serves every ring
+    kind, finite or not.  Raises CapExceeded(message) before the span would
+    hold more than `limit` elements.
     """
     if x in span:
         return False
@@ -129,10 +131,25 @@ def extend_span(span: set, x, limit: int, message: str) -> bool:
     while True:
         if len(span) + len(layer) > limit:
             raise CapExceeded(message)
-        layer = [m + x for m in layer]
+        layer = [add(m, x) for m in layer]
         span.update(layer)
-        if layer[0] + x in span:
+        if add(layer[0], x) in span:
             return True
+
+
+def _listed_quotient(ring, elems, sub) -> tuple[list, dict]:
+    """The cosets of the listed subgroup `sub` that meet `elems`: their
+    representatives, each the first member in the order of `elems`, and
+    the map from every member of those cosets to its representative."""
+    reps = []
+    coset = {}
+    for a in elems:
+        if a in coset:
+            continue
+        reps.append(a)
+        for l in sub:
+            coset[ring.add(a, l)] = a
+    return reps, coset
 
 
 class MatSubgroup:
@@ -177,35 +194,6 @@ class MatSubgroup:
                             "subgroup enumeration")
             self._elements = sorted(span, key=Mat.key)
         return self._elements
-
-
-class AdditiveMap:
-    """A fixed additive map `fun` on n x n matrices, in the coordinates of
-    `solve_affine`, as an `snf.LinearMap` for repeated solves of fun(x) =
-    target; `kernel` is its kernel as a `MatSubgroup`.  `solve` returns the
-    particular solution `solve_affine(..., all_solutions=False)` returns, as
-    both read it off the same `LinearMap`."""
-
-    def __init__(self, ring: Ring, n: int, fun):
-        self.n = n
-        self._basis = basis = additive_basis(ring)
-        images = [mat_coords(basis, fun(b)) for b in _basis_mats(basis, n, n)]
-        self._map = LinearMap(images, ring.char, n * n * basis.dim)
-
-    @cached_property
-    def kernel(self) -> MatSubgroup:
-        """ker fun, built on first use from the kernel rows of the graph
-        echelon; no member is listed."""
-        basis, n = self._basis, self.n
-        return MatSubgroup(basis.ring, n, n, [
-            mat_from_coords(basis, n, n, vec) for vec, _ in self._map.kernel])
-
-    def solve(self, target: Mat) -> Mat | None:
-        """The canonical particular solution of fun(x) = target, or None,
-        over the ring of the target."""
-        x = self._map.solve(mat_coords(self._basis, target))
-        return None if x is None else mat_from_coords(self._basis, self.n, self.n, x,
-                                                      target.ring)
 
 
 def _basis_mats(basis: AdditiveBasis, rows: int, cols: int):

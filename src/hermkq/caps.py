@@ -70,7 +70,7 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
     with a candidate for a later position.  The enlarged group lists only
     O^min, under that count, and lifts only its generators; its preview
     lists S(E) ("subgroup enumeration").  `groups.el_elements`, which lists
-    the pairs of that certified group fibre by fibre, one witness solve per
+    the pairs of that certified group fibre by fibre, one witness read per
     f, counts its order |O^min|.|S(E)| first ("el pair enumeration").  A
     ring's split-unit scan counts its elements ("split unit scan"); a
     trivial involution needs no scan.  The scan for an inverse counts them

@@ -121,7 +121,8 @@ def _substitute(p: Mat, d: "DeltaDatum", gram: bool = True) -> Mat:
             if c != zero:
                 power = powers[k].entries
                 term = power if c == one else [[mul(c, x) for x in row] for row in power]
-                rows = term if rows is None else [tuple(map(add, acc, t)) for acc, t in zip(rows, term)]
+                rows = term if rows is None else [tuple(map(add, acc, t))
+                                                  for acc, t in zip(rows, term)]
         return rows
 
     out = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .additive import AdditiveMap, MatSubgroup, _basis_mats, additive_basis, solve_affine
+from .additive import MatSubgroup, _listed_quotient, additive_basis, extend_span
 from .linalg import Mat, diag_block, invert
 from .rings import Ring, ring_from_json
 
@@ -21,53 +21,64 @@ class DegenerateFormError(ValueError):
 
 
 _SHIFT_TABLES: dict = {}
-_SHIFT_MAPS: dict = {}
+_SELFADJOINT: dict = {}
 
 
 def _shift_table(ring: Ring, eps: int):
-    """Entry data of the shift subgroup over one ring: the canonical
-    representative of a + Lambda for every a, where Lambda = {a - eps*conj(a)},
-    the order of Lambda, and the distinct canonical representatives (see
-    `ShiftSubgroup`)."""
-    # Lambda first: its additive basis refuses an infinite ring, or one past
-    # BASIS_CAP, before any element is listed
-    lam = MatSubgroup(ring, 1, 1, [b - b.star().scale_sign(eps)
-                                   for b in _basis_mats(additive_basis(ring), 1, 1)])
-    canon = {a: lam.coset_canonical(Mat(ring, [[a]])).entries[0][0] for a in ring.elements()}
-    return canon, lam.size, tuple(dict.fromkeys(canon.values()))
+    """(canon, |Lambda|, diagonal, least, kernel) over one ring, cached by
+    (ring key, eps); see `ShiftSubgroup`.  One walk over the elements, in the
+    order of their additive coordinates read from the last, records in
+    least[s] the least preimage of each value of a + s*conj(a), and thins
+    ker l = {a : a = eps*conj(a)} to a generating set `kernel`."""
+    key = (ring.key(), eps)
+    if key not in _SHIFT_TABLES:
+        # the additive basis refuses an infinite ring, or one past BASIS_CAP,
+        # before any element is listed
+        coords = additive_basis(ring).coords
+        elems = ring.elements()
+        least = {1: {}, -1: {}}
+        kernel, span = [], {ring.zero}
+        for a in sorted(elems, key=lambda a: coords[a][::-1]):
+            c = ring.conj(a)
+            least[1].setdefault(ring.add(a, c), a)
+            least[-1].setdefault(ring.sub(a, c), a)
+            if (c if eps == 1 else ring.neg(c)) == a and extend_span(
+                    span, a, ring.size, "kernel of l", ring.add):
+                kernel.append(a)
+        lam = least[-eps]
+        _, canon = _listed_quotient(ring, sorted(elems, key=coords.__getitem__), lam)
+        diagonal = tuple(dict.fromkeys(canon[a] for a in elems))
+        _SHIFT_TABLES[key] = canon, len(lam), diagonal, least, kernel
+    return _SHIFT_TABLES[key]
 
 
 class ShiftSubgroup:
-    """The additive subgroup S = {gamma - eps*gamma^*} of n x n matrices.
+    """The additive subgroup S = {gamma - eps*gamma^*} of n x n matrices,
+    the image of L(g) = g - eps*g^*.
 
-    Closed form.  Taking gamma = x*e_ij shows that for i < j, S holds every
-    pair (x at (i, j), -eps*conj(x) at (j, i)), and on the diagonal it holds
-    Lambda = {a - eps*conj(a)}; S is the direct sum of these pieces, so
+    Closed form.  L and tau(g) = g + eps*g^* are g -> g + s*g^* for s = -eps
+    and s = eps, and g + s*g^* = m splits into blocks: for each i < j the
+    pair g_ij + s*conj(g_ji) = m_ij and g_ji + s*conj(g_ij) = m_ji, solvable
+    exactly when m_ji = s*conj(m_ij), and each diagonal entry a + s*conj(a)
+    = m_ii alone, in the image {a + s*conj(a)}, which for L is Lambda.  So
     |S| = |R|^(n(n-1)/2) * |Lambda|^n.
 
-    The canonical representative of m + S is the one
-    `MatSubgroup(S).coset_canonical` gives, in every characteristic.
-    `Echelon.reduce` takes a coset to its least member in the lexicographic
-    order of the row-major coordinates (see `snf.LinearMap`).  The pieces of
-    S sit on disjoint coordinates, so that least member is found piece by
-    piece.  Entry (i, j), i < j, comes before (j, i) and takes every value,
-    so it becomes 0, and m_ji gains eps*conj(m_ij).  A diagonal entry
-    becomes the least member of m_ii + Lambda, which is
-    `MatSubgroup(Lambda).coset_canonical` of the 1 x 1 matrix.
-
-    So the canonical representatives are the matrices with `diagonal`
-    entries (the representatives of R/Lambda) on the diagonal, zero above
-    it and any entries below it.
-
-    The per-entry data is cached by (ring key, eps); matrices are built over
-    the ring of the argument.
+    Both orders below are on the additive coordinates of the entries,
+    row-major.  `witness` (and `is_even`, for tau) gives the least solution
+    compared from the last coordinate, `solve_affine`'s particular
+    solution: block by block, g_ji is 0, g_ij is m_ij, and a diagonal entry
+    is the least preimage.  The canonical representative of m + S is its
+    least member compared from the first coordinate, which is
+    `MatSubgroup(S).coset_canonical`'s (`Echelon.reduce`): m_ij, i < j,
+    becomes 0 and m_ji gains eps*conj(m_ij), and a diagonal entry becomes
+    the first member of m_ii + Lambda.  So the canonical representatives
+    have `diagonal` entries (the representatives of R/Lambda) on the
+    diagonal, zero above it and any entries below it.  Matrices are built
+    over the ring of the argument.
     """
 
     def __init__(self, ring: Ring, eps: int, n: int):
-        key = (ring.key(), eps)
-        if key not in _SHIFT_TABLES:
-            _SHIFT_TABLES[key] = _shift_table(ring, eps)
-        self._canon, lam_size, self.diagonal = _SHIFT_TABLES[key]
+        self._canon, lam_size, self.diagonal, self._least, _ = _shift_table(ring, eps)
         self.ring = ring
         self.eps = eps
         self.rows = self.cols = n
@@ -93,16 +104,27 @@ class ShiftSubgroup:
         n = self.rows
         return Mat(m.ring, [flat[i * n: (i + 1) * n] for i in range(n)])
 
-    def contains(self, m: Mat) -> bool:
-        R, e, canon = self.ring, m.entries, self._canon
-        for i in range(self.rows):
-            if canon[e[i][i]] != R.zero:
-                return False
-            for j in range(i + 1, self.rows):
+    def _least_solution(self, m: Mat, s: int) -> Mat | None:
+        """The least g with g + s*g^* = m, or None."""
+        R, n, e, least = self.ring, self.rows, m.entries, self._least[s]
+        out = [[R.zero] * n for _ in range(n)]
+        for i in range(n):
+            out[i][i] = least.get(e[i][i])
+            if out[i][i] is None:
+                return None
+            for j in range(i + 1, n):
                 c = R.conj(e[i][j])
-                if e[j][i] != (R.neg(c) if self.eps == 1 else c):
-                    return False
-        return True
+                if e[j][i] != (c if s == 1 else R.neg(c)):
+                    return None
+                out[i][j] = e[i][j]
+        return Mat(m.ring, out)
+
+    def witness(self, m: Mat) -> Mat | None:
+        """The least gamma with gamma - eps*gamma^* = m, or None."""
+        return self._least_solution(m, -self.eps)
+
+    def contains(self, m: Mat) -> bool:
+        return self.witness(m) is not None
 
 
 def shift_subgroup(ring: Ring, eps: int, n: int) -> ShiftSubgroup:
@@ -110,18 +132,27 @@ def shift_subgroup(ring: Ring, eps: int, n: int) -> ShiftSubgroup:
     return ShiftSubgroup(ring, eps, n)
 
 
-def shift_map(ring: Ring, eps: int, n: int) -> AdditiveMap:
-    """L(g) = g - eps*g^* on n x n matrices, built once per (ring, eps, n)."""
-    key = (ring.key(), eps, n)
-    if key not in _SHIFT_MAPS:
-        _SHIFT_MAPS[key] = AdditiveMap(ring, n, lambda g: g - g.star().scale_sign(eps))
-    return _SHIFT_MAPS[key]
-
-
 def selfadjoint_subgroup(ring: Ring, eps: int, n: int) -> MatSubgroup:
-    """S(E): the gamma with gamma^* = eps*gamma, which is the kernel of L
-    (apply ^*, an involution, and eps^2 = 1)."""
-    return shift_map(ring, eps, n).kernel
+    """S(E): the gamma with gamma^* = eps*gamma, which is ker L (apply ^*, an
+    involution, and eps^2 = 1), cached by (ring key, eps, n).  Generated by
+    each additive basis element b below the diagonal with eps*conj(b)
+    mirrored above it, and by the generators of ker l on the diagonal."""
+    key = (ring.key(), eps, n)
+    if key not in _SELFADJOINT:
+        *_, kernel = _shift_table(ring, eps)
+        basis = additive_basis(ring).basis
+        gens = []
+        for i in range(n):
+            for j in range(i + 1):
+                for x in kernel if i == j else basis:
+                    g = [[ring.zero] * n for _ in range(n)]
+                    g[i][j] = x
+                    if i != j:
+                        c = ring.conj(x)
+                        g[j][i] = c if eps == 1 else ring.neg(c)
+                    gens.append(Mat(ring, g))
+        _SELFADJOINT[key] = MatSubgroup(ring, n, n, gens)
+    return _SELFADJOINT[key]
 
 
 class HermForm:
@@ -166,17 +197,6 @@ class HermForm:
             "variant": "max",
             "matrix": self.phi.to_strs(),
         }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HermForm)
-            and self.ring == other.ring
-            and self.eps == other.eps
-            and self.phi == other.phi
-        )
-
-    def __hash__(self):
-        return hash((self.eps, self.phi))
 
 
 class QuadFormEl:
@@ -228,9 +248,6 @@ class QuadFormEl:
     def __hash__(self):
         return hash((self.eps, self.phi0))
 
-    def __repr__(self):
-        return f"QuadFormEl(eps={self.eps}, phi0={self.phi0.key()})"
-
 
 def pairing_chi(h: HermForm, x, y):
     """chi(x, y) = x^* phi y for column vectors x, y."""
@@ -245,15 +262,9 @@ def pairing_chi(h: HermForm, x, y):
 
 
 def is_even(h: HermForm) -> Mat | None:
-    """Some phi0 with phi0 + eps*phi0^* = phi, or None."""
-    sols = solve_affine(
-        h.ring,
-        (h.n, h.n),
-        lambda g: g + g.star().scale_sign(h.eps),
-        h.phi,
-        all_solutions=False,
-    )
-    return sols[0] if sols else None
+    """The least phi0 with phi0 + eps*phi0^* = phi, or None: tau read off
+    the per-entry table (`ShiftSubgroup`)."""
+    return shift_subgroup(h.ring, h.eps, h.n)._least_solution(h.phi, h.eps)
 
 
 def min_equal(a: QuadFormEl, b: QuadFormEl) -> bool:

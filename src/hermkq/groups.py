@@ -16,7 +16,7 @@ from itertools import product
 
 from .additive import MatSubgroup
 from .caps import Unsupported, check_cap
-from .forms import HermForm, QuadFormEl, selfadjoint_subgroup, shift_map, shift_subgroup
+from .forms import HermForm, QuadFormEl, selfadjoint_subgroup, shift_subgroup
 from .linalg import Mat, block, diag_block, invert
 from .rings import DualRing
 
@@ -45,9 +45,6 @@ class ElMorphism:
 
     def __hash__(self):
         return hash((self.f, self.gamma))
-
-    def __repr__(self):
-        return f"ElMorphism(f={self.f.key()}, gamma={self.gamma.key()})"
 
 
 def satisfies_S(q: QuadFormEl, f: Mat, gamma: Mat) -> bool:
@@ -88,11 +85,11 @@ def check_min(f: Mat, q: QuadFormEl) -> Mat | None:
     """A witness gamma for identity (S), or None when f is not orthogonal.
 
     The witnesses are the solutions of L(gamma) = f^* phi0 f - phi0, L(g) =
-    g - eps*g^*, and the one returned is the canonical particular solution
-    of `solve_affine`, found by one reduction against the cached echelon of
-    L (`forms.shift_map`).
+    g - eps*g^*, and the one returned is the least of them, `solve_affine`'s
+    particular solution, read entry by entry off the per-entry table
+    (`ShiftSubgroup.witness`).
     """
-    return shift_map(q.ring, q.eps, q.n).solve(f.star() * q.phi0 * f - q.phi0)
+    return shift_subgroup(q.ring, q.eps, q.n).witness(f.star() * q.phi0 * f - q.phi0)
 
 
 def _frame_search(diag: Mat, herm: Mat, diag_class) -> list[Mat]:
@@ -296,16 +293,16 @@ class EnumeratedGroup:
 
     The enlarged group of `form` is held through its exact sequence 1 ->
     S(E) -> O^el -> O^min -> 1, and `elements` is None.  `base` is the
-    listed min group, and `kernel` is S(E) as `selfadjoint_subgroup` holds
-    it (ker L, L(g) = g - eps*g^*, off the echelon `check_min` reduces
-    against).  The group is the set of the lift(f).(1, s) = (f, gamma + s),
-    f in O^min and s in S(E), lift(f) = (f, gamma) for the witness
-    `check_min` returns.  Only the lifts in `generators` are kept: lift(x)
-    for each generator x of the base, in its order, then the (1, s) for the
-    generators s of S(E).  `lift`, `contains` and `head` find any other
-    lift on demand, one `check_min` each.  `extension` is the report of
-    `extension_check`, which certifies the set from the generators alone,
-    and `checks` reads:
+    listed min group, and `kernel` is S(E) = ker L, L(g) = g - eps*g^*, as
+    `selfadjoint_subgroup` holds it (closed-form generators, from the same
+    per-entry table that `check_min` reads).  The group is the set of the
+    lift(f).(1, s) = (f, gamma + s), f in O^min and s in S(E), lift(f) =
+    (f, gamma) for the witness `check_min` returns.  Only the lifts in
+    `generators` are kept: lift(x) for each generator x of the base, in its
+    order, then the (1, s) for the generators s of S(E).  `lift`,
+    `contains` and `head` find any other lift on demand, one `check_min`
+    each.  `extension` is the report of `extension_check`, which certifies
+    the set from the generators alone, and `checks` reads:
     - `closure`: the report's `closure_structured`;
     - `identity`: the base's, as (1, 0) satisfies (S);
     - `inverses`: closure, and el_inverse(a) satisfying (S) for each
@@ -541,11 +538,11 @@ def extension_check(q: QuadFormEl, group: EnumeratedGroup | None = None) -> dict
     the lifts a_i, one per generator x_i of the base, then the (1, s).
     Each a_i lies over x_i and satisfies (S).  The kernel equals ker L as a
     set (equal orders, and every generator of the kernel in ker L), and the
-    generators over 1 are the (1, s) of its generators.  ker L is the cached
-    echelon of L that `check_min` reduces against, and
-    `selfadjoint_subgroup` holds S(E) as that same object, so the
-    comparison catches only a kernel that is not S(E) in the data passed
-    in.  Each product compose_el(a, b) of an ordered pair of G, of the four
+    generators over 1 are the (1, s) of its generators.  ker L is
+    `selfadjoint_subgroup`, whose generators come from the per-entry table
+    that `check_min` reads, and `enumerate_group` takes the kernel from it,
+    so the comparison catches only a kernel that is not S(E) in the data
+    passed in.  Each product compose_el(a, b) of an ordered pair of G, of the four
     kinds lift.lift, lift.(1, s), (1, s).lift and (1, s).(1, t), lies over
     a.f.b.f and satisfies (S).  For each a_i over x and generator s of
     S(E): (1, s).a_i = (x, a_i.gamma + x^* s x), and phi^-1 x^* s x = x^-1

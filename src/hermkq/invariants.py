@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .additive import additive_basis
+from .additive import _listed_quotient, additive_basis
 from .caps import Unsupported, check_cap
 from .forms import (
     QuadFormEl,
@@ -91,21 +91,6 @@ def gamma_lambda(ring: Ring, eps: int) -> GammaLambda:
                           f"it fails over this ring at epsilon {eps}")
     reps, coset = _listed_quotient(ring, gamma, lam_set)
     return GammaLambda(ring, eps, gamma, sorted(lam_set, key=ring.to_str), reps, coset)
-
-
-def _listed_quotient(ring, elems, sub) -> tuple[list, dict]:
-    """The cosets of the listed subgroup `sub` that meet `elems`: their
-    representatives, each the first member in the order of `elems`, and
-    the map from every member of those cosets to its representative."""
-    reps = []
-    coset = {}
-    for a in elems:
-        if a in coset:
-            continue
-        reps.append(a)
-        for l in sub:
-            coset[ring.add(a, l)] = a
-    return reps, coset
 
 
 def _scale(ring, eps, a):

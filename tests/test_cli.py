@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -125,6 +126,42 @@ def test_witt_table_format(capsys):
                     "--max-rank", "2")
     assert code == 0
     assert "Witt classes" in out
+
+
+def test_form_check_table_shows_the_least_even_witness(capsys):
+    # phi0 + phi0^* = phi over Z/4: (0, 1) holds 1, (1, 0) holds 0, and the
+    # diagonal the least a with 2a = 2, which is 1
+    form = json.dumps({"ring": {"kind": "Zn", "n": 4}, "epsilon": 1, "variant": "max",
+                       "matrix": [["2", "1"], ["1", "0"]]})
+    code, out = run(capsys, "--format", "table", "form-check", "--form", form)
+    assert code == 0
+    lines = out.splitlines()
+    assert f"{'report.even':<48} True" in lines
+    assert f"{'report.even_witness[0]':<48} ['1', '1']" in lines
+    assert f"{'report.even_witness[1]':<48} ['0', '0']" in lines
+
+
+def test_group_el_table_lists_the_preview_pairs(capsys):
+    code, out = run(capsys, "--format", "table", "group", "--form", HYP_F2, "--variant", "el")
+    assert code == 0
+    lines = out.splitlines()
+    assert f"{'report.order':<48} 16" in lines
+    assert f"{'report.checks.closure_generators':<48} 4" in lines
+    # pair 0 is (f, gamma) = ([[0, 1], [1, 0]], [[0, 0], [1, 0]])
+    assert f"{'report.elements_preview[0][0][0]':<48} ['0', '1']" in lines
+    assert f"{'report.elements_preview[0][1][1]':<48} ['1', '0']" in lines
+    assert sum(line.startswith("report.elements_preview[") for line in lines) == 16 * 4
+
+
+def test_verify_table_prints_one_line_per_suite(capsys):
+    code, out = run(capsys, "--format", "table", "verify", "split-unit-collapse",
+                    "extension-exactness")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[-1] == "all passed"
+    pattern = r"criterion +{}  {:<28} PASS  \([0-9.e-]+s\)"
+    assert re.fullmatch(pattern.format(2, "split_unit_collapse"), lines[0])
+    assert re.fullmatch(pattern.format(3, "extension_exactness"), lines[1])
 
 
 def test_gw_command(capsys):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from hermkq.additive import MatSubgroup, _basis_mats, additive_basis, extend_span
+from hermkq.additive import MatSubgroup, _basis_mats, additive_basis, extend_span, solve_affine
 from hermkq.caps import CapExceeded
 from hermkq.forms import (
     DegenerateFormError,
@@ -23,7 +23,7 @@ from hermkq.forms import (
 from hermkq.groups import check_min
 from hermkq.linalg import Mat, all_matrices, invert
 from hermkq.rings import F2, F4, DualRing, Fp, Mat2Ring, ProductOpRing, TruncPolyRing, Zn
-from oracles import coset_reps_all, coset_reps_by_enumeration, min_witness
+from oracles import _shift_map, coset_reps_all, coset_reps_by_enumeration, min_witness
 
 
 def test_pairing_chi_examples():
@@ -319,6 +319,70 @@ def test_min_canonical_over_z9_past_the_span_cap():
     # so is check_min's witness, though the echelon of L it reduces against is cached
     assert check_min(Mat.identity(q.ring, 3), q).ring is q.ring
     assert check_min(Mat.identity(z9, 3), fresh).ring is fresh.ring
+
+
+# -- the per-entry table against solve_affine and brute force ----------------
+
+TABLE_RINGS = [
+    ("F2", F2()), ("F3", Fp(3)), ("F4", F4()), ("F4-trivial", F4("trivial")),
+    ("Z4", Zn(4)), ("Z6", Zn(6)), ("Z9", Zn(9)), ("Dual-F2", DualRing(F2())),
+    ("Dual-Z4-e", DualRing(Zn(4))), ("Dual-Z4+e", DualRing(Zn(4), "+e")),
+    ("TruncPoly-F3-t", TruncPolyRing(Fp(3), 2, "-t")), ("Mat2-F2", Mat2Ring(F2())),
+    ("ProductOp-F3", ProductOpRing(Fp(3))),
+]
+
+
+def _table_inputs(ring, eps):
+    """Every n x n matrix with |R|^(n^2) <= 2^12, n <= 2, then at n = 3
+    eight fixed random matrices and eight members each of S and of the image
+    of tau(g) = g + eps*g^*."""
+    out = [m for n in (1, 2) if ring.size ** (n * n) <= 2**12 for m in all_matrices(ring, n, n)]
+    rng = random.Random(ring.size * eps)
+    elems = ring.elements()
+    for k in range(24):
+        g = Mat(ring, [[rng.choice(elems) for _ in range(3)] for _ in range(3)])
+        out.append(g if k < 8 else g + g.star().scale_sign(eps if k < 16 else -eps))
+    return out
+
+
+def _least_by_oracle(fun, m):
+    sols = solve_affine(m.ring, (m.rows, m.cols), fun, m, all_solutions=False)
+    return sols[0] if sols else None
+
+
+@pytest.mark.parametrize("ring", [r for _, r in TABLE_RINGS], ids=[k for k, _ in TABLE_RINGS])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_witness_and_is_even_are_the_least_solutions(ring, eps):
+    tau = lambda g: g + g.star().scale_sign(eps)  # noqa: E731
+    inputs = _table_inputs(ring, eps)
+    for m in inputs:
+        shifts = shift_subgroup(ring, eps, m.rows)
+        want = _least_by_oracle(_shift_map(eps), m)
+        assert shifts.witness(m) == want, m.to_strs()
+        assert shifts.contains(m) == (want is not None)
+        if m.star() == m.scale_sign(eps):
+            assert is_even(HermForm(ring, eps, m)) == _least_by_oracle(tau, m), m.to_strs()
+    # check_min reads the same table: f^* phi0 f - phi0 for a few f and phi0
+    for n in (1, 2):
+        mats = [m for m in inputs if m.rows == n][:40]
+        for phi0, f in product(mats[::5], mats[::8]):
+            q = QuadFormEl(ring, eps, phi0)
+            want = _least_by_oracle(_shift_map(eps), f.star() * phi0 * f - phi0)
+            assert check_min(f, q) == want
+
+
+@pytest.mark.parametrize("ring", [r for _, r in TABLE_RINGS], ids=[k for k, _ in TABLE_RINGS])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_selfadjoint_subgroup_and_lambda_representatives_by_brute_force(ring, eps):
+    for n in (1, 2):
+        if ring.size ** (n * n) > 2**12:
+            continue
+        brute = [g for g in all_matrices(ring, n, n) if g.star() == g.scale_sign(eps)]
+        assert selfadjoint_subgroup(ring, eps, n).elements() == sorted(brute, key=Mat.key)
+    lam, shifts = _generic_shift_subgroup(ring, eps, 1), shift_subgroup(ring, eps, 1)
+    for a in ring.elements():
+        m = Mat(ring, [[a]])
+        assert shifts.coset_canonical(m) == lam.coset_canonical(m)
 
 
 def _span_oracle(ring, rows, cols, generators):

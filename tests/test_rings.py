@@ -103,6 +103,40 @@ def test_reducible_modulus_rejected_and_negative_control(monkeypatch):
     assert not broken.verify_involution().passed
 
 
+def test_a_broken_involution_is_reported_axiom_by_axiom():
+    # Fp(17) is not coded, so conj and split_unit set on the instance are
+    # what verify_involution reads: conj(a) = 2a is additive and breaks the
+    # other axioms, and 3 + conj(3) = 9
+    ring = Fp(17)
+    assert ring.tables is None
+    ring.conj = lambda a: 2 * a % 17
+    ring.split_unit = 3
+    report = ring.verify_involution()
+    assert not report.passed and report.checked_pairs == 289
+    counts, first = {}, {}
+    for v in report.violations:
+        counts[v["axiom"]] = counts.get(v["axiom"], 0) + 1
+        first.setdefault(v["axiom"], v)
+    assert counts == {"conj(1)=1": 1, "conj(conj(a))=a": 16,
+                      "conj(a*b)=conj(b)*conj(a)": 256, "lambda+conj(lambda)=1": 1}
+    assert first["conj(1)=1"]["element"] == "1"
+    assert first["conj(conj(a))=a"]["element"] == "1"
+    assert first["conj(a*b)=conj(b)*conj(a)"]["elements"] == ["1", "1"]
+    assert first["lambda+conj(lambda)=1"]["element"] == "3"
+
+
+def test_an_uncoded_fq_lists_and_parses_its_elements():
+    # 512 elements, past the coding limit: the definitions answer directly
+    ring = Fq(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    assert ring.tables is None
+    elems = ring.elements()
+    assert len(elems) == len(set(elems)) == 512
+    assert all(isinstance(a, int) for a in elems)
+    assert ring.contains(511) and not ring.contains(512) and not ring.contains("3")
+    assert ring.to_str(3) == "w+1"
+    assert all(ring.from_str(ring.to_str(a)) == a for a in elems[::37])
+
+
 def test_frobenius_needs_even_degree():
     with pytest.raises(ValueError):
         Fq(2, 3, (1, 1, 0, 1), "frobenius")
