@@ -40,7 +40,6 @@ from .forms import (
     is_even,
     min_equal,
     pairing_chi,
-    psi_normalize,
 )
 from .groups import (
     ElMorphism,

@@ -3,7 +3,7 @@
 Every shipped finite ring has additive group isomorphic to (Z/char)^d with a
 basis discoverable by a greedy scan.  That turns additive constraints in
 matrix unknowns into linear systems over Z/char, prime or not, which one
-Howell-form echelon of the system's graph (`snf.LinearMap`) solves exactly:
+Howell-form echelon of the system's graph (`snf.solve_mod`) solves exactly:
 `solve_affine`, for the maps with no closed form (inverses over
 noncommutative rings, the lemma-4 congruences).  The shift map gamma -
 eps*gamma^* and its sibling gamma + eps*gamma^* split entry by entry and
@@ -66,22 +66,11 @@ class AdditiveBasis:
             for k, mult in sparse:
                 dense[k] = mult
             self.coords[elem] = tuple(dense)
+        self._elements = {vec: elem for elem, vec in self.coords.items()}
 
     def element_from_coords(self, vec) -> object:
-        R = self.ring
-        acc = R.zero
-        for b, k in zip(self.basis, vec):
-            k = k % self.char
-            cur = b
-            total = R.zero
-            m = k
-            while m:
-                if m & 1:
-                    total = R.add(total, cur)
-                cur = R.add(cur, cur)
-                m >>= 1
-            acc = R.add(acc, total)
-        return acc
+        """The element with these coordinates, each read mod char."""
+        return self._elements[tuple(k % self.char for k in vec)]
 
 
 def additive_basis(ring: Ring) -> AdditiveBasis:
@@ -224,7 +213,7 @@ def solve_affine(ring, shape, fun, target, all_solutions=True):
     `snf.solve_mod`.  Returns a sorted list of Mat (empty when unsolvable).
     With all_solutions=False only the canonical particular solution is
     returned: the least solution in those coordinates, compared from the
-    last coordinate to the first (`snf.LinearMap`).  It depends only on the
+    last coordinate to the first (`snf.solve_mod`).  It depends only on the
     solution set.
     """
     rows, cols = shape

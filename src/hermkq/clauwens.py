@@ -250,9 +250,9 @@ class DeltaDatum:
     @staticmethod
     def from_quadform(q: QuadFormEl) -> "DeltaDatum":
         """The datum of q: Delta = phi0 + eps*phi0^*, and phi the
-        normalization psi = Delta^{-1} phi0 of `forms.psi_normalize`.  The
-        inverse is the one q's hermitian form keeps, and psi + psi^dagger = 1
-        is checked once, by the constructor.
+        normalization psi = Delta^{-1} phi0, formed here and nowhere else.
+        The inverse is the one q's hermitian form keeps, and psi + psi^dagger
+        = 1 is checked once, by the constructor.
 
         The datum is shared: a form equal to one met before over the same
         ring object, in eps and phi0, gets the datum built for that one.
@@ -602,6 +602,7 @@ def lemma4_recursion(sigma: Mat, d: DeltaDatum, zeta: Mat, depth: int) -> dict:
 
     f_p = Mat.identity(R, n * m)
     z_p = -kron(sigma, zeta)
+    n_power = Mat.identity(R, n)  # N^p, one product per step
     steps = []
     residual = None
     for p in range(depth + 1):
@@ -622,7 +623,8 @@ def lemma4_recursion(sigma: Mat, d: DeltaDatum, zeta: Mat, depth: int) -> dict:
         if decomposition is None:
             break
         kappa_next = -decomposition[0] if decomposition else Mat.zero(R, m, m)
-        u = kron(_mat_power(n_mat, p + 1), kappa_next)
+        n_power = n_power * n_mat
+        u = kron(n_power, kappa_next)
         f_p = f_p + u
         z_p = z_p + tw(u) * s_form
     exact_zero = residual is not None and residual.is_zero()
@@ -638,13 +640,6 @@ def lemma4_recursion(sigma: Mat, d: DeltaDatum, zeta: Mat, depth: int) -> dict:
         "passed": all(s["defect_in_span"] for s in steps)
         and (exact_zero if depth >= idx else True),
     }
-
-
-def _mat_power(m: Mat, k: int) -> Mat:
-    out = Mat.identity(m.ring, m.rows)
-    for _ in range(k):
-        out = out * m
-    return out
 
 
 # ---------------------------------------------------------------------------

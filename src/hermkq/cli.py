@@ -100,7 +100,7 @@ def _emit(command: str, input_doc, report, fmt: str, passed: bool) -> int:
     return 0 if passed else 1
 
 
-def _tableize(doc, prefix="") -> str:
+def _tableize(doc) -> str:
     lines = []
 
     def walk(obj, key):
@@ -113,7 +113,7 @@ def _tableize(doc, prefix="") -> str:
         else:
             lines.append(f"{key:<48} {obj}")
 
-    walk(doc, prefix)
+    walk(doc, "")
     return "\n".join(lines)
 
 
@@ -448,9 +448,8 @@ def main(argv=None) -> int:
         _print(json.dumps({"error": "bad-input",
                            "message": f"--cap must be positive, got {args.cap}"}))
         return 2
-    for attr in ("ring",):
-        if hasattr(args, attr) and getattr(args, attr):
-            setattr(args, attr, _expand_ring(getattr(args, attr)))
+    if getattr(args, "ring", None):
+        args.ring = _expand_ring(args.ring)
     try:
         with scoped_cap(args.cap):
             return _DISPATCH[args.command](args, args.format)

@@ -301,18 +301,6 @@ def hyperbolic_map(u: Mat) -> Mat:
     return g
 
 
-def psi_normalize(q: QuadFormEl) -> Mat:
-    """psi = phi^{-1} phi0 with psi + psi^* = 1, adjoints taken against phi."""
-    h = q.associated()
-    inv = h.inverse()
-    if inv is None:
-        raise DegenerateFormError("psi normalization needs a nondegenerate form")
-    psi = inv * q.phi0
-    if psi + h.adjoint(psi) != Mat.identity(q.ring, q.n):
-        raise AssertionError("psi + psi^* = 1 failed")
-    return psi
-
-
 def direct_sum(a: QuadFormEl, b: QuadFormEl) -> QuadFormEl:
     if a.ring != b.ring or a.eps != b.eps:
         raise ValueError("ring or epsilon mismatch")

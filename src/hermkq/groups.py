@@ -217,23 +217,30 @@ def _frame_search(diag: Mat, herm: Mat, diag_class) -> list[Mat]:
             for chosen, _ in frames]
 
 
+def _isometries(h: HermForm, search) -> list[Mat]:
+    """The matrices of `search()` that are invertible, sorted by key; every
+    one has f^* phi f = phi for the form phi of h.  At rank 0 the empty
+    matrix, before `search` runs.  When phi is invertible every such f is
+    invertible: (phi^-1 f^* phi) f = 1 is a left inverse, and in the finite
+    ring M_n(R) a one-sided inverse is two-sided.  So `invert` is run only
+    for a degenerate phi."""
+    if h.n == 0:
+        return [Mat(h.ring, [])]
+    out = search()
+    if not h.nondegenerate:
+        out = [f for f in out if invert(f) is not None]
+    out.sort(key=Mat.key)
+    return out
+
+
 def enumerate_unitary(h: HermForm) -> list[Mat]:
     """All invertible f with f^* phi f = phi, by a column-by-column frame search.
 
     The search keeps f when f_j^* phi f_j = phi_jj on the diagonal and
     f_j^* phi f_k = phi_jk for j < k, which together are f^* phi f = phi (see
-    `_frame_search`).  When phi is invertible every such f is invertible:
-    (phi^-1 f^* phi) f = 1 is a left inverse, and in the finite ring M_n(R)
-    a one-sided inverse is two-sided.  So `invert` is run only on the
-    output for a degenerate phi.
+    `_frame_search`).
     """
-    if h.n == 0:
-        return [Mat(h.ring, [])]
-    out = _frame_search(h.phi, h.phi, lambda x: x)
-    if not h.nondegenerate:
-        out = [f for f in out if invert(f) is not None]
-    out.sort(key=Mat.key)
-    return out
+    return _isometries(h, lambda: _frame_search(h.phi, h.phi, lambda x: x))
 
 
 def enumerate_orthogonal_min(q: QuadFormEl) -> list[Mat]:
@@ -246,20 +253,15 @@ def enumerate_orthogonal_min(q: QuadFormEl) -> list[Mat]:
     must be a shift pair, m_kj = -eps*conj(m_jk), which is entry (k, j) of
     m + eps*m^* = f^* h f - h vanishing, where h = phi0 + eps*phi0^* is the
     associated hermitian form; as h^* = eps*h, that is f_j^* h f_k = h_jk
-    for j < k.  `_frame_search` runs exactly these tests.  Every member
-    satisfies f^* h f = h, so when h is invertible every member is
-    invertible (see `enumerate_unitary`), and `invert` is run only on the
-    output for a degenerate h.
+    for j < k.  `_frame_search` runs exactly these tests.
     """
-    if q.n == 0:
-        return [Mat(q.ring, [])]
-    shifts = shift_subgroup(q.ring, q.eps, 1)
     h = q.associated()
-    out = _frame_search(q.phi0, h.phi, lambda x: shifts.canonical_flat((x,)))
-    if not h.nondegenerate:
-        out = [f for f in out if invert(f) is not None]
-    out.sort(key=Mat.key)
-    return out
+
+    def search():
+        shifts = shift_subgroup(q.ring, q.eps, 1)
+        return _frame_search(q.phi0, h.phi, lambda x: shifts.canonical_flat((x,)))
+
+    return _isometries(h, search)
 
 
 def el_elements(q: QuadFormEl):

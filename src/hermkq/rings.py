@@ -305,18 +305,6 @@ class Ring:
             m >>= 1
         return result if n >= 0 else self.neg(result)
 
-    def pow(self, a, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
     def inv(self, a):
         """The two-sided inverse of a, or None when a is not a unit."""
         return self.tables.inv[a]
@@ -585,7 +573,8 @@ def _is_irreducible(modulus, p):
 
 
 class Fq(Ring):
-    """Fp[w]/(modulus); elements are indices sum(c_i * p^i) of coefficient digits."""
+    """Fp[w]/(modulus); elements are indices sum(c_i * p^i) of coefficient digits.
+    The Frobenius a^(p^(deg/2)) and the inverse a^(q-2) share one power loop."""
 
     kind = "Fq"
     is_field = is_local = True
@@ -649,10 +638,8 @@ class Fq(Ring):
         prod_ = _poly_mul_mod(da, db, self.modulus, self.p)
         return self._index(list(prod_) + [0] * (self.deg - len(prod_)))
 
-    def _conj(self, a):
-        if self.involution == "trivial":
-            return a
-        result, e = 1, self.p ** (self.deg // 2)
+    def _pow(self, a, e: int):
+        result = 1
         while e:  # a^e by squaring, in the definition's product
             if e & 1:
                 result = self._mul(result, a)
@@ -660,13 +647,14 @@ class Fq(Ring):
             e >>= 1
         return result
 
+    def _conj(self, a):
+        return a if self.trivial_involution else self._pow(a, self.p ** (self.deg // 2))
+
     def _codable(self) -> bool:
         return self.size <= _FQ_TABLE_LIMIT
 
     def _inv(self, a):
-        if a == 0:
-            return None
-        return self.pow(a, self.size - 2)
+        return None if a == 0 else self._pow(a, self.size - 2)
 
     def _contains(self, a):
         return isinstance(a, int) and 0 <= a < self.size

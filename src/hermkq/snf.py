@@ -1,6 +1,7 @@
 """Integer Smith normal form, for invariant factors of finitely presented
-abelian groups, and the Howell-form echelon over Z/N that solves every
-linear system mod N, prime or not.  Small dense matrices, exact Python ints.
+abelian groups; the Howell-form echelon over Z/N; and `solve_mod`, which
+solves every linear system mod N, prime or not, on that echelon.  Small
+dense matrices, exact Python ints.
 """
 
 from __future__ import annotations
@@ -153,60 +154,35 @@ class Echelon:
         return tuple(v)
 
 
-class LinearMap:
-    """x -> sum_k x_k * columns[k] over Z/modulus, each column of length
-    `equations`, held as the Howell echelon of its graph for repeated
-    solves.
-
-    The graph {(image of x, x)} is spanned by the rows (columns[k], e_k),
-    the x coordinates written from the last unknown to the first.  For a
-    target t the coset (-t, 0) + graph holds (0, x) exactly for the
-    solutions x.  `Echelon.reduce` takes the coset to its representative
-    with each pivot coordinate in [0, d), and that is its least member in
-    the lexicographic order of the coordinates: pivot by pivot, the members
-    that agree before a pivot j differ there by the multiples of d (Howell
-    property) and agree up to the next pivot.  So t has a solution exactly
-    when the representative vanishes on the image part, and its x part is
-    then the least solution compared from the last unknown to the first,
-    which depends only on the solution set.  The rows leading in the x part
-    form a Howell basis of the kernel.
-    """
-
-    def __init__(self, columns, modulus: int, equations: int):
-        self.equations = m = equations
-        k = self.unknowns = len(columns)
-        ech = Echelon(modulus, m + k)
-        for i, col in enumerate(columns):
-            row = [*col, *[0] * k]
-            row[m + k - 1 - i] = 1
-            ech.add(row)
-        self._echelon = ech
-        # particular + sum c_i * generator_i over 0 <= c_i < range_i lists
-        # every solution once, by the Howell property
-        self.kernel = [(ech.rows[j][m:][::-1], modulus // ech.rows[j][j])
-                       for j in ech.pivots if j >= m]
-
-    def solve(self, target) -> list | None:
-        """The least solution of sum_k x_k * columns[k] = target (see above),
-        or None."""
-        m = self.equations
-        v = self._echelon.reduce([*(-t for t in target), *[0] * self.unknowns])
-        if any(v[:m]):
-            return None
-        return list(v[m:][::-1])
-
-
 def solve_mod(mat, target, modulus):
     """Solutions of mat*x = target over Z/modulus, mat given by rows.
 
     Returns (particular, kernel), or (None, []) when there is none.  The
-    particular solution is the least one compared from the last unknown to
-    the first (`LinearMap`); it depends only on the solution set.  `kernel`
-    holds (generator, range) pairs, and particular + sum c_i * generator_i
-    over 0 <= c_i < range_i lists every solution once.
+    graph {(mat*x, x)} is the Howell echelon of the rows (column k of mat,
+    e_k), the x coordinates written from the last unknown to the first.  The
+    coset (-target, 0) + graph holds (0, x) exactly for the solutions x.
+    `Echelon.reduce` takes the coset to its representative with each pivot
+    coordinate in [0, d), and that is its least member in the lexicographic
+    order of the coordinates: pivot by pivot, the members that agree before
+    a pivot j differ there by the multiples of d (Howell property) and agree
+    up to the next pivot.  So there is a solution exactly when the
+    representative vanishes on the image part, and its x part, `particular`,
+    is then the least solution compared from the last unknown to the first;
+    it depends only on the solution set.  The rows leading in the x part
+    form a Howell basis of the kernel: `kernel` holds (generator, range)
+    pairs, and particular + sum c_i * generator_i over 0 <= c_i < range_i
+    lists every solution once.
     """
-    lin = LinearMap([list(col) for col in zip(*mat)] if mat else [], modulus, len(mat))
-    particular = lin.solve(target)
-    if particular is None:
+    m = len(mat)
+    columns = list(zip(*mat))
+    k = len(columns)
+    ech = Echelon(modulus, m + k)
+    for i, col in enumerate(columns):
+        row = [*col, *[0] * k]
+        row[m + k - 1 - i] = 1
+        ech.add(row)
+    v = ech.reduce([*(-t for t in target), *[0] * k])
+    if any(v[:m]):
         return None, []
-    return particular, lin.kernel
+    kernel = [(ech.rows[j][m:][::-1], modulus // ech.rows[j][j]) for j in ech.pivots if j >= m]
+    return list(v[m:][::-1]), kernel

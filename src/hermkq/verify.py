@@ -299,9 +299,9 @@ def check_linearization(sweep=None):
     )
 
 
-def _sigmas_with_index(ring, nilpotent, count=2):
-    """Invertible sigma with conj-transpose(sigma) = sigma (1 + N) for the
-    given nilpotent N, found by solving the linear condition."""
+def _sigmas_with_index(ring, nilpotent):
+    """The first two invertible sigma with conj-transpose(sigma) = sigma (1 + N)
+    for the given nilpotent N, found by solving the linear condition."""
     n = nilpotent.rows
     sols = solve_affine(
         ring,
@@ -311,7 +311,7 @@ def _sigmas_with_index(ring, nilpotent, count=2):
         all_solutions=True,
     )
     out = [s for s in sols if invert(s) is not None]
-    return out[:count]
+    return out[:2]
 
 
 def check_lemma4():

@@ -303,6 +303,15 @@ def test_refusal_without_a_cap_is_unsupported(capsys, argv, message):
     assert json.loads(out) == {"error": "unsupported", "message": message}
 
 
+@pytest.mark.parametrize("variant", ["max", "min"])
+def test_rank0_group_over_polys_is_certified(capsys, variant):
+    # rank 0 answers before any shift table or additive basis, which refuse PolyS
+    form = json.dumps({"ring": _POLYS_F2, "epsilon": 1, "variant": "el", "matrix": []})
+    code, out = run(capsys, "group", "--form", form, "--variant", variant)
+    assert code == 0
+    assert json.loads(out)["report"]["order"] == 1
+
+
 def test_whitehead_command(capsys):
     code, out = run(capsys, "whitehead", "--ring", '{"kind":"Fp","p":7}',
                     "--alpha", '[["2"]]', "--beta", '[["3"]]')

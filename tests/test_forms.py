@@ -5,6 +5,7 @@ import pytest
 
 from hermkq.additive import MatSubgroup, _basis_mats, additive_basis, extend_span, solve_affine
 from hermkq.caps import CapExceeded
+from hermkq.clauwens import DeltaDatum
 from hermkq.forms import (
     DegenerateFormError,
     HermForm,
@@ -16,7 +17,6 @@ from hermkq.forms import (
     is_even,
     min_equal,
     pairing_chi,
-    psi_normalize,
     selfadjoint_subgroup,
     shift_subgroup,
 )
@@ -149,15 +149,15 @@ def test_hyperbolic_map_functorial():
 def test_psi_normalize():
     f2, f4 = F2(), F4()
     hyp = hyperbolic(f2, 1, 1)
-    psi = psi_normalize(hyp)
+    psi = DeltaDatum.from_quadform(hyp).phi
     h = hyp.associated()
     assert psi + h.adjoint(psi) == Mat.identity(f2, 2)
     # split-unit case: phi0 = lambda * phi gives psi = lambda * 1
     lam = f4.find_split_unit()
     q = QuadFormEl(f4, 1, Mat.scalar(f4, 1, lam))
-    assert psi_normalize(q) == Mat.scalar(f4, 1, lam)
+    assert DeltaDatum.from_quadform(q).phi == Mat.scalar(f4, 1, lam)
     with pytest.raises(DegenerateFormError):
-        psi_normalize(QuadFormEl(f2, 1, Mat.zero(f2, 2)))
+        DeltaDatum.from_quadform(QuadFormEl(f2, 1, Mat.zero(f2, 2)))
 
 
 def test_relation_E_two_readings_for_unitary_f():
@@ -168,7 +168,7 @@ def test_relation_E_two_readings_for_unitary_f():
     f2 = F2()
     q = hyperbolic(f2, 1, 1)
     h = q.associated()
-    psi = psi_normalize(q)
+    psi = DeltaDatum.from_quadform(q).phi
     for f in enumerate_unitary(h):
         fi = invert(f)
         assert h.adjoint(f) * psi * f == fi * psi * f

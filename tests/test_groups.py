@@ -14,7 +14,6 @@ from hermkq.forms import (
     QuadFormEl,
     direct_sum,
     hyperbolic,
-    psi_normalize,
     shift_subgroup,
 )
 from hermkq.groups import (

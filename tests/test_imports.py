@@ -1,7 +1,8 @@
 """Every name a module of the package imports with `from ... import` is used
 in that module.  `__init__` is skipped: its imports are the public names.
 And every name a module of the package defines at module level is named
-somewhere else in the package, the tests or the benchmark."""
+somewhere else in the package, the tests or the benchmark.  No line of the
+package is longer than 100 characters."""
 
 import ast
 import collections
@@ -113,3 +114,10 @@ def test_every_module_level_name_is_used():
         sources.update({f"{folder}/{p.name}": p.read_text(encoding="utf-8")
                         for p in (ROOT / folder).glob("*.py")})
     assert unnamed_definitions(sources) == []
+
+
+def test_no_line_is_longer_than_100_characters():
+    long = [f"{p.name}:{i}" for p in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermkq.additive import solve_affine
+from hermkq.additive import additive_basis, solve_affine
 from hermkq.caps import scoped_cap
 from hermkq.invariants import AbelianGroupPresentation
 from hermkq.linalg import (
@@ -16,7 +16,18 @@ from hermkq.linalg import (
     nilpotency_index,
     rank_over_field,
 )
-from hermkq.rings import DualRing, F2, F4, Fp, Mat2Ring, PolySRing, TruncPolyRing, Zn
+from hermkq.rings import (
+    DualRing,
+    F2,
+    F4,
+    Fp,
+    Fq,
+    Mat2Ring,
+    PolySRing,
+    ProductOpRing,
+    TruncPolyRing,
+    Zn,
+)
 from hermkq.snf import Echelon, smith_normal_form, solve_mod
 from oracles import is_invertible_by_enumeration
 
@@ -237,6 +248,35 @@ def test_echelon_and_solve_mod_against_brute_force(n_mod):
             rng.shuffle(order)
             again, _ = solve_mod([mat[i] for i in order], [target[i] for i in order], n_mod)
             assert again == particular
+
+
+ADDITIVE_RINGS = {
+    "F4": F4,
+    "Z6": lambda: Zn(6),
+    "Z9": lambda: Zn(9),
+    "Dual-Z4": lambda: DualRing(Zn(4)),
+    "Mat2-F3": lambda: Mat2Ring(Fp(3)),
+    "ProductOp-F3": lambda: ProductOpRing(Fp(3)),
+    "TruncPoly-F3-2": lambda: TruncPolyRing(Fp(3), 2),
+    "Fq-2-9": lambda: Fq(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(ADDITIVE_RINGS))
+def test_element_from_coords_inverts_coords(name):
+    ring = ADDITIVE_RINGS[name]()
+    basis = additive_basis(ring)
+    assert len(basis.coords) == ring.size
+    for elem, vec in basis.coords.items():
+        # vec lists the multiples of the basis elements that sum to elem
+        acc = ring.zero
+        for b, k in zip(basis.basis, vec):
+            for _ in range(k):
+                acc = ring.add(acc, b)
+        assert acc == elem
+        assert basis.element_from_coords(vec) == elem
+        # coordinates are read mod char
+        assert basis.element_from_coords([k + ring.char for k in vec]) == elem
 
 
 def _scan_solutions(ring, n, fun, targets):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 from itertools import product
 
@@ -135,6 +136,26 @@ def test_an_uncoded_fq_lists_and_parses_its_elements():
     assert ring.contains(511) and not ring.contains(512) and not ring.contains("3")
     assert ring.to_str(3) == "w+1"
     assert all(ring.from_str(ring.to_str(a)) == a for a in elems[::37])
+
+
+def test_an_uncoded_fq_inverts_by_its_power_loop():
+    # past the coding limit inv is a^(q-2), by the definition's product
+    ring = Fq(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    assert ring.tables is None
+    assert ring.inv(0) is None
+    assert all(ring.mul(a, ring.inv(a)) == 1 for a in range(1, 512))
+
+
+def test_an_uncoded_frobenius_is_an_involutive_automorphism():
+    # conj(a) = a^32 over the 1024-element field, by the same power loop
+    ring = Fq(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), "frobenius")
+    assert ring.tables is None
+    rng = random.Random(10)
+    pairs = [(rng.randrange(1024), rng.randrange(1024)) for _ in range(200)]
+    assert any(ring.conj(a) != a for a, _ in pairs)
+    for a, b in pairs:
+        assert ring.conj(ring.conj(a)) == a
+        assert ring.conj(ring.mul(a, b)) == ring.mul(ring.conj(a), ring.conj(b))
 
 
 def test_frobenius_needs_even_degree():
