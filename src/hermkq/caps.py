@@ -3,8 +3,8 @@
 The search cap is set in one place only: the innermost `scoped_cap` block,
 else the HERMKQ_CAP environment variable, else DEFAULT_CAP.  No search takes
 it as an argument; `clauwens.SPAN_LIMIT`, on the generated subring and the
-projector's ideal, and `additive.BASIS_CAP` are separate fixed bounds.  A
-search that would pass a cap raises CapExceeded; an input a computation does
+projector's ideal, is a separate fixed bound.  A search that would pass a
+cap raises CapExceeded; an input a computation does
 not cover raises Unsupported, whatever the cap.
 """
 
@@ -64,29 +64,30 @@ def check_cap(size: int, what: str, cap: int | None = None) -> None:
 
     `size` is whatever the search spends: the candidates a full scan would
     try, or, for the group searches ("matrix enumeration"), the running
-    count of search nodes, checked before each level of the frame search.
-    A node there is one unit of that search's work: each of the |R|^n
-    columns of its first pass, and each inner product of a chosen column
-    with a candidate for a later position.  The enlarged group lists only
-    O^min, under that count, and lifts only its generators; its preview
-    lists S(E) ("subgroup enumeration").  `groups.el_elements`, which lists
-    the pairs of that certified group fibre by fibre, one witness read per
-    f, counts its order |O^min|.|S(E)| first ("el pair enumeration").  A
-    ring's split-unit scan counts its elements ("split unit scan"); a
-    trivial involution needs no scan.  The scan for an inverse counts them
-    too ("unit scan"); only an uncoded Dual, TruncPoly, Mat2 or ProductOp
-    ring runs it, as a coded ring reads its inverse table and Zn and Fq have
-    a formula.  The Xi group counts the cells of its
-    relation rows ("xi relations"), and so does the char-2 Xi oracle, which
-    counts its generators first ("xi generators").  The Witt tables count
-    the even hermitian candidates of each rank ("matrix enumeration"), and
-    for the min variant the canonical representatives they would give,
-    checked first ("coset representative enumeration").
+    count of search nodes, checked before each level of the frame search.  A
+    node there is one unit of that search's work: each of the |R|^n columns
+    of its first pass, and each inner product of a chosen column with a
+    candidate for a later position.  The enlarged group lists only O^min,
+    under that count, and lifts only its generators; its preview lists S(E)
+    ("subgroup enumeration").  The per-entry table of the shift map, which
+    the min variant and S(E) read, walks the ring's elements once ("shift
+    table").  `groups.el_elements`, which lists the pairs of that certified
+    group fibre by fibre, one witness read per f, counts its order
+    |O^min|.|S(E)| first ("el pair enumeration").  A ring's split-unit scan
+    counts its elements ("split unit scan"); a trivial involution needs no
+    scan.  The scan for an inverse counts them too ("unit scan"); only an
+    uncoded Dual, TruncPoly, Mat2 or ProductOp ring runs it, as a coded ring
+    reads its inverse table and Zn and Fq have a formula.  The Xi group
+    counts the cells of its relation rows ("xi relations"), and so does the
+    char-2 Xi oracle, which counts its generators first ("xi generators").
+    The Witt tables count the even hermitian candidates of each rank
+    ("matrix enumeration"), and for the min variant the canonical
+    representatives they would give, checked first ("coset representative
+    enumeration").
 
-    The limit is the search cap (`global_cap`) unless `cap` is given.  That
-    third argument is for a fixed internal limit that is not the search cap,
-    namely the ring size an additive basis is built for
-    (`additive.BASIS_CAP`).
+    The limit is the search cap (`global_cap`) unless `cap` is given.  No
+    search in the package passes `cap`; only the wrapper in
+    `perfbench/tracing.py` does, forwarding what it was called with.
     """
     limit = cap if cap is not None else global_cap()
     if size > limit:

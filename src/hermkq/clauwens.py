@@ -746,7 +746,7 @@ def projector_conjugator(
     additive ideal.  Verifies the three sigma relations, alpha = 1 mod the
     ideal, alpha*alpha^* = 1 and alpha p1 = p0 alpha, all exactly.  The
     ideal is listed from its generators by `extend_span`, over any ring and
-    with no additive basis, and refused past SPAN_LIMIT elements.
+    with no additive coordinates, and refused past SPAN_LIMIT elements.
     """
     R = p0.ring
     n = p0.rows

@@ -8,16 +8,16 @@ carries the counterexample), 2 a refusal, reported as one of three errors:
 `unsupported` (well-formed input that the computation does not cover) or
 `cap-exhausted` (a search would pass the cap set by --cap, else HERMKQ_CAP,
 else the default, or a fixed internal limit that --cap does not raise: the
-ring size an additive basis is built for, and the spans of a generated
-subring and of a projector's ideal), 3 `internal-check-failed` (an identity
-the program checks on its own result failed: a fault in the program, not in
-the input).  A reader that closes standard output early changes none of
-these: the report is dropped and the exit code is still the verdict's.
-Besides the group frame search, the cap bounds the listing of S(E) for an
-enlarged group's preview, the scans of a ring's elements for a split unit or
-the involution, and for a unit when the ring is not coded (a coded ring reads
-its inverse table), and the cells of the Xi relations (their labels are in
-`caps.check_cap`).
+spans of a generated subring and of a projector's ideal), 3
+`internal-check-failed` (an identity the program checks on its own result
+failed: a fault in the program, not in the input).  A reader that closes
+standard output early changes none of these: the report is dropped and the
+exit code is still the verdict's.  Besides the group frame search, the cap
+bounds the listing of S(E) for an enlarged group's preview, the walk of a
+ring's elements for its shift table, the scans of a ring's elements for a
+split unit or the involution, and for a unit when the ring is not coded (a
+coded ring reads its inverse table), and the cells of the Xi relations
+(their labels are in `caps.check_cap`).
 `python -m hermkq` runs this interface.
 JSON output is deterministic; --format table renders a flat text view.
 """

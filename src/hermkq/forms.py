@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .additive import MatSubgroup, _listed_quotient, additive_basis, extend_span
+from .additive import MatSubgroup, _listed_quotient, basis_elements, extend_span
+from .caps import Unsupported, check_cap
 from .linalg import Mat, diag_block, invert
 from .rings import Ring, ring_from_json
 
@@ -26,19 +27,21 @@ _SELFADJOINT: dict = {}
 
 def _shift_table(ring: Ring, eps: int):
     """(canon, |Lambda|, diagonal, least, kernel) over one ring, cached by
-    (ring key, eps); see `ShiftSubgroup`.  One walk over the elements, in the
-    order of their additive coordinates read from the last, records in
-    least[s] the least preimage of each value of a + s*conj(a), and thins
-    ker l = {a : a = eps*conj(a)} to a generating set `kernel`."""
+    (ring key, eps); see `ShiftSubgroup`.  One walk over the elements, listed
+    in the order of their additive coordinates read from the last
+    (`Ring.coords`), records in least[s] the least preimage of each value of
+    a + s*conj(a), and thins ker l = {a : a = eps*conj(a)} to a generating
+    set `kernel`.  The walk is checked against the search cap ("shift
+    table") before any element is listed."""
     key = (ring.key(), eps)
     if key not in _SHIFT_TABLES:
-        # the additive basis refuses an infinite ring, or one past BASIS_CAP,
-        # before any element is listed
-        coords = additive_basis(ring).coords
+        if ring.size is None:
+            raise Unsupported("additive basis needs a finite ring")
+        check_cap(ring.size, "shift table")
         elems = ring.elements()
         least = {1: {}, -1: {}}
         kernel, span = [], {ring.zero}
-        for a in sorted(elems, key=lambda a: coords[a][::-1]):
+        for a in elems:
             c = ring.conj(a)
             least[1].setdefault(ring.add(a, c), a)
             least[-1].setdefault(ring.sub(a, c), a)
@@ -46,7 +49,7 @@ def _shift_table(ring: Ring, eps: int):
                     span, a, ring.size, "kernel of l", ring.add):
                 kernel.append(a)
         lam = least[-eps]
-        _, canon = _listed_quotient(ring, sorted(elems, key=coords.__getitem__), lam)
+        _, canon = _listed_quotient(ring, sorted(elems, key=ring.coords), lam)
         diagonal = tuple(dict.fromkeys(canon[a] for a in elems))
         _SHIFT_TABLES[key] = canon, len(lam), diagonal, least, kernel
     return _SHIFT_TABLES[key]
@@ -140,7 +143,7 @@ def selfadjoint_subgroup(ring: Ring, eps: int, n: int) -> MatSubgroup:
     key = (ring.key(), eps, n)
     if key not in _SELFADJOINT:
         *_, kernel = _shift_table(ring, eps)
-        basis = additive_basis(ring).basis
+        basis = basis_elements(ring)
         gens = []
         for i in range(n):
             for j in range(i + 1):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .additive import _listed_quotient, additive_basis
+from .additive import _listed_quotient, basis_elements
 from .caps import Unsupported, check_cap
 from .forms import (
     QuadFormEl,
@@ -502,7 +502,7 @@ def _gl_moves(ring: Ring, n: int) -> list[tuple]:
       element, and a closure under the generators alone, with no inverses,
       reaches the whole group orbit.
     """
-    basis = additive_basis(ring).basis
+    basis = basis_elements(ring)
     units = [u for u in ring.elements() if u != ring.one and ring.inv(u) is not None]
     cycle = [(i, (i + 1) % n, c) for i in range(n) for c in basis] if n > 1 else []
     return cycle + [(0, 0, u) for u in units]
@@ -662,8 +662,8 @@ class WittTable:
     def sum_class(self, a: Mat, b: Mat) -> int:
         """Index of the orbit that holds a (+) b at rank a.rows + b.rows."""
         s = diag_block(self.ring, [a, b])
-        # rank 0 has no entries to put in canonical form, and the shift
-        # table's additive basis could refuse a large ring
+        # rank 0 has no entries to put in canonical form, and its shift
+        # table would walk the ring for nothing
         if self.variant == "min" and s.rows > 0:
             s = shift_subgroup(self.ring, self.eps, s.rows).coset_canonical(s)
         return self.class_of(s.rows, s)

@@ -24,6 +24,12 @@ more to build than a short computation spends on arithmetic.
   zero is 0 and `elements()` keeps that order.  `encode` and `decode` turn
   tuples into codes and back.  Above the limit the tuples themselves are
   the elements.
+- Every finite kind has additive group (Z/char)^dim, and `coords` and
+  `from_coords` read the coordinates off the element format: the residue
+  of Zn and Fp, the digits of Fq, and the base's coordinates per component
+  of a tuple kind, the fastest-varying component of `_tuples` first.  So
+  `elements()` is sorted by the coordinates read from the last.  A coded
+  ring looks them up in both directions.
 - PolyS is infinite and never coded.  Its elements are tuples of
   coefficients, lowest degree first with no zero on top, except over the
   two-element field (Fp(2) or Zn(2)): there they are ints, bit k holding
@@ -142,10 +148,12 @@ class RingTables:
     of its kind, on the elements the codes stand for; `parse[strs[a]]` is
     `from_str`'s definition evaluated on strs[a], so a string in `parse`
     parses by lookup to what the definition gives.  `inv[a]` is the b with
-    ab = ba = 1, read off `mul`, or None when a is not a unit.
+    ab = ba = 1, read off `mul`, or None when a is not a unit.  `coords[a]`
+    is the coordinate tuple of code a, and `from_coords` maps it back.
     """
 
-    __slots__ = ("add", "mul", "neg", "conj", "inv", "strs", "parse", "decode", "encode")
+    __slots__ = ("add", "mul", "neg", "conj", "inv", "strs", "parse", "decode", "encode",
+                 "coords", "from_coords")
 
     def __init__(self, ring: "Ring"):
         self.decode = self.encode = None
@@ -169,6 +177,8 @@ class RingTables:
                 self.inv[a] = b
         self.strs = [ring._to_str(x) for x in elems]
         self.parse = {t: codes([ring._from_str(t)])[0] for t in self.strs}
+        self.coords = [ring._coords(x) for x in elems]
+        self.from_coords = {c: a for a, c in enumerate(self.coords)}
 
 
 class Ring:
@@ -186,6 +196,7 @@ class Ring:
     trivial_involution = False
     size: int | None = None
     char: int = 0
+    dim: int | None = None  # the additive group is (Z/char)^dim; None when infinite
     _key: str | None = None
     _poly_s: "PolySRing | None" = None
     # (eps, phi0) -> the `clauwens.DeltaDatum` of that form over this ring
@@ -207,6 +218,7 @@ class Ring:
         else:  # the definition is the operation: no table to try first
             self.add, self.neg, self.mul, self.conj = self._add, self._neg, self._mul, self._conj
             self.sub, self.inv = self._sub, self._inv
+            self.coords, self.from_coords = self._coords, self._from_coords
             self.contains, self.to_str, self.from_str = self._contains, self._to_str, self._from_str
 
     def _codable(self) -> bool:
@@ -276,6 +288,12 @@ class Ring:
     def _from_str(self, s: str):
         raise NotImplementedError
 
+    def _coords(self, a) -> tuple:
+        raise NotImplementedError
+
+    def _from_coords(self, vec):
+        raise NotImplementedError
+
     def add(self, a, b):
         return self.tables.add[a][b]
 
@@ -308,6 +326,15 @@ class Ring:
     def inv(self, a):
         """The two-sided inverse of a, or None when a is not a unit."""
         return self.tables.inv[a]
+
+    def coords(self, a) -> tuple:
+        """The coordinates of a in the additive group (Z/char)^dim, each in
+        [0, char) (see the module docstring)."""
+        return self.tables.coords[a]
+
+    def from_coords(self, vec):
+        """The element with these coordinates, each read mod char."""
+        return self.tables.from_coords[tuple(k % self.char for k in vec)]
 
     def contains(self, a) -> bool:
         """Whether a is an element of the ring.  A coded ring holds exactly
@@ -457,6 +484,7 @@ class Zn(Ring):
 
     kind = "Zn"
     trivial_involution = True
+    dim = 1
 
     def __init__(self, n: int):
         if n < 2:
@@ -489,9 +517,16 @@ class Zn(Ring):
     def _sub(self, a, b):
         return (a - b) % self.n
 
+    def _coords(self, a):
+        return (a,)
+
+    def _from_coords(self, vec):
+        return vec[0] % self.n
+
     # a lookup costs no less than the definition, so the element operations
     # are the hooks themselves
     add, neg, mul, conj, sub = _add, _neg, _mul, _conj, _sub
+    coords, from_coords = _coords, _from_coords
 
     def _inv(self, a):
         if math.gcd(a, self.n) != 1:
@@ -598,6 +633,7 @@ class Fq(Ring):
         self.trivial_involution = involution == "trivial"
         self.size = p**deg
         self.char = p
+        self.dim = deg
         super().__init__()
 
     def _digits(self, a):
@@ -612,6 +648,12 @@ class Fq(Ring):
         for c in reversed(digits):
             a = a * self.p + c
         return a
+
+    def _coords(self, a):
+        return tuple(self._digits(a))
+
+    def _from_coords(self, vec):
+        return self._index([k % self.p for k in vec])
 
     def _zero(self):
         return 0
@@ -733,6 +775,23 @@ class _TupleRing(Ring):
 
     base: Ring
 
+    def __init__(self, base: Ring, arity: int):
+        """Over `base`, with `arity` components per tuple."""
+        self.base = base
+        self.size = None if base.size is None else base.size**arity
+        self.dim = None if base.dim is None else base.dim * arity
+        self.char = base.char
+        super().__init__()
+
+    def _coords(self, a):
+        """The base's coordinates of each component, the last first."""
+        coords = self.base.coords
+        return tuple(k for x in reversed(a) for k in coords(x))
+
+    def _from_coords(self, vec):
+        from_coords, d = self.base.from_coords, self.base.dim
+        return tuple(from_coords(vec[k - d: k]) for k in range(len(vec), 0, -d))
+
     def _add(self, a, b):
         """Componentwise, in every tuple kind; `_PairRing` spells it out for pairs."""
         add = self.base.add
@@ -783,6 +842,14 @@ class _PairRing(_TupleRing):
         elems = self.base.elements()
         return [(x, y) for y in elems for x in elems]
 
+    def _coords(self, a):
+        coords = self.base.coords
+        return coords(a[0]) + coords(a[1])
+
+    def _from_coords(self, vec):
+        from_coords, d = self.base.from_coords, self.base.dim
+        return (from_coords(vec[:d]), from_coords(vec[d:]))
+
 
 class DualRing(_PairRing):
     """Dual numbers base[e]/(e^2) with conj(e) = +e or -e; elements are pairs."""
@@ -792,13 +859,10 @@ class DualRing(_PairRing):
     def __init__(self, base: Ring, conj_e: str = "-e"):
         if conj_e not in ("+e", "-e"):
             raise ValueError("conj_e must be '+e' or '-e'")
-        self.base = base
         self.conj_e = conj_e
-        self.size = None if base.size is None else base.size**2
-        self.char = base.char
         self.is_commutative = base.is_commutative
         self.is_local = base.is_local
-        super().__init__()
+        super().__init__(base, 2)
 
     def _zero(self):
         return (self.base.zero, self.base.zero)
@@ -864,10 +928,7 @@ class Mat2Ring(_TupleRing):
     is_commutative = False
 
     def __init__(self, base: Ring):
-        self.base = base
-        self.size = None if base.size is None else base.size**4
-        self.char = base.char
-        super().__init__()
+        super().__init__(base, 4)
 
     def _zero(self):
         z = self.base.zero
@@ -940,11 +1001,8 @@ class ProductOpRing(_PairRing):
     kind = "ProductOp"
 
     def __init__(self, base: Ring):
-        self.base = base
-        self.size = None if base.size is None else base.size**2
-        self.char = base.char
         self.is_commutative = base.is_commutative
-        super().__init__()
+        super().__init__(base, 2)
         self.split_unit = self.encode((base.one, base.zero))
 
     def _zero(self):
@@ -1209,14 +1267,11 @@ class TruncPolyRing(_TupleRing):
             raise ValueError("truncation order must be >= 1")
         if conj_t not in ("+t", "-t"):
             raise ValueError("conj_t must be '+t' or '-t'")
-        self.base = base
         self.k = k
         self.conj_t = conj_t
-        self.size = None if base.size is None else base.size**k
-        self.char = base.char
         self.is_commutative = base.is_commutative
         self.is_local = base.is_local
-        super().__init__()
+        super().__init__(base, k)
 
     def _zero(self):
         return (self.base.zero,) * self.k

@@ -3,7 +3,7 @@ library answers too, by a different and simpler method."""
 
 from itertools import product, zip_longest
 
-from hermkq.additive import additive_basis, solve_affine
+from hermkq.additive import basis_elements, solve_affine
 from hermkq.caps import Unsupported, check_cap
 from hermkq.clauwens import MatPoly
 from hermkq.forms import QuadFormEl, selfadjoint_subgroup
@@ -19,6 +19,35 @@ from hermkq.groups import (
 )
 from hermkq.invariants import AbelianGroupPresentation, gamma_lambda
 from hermkq.linalg import Mat, all_matrices, invert, kron
+
+
+def greedy_additive_coords(ring) -> dict:
+    """element -> its coordinates over Z/char in the basis that a greedy scan
+    of `ring.elements()` picks: each element whose multiples k*x, 0 < k <
+    char, all lie outside the span so far joins the basis, and the span is
+    extended by every multiple.  Every coordinate is in [0, char)."""
+    char = ring.char
+    coords = {ring.zero: ()}
+    dim = 0
+    for elem in ring.elements():
+        if elem in coords:
+            continue
+        acc, free = ring.zero, True
+        for _ in range(1, char):
+            acc = ring.add(acc, elem)
+            if acc in coords:
+                free = False
+                break
+        if not free:
+            continue
+        for base_elem, vec in list(coords.items()):
+            cur = base_elem
+            for mult in range(1, char):
+                cur = ring.add(cur, elem)
+                coords[cur] = vec + (0,) * (dim - len(vec)) + (mult,)
+        dim += 1
+    assert len(coords) == ring.size, "the additive group is not free over Z/char"
+    return {elem: vec + (0,) * (dim - len(vec)) for elem, vec in coords.items()}
 
 
 def _shift_map(eps):
@@ -86,7 +115,7 @@ def gl_moves_all_pairs(ring, n: int) -> list[tuple]:
     """The larger generating set of GL_n as (i, j, c): for every i != j the
     transvection 1 + c*e_ij, c over an additive basis and its negatives (the
     inverses); for i == j the scaling of coordinate i by a unit c != 1."""
-    basis = additive_basis(ring).basis
+    basis = basis_elements(ring)
     coeffs = list(dict.fromkeys(basis + [ring.neg(b) for b in basis]))
     units = [u for u in ring.elements() if u != ring.one and ring.inv(u) is not None]
     return [(i, j, c) for i in range(n) for j in range(n) if i != j for c in coeffs] + [

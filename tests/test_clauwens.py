@@ -646,8 +646,8 @@ def test_generated_subring_of_a_noncommutative_ring_without_identity():
 
 def test_sqrt_over_polys_z9_with_a_constant_split_unit():
     # nu = 3(s - s^2) is self-adjoint (conj(s) = 1 - s) with nu^2 = 0; the
-    # subring of 1, 5 and nu is Z/9 + Z/3 * nu, which no additive basis of
-    # the infinite ring A[s] describes
+    # subring of 1, 5 and nu is Z/9 + Z/3 * nu, a span in the infinite ring
+    # A[s], which has no additive coordinates
     ps = PolySRing(Zn(9))
     nu = Mat(ps, [[(0, 3, 6)]])
     gamma, rep = sqrt_one_plus_nu_t(nu, (5,))
@@ -675,8 +675,8 @@ def _unit_matrix(ring, n, i, j):
 
 
 def test_projector_ideal_over_a_prime_past_the_basis_size():
-    # Fp(8191) has no additive basis (more than additive.BASIS_CAP
-    # elements); the ideal F*e21, 8191 elements, is listed from its generator
+    # the ideal F*e21 over Fp(8191), 8191 elements, is listed from its
+    # generator
     f = Fp(8191)
     p0 = Mat.from_strs(f, [["1", "0"], ["0", "0"]])
     gens = [_unit_matrix(f, 2, 1, 0)]

@@ -259,7 +259,7 @@ _MUTATED_GROUP_DOCS = {
     "unknown-ring-kind": (_plane(ring={"kind": "Oops"}), "bad-input"),
     "missing-p": (_plane(ring={"kind": "Fp"}), "bad-input"),
     "missing-epsilon": ({k: v for k, v in _plane().items() if k != "epsilon"}, "bad-input"),
-    # too large to build an additive basis for: refused before any search
+    # too large for the shift table's walk under the cap: refused before any search
     "huge-prime": (_plane(ring={"kind": "Fp", "p": 10**18 + 3}), "cap-exhausted"),
     "huge-composite": (_plane(ring={"kind": "Zn", "n": 10**18 + 2}), "cap-exhausted"),
 }
@@ -276,6 +276,38 @@ def test_mutated_group_document_is_refused(capsys, name):
     assert err["error"] == label
     if label == "cap-exhausted":
         assert "exceeds cap" in err["message"]
+
+
+@pytest.mark.parametrize("name", ["huge-prime", "huge-composite"])
+def test_huge_group_ring_is_refused_by_the_shift_table_walk(capsys, name):
+    # the search cap bounds the walk of the ring's elements for its shift table
+    doc, _ = _MUTATED_GROUP_DOCS[name]
+    code, out = run(capsys, "group", "--form", json.dumps(doc))
+    assert code == 2
+    err = json.loads(out)
+    size = doc["ring"].get("p") or doc["ring"]["n"]
+    assert err == {"error": "cap-exhausted",
+                   "message": f"shift table: search space {size} exceeds cap {caps.DEFAULT_CAP}"}
+
+
+def _form_arg(ring, variant, matrix):
+    return json.dumps({"ring": ring, "epsilon": 1, "variant": variant, "matrix": matrix})
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["form-check", "--form", _form_arg({"kind": "Zn", "n": 5003}, "min",
+                                         [["0", "1"], ["0", "0"]])], "nondegenerate", True),
+    (["form-check", "--form", _form_arg({"kind": "Fp", "p": 8191}, "max",
+                                         [["0", "1"], ["1", "0"]])], "even", True),
+    # O^min of x^2 over a prime field of odd characteristic is {1, -1}
+    (["group", "--variant", "min", "--form", _form_arg({"kind": "Fp", "p": 4099}, "el", [["1"]])],
+     "order", 2),
+], ids=["form-check-min-z5003", "form-check-max-f8191", "group-min-f4099"])
+def test_ring_past_4096_elements_answers_within_the_cap(capsys, argv, key, value):
+    # the shift table walks the ring under the search cap
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["report"][key] == value
 
 
 _M2_F2 = {"kind": "Mat2", "base": {"kind": "Fp", "p": 2}}
@@ -305,7 +337,7 @@ def test_refusal_without_a_cap_is_unsupported(capsys, argv, message):
 
 @pytest.mark.parametrize("variant", ["max", "min"])
 def test_rank0_group_over_polys_is_certified(capsys, variant):
-    # rank 0 answers before any shift table or additive basis, which refuse PolyS
+    # rank 0 answers before any shift table or additive coordinates, which refuse PolyS
     form = json.dumps({"ring": _POLYS_F2, "epsilon": 1, "variant": "el", "matrix": []})
     code, out = run(capsys, "group", "--form", form, "--variant", variant)
     assert code == 0
@@ -320,8 +352,8 @@ def test_whitehead_command(capsys):
 
 
 def test_whitehead_over_a_ring_that_is_not_local(capsys):
-    # Z/6006 is not local and has no additive basis under the cap, and no
-    # entry of alpha is a unit: only the adjugate inverts alpha
+    # Z/6006 is not local, and no entry of alpha is a unit: only the
+    # adjugate inverts alpha
     code, out = run(capsys, "whitehead", "--ring", '{"kind":"Zn","n":6006}',
                     "--alpha", '[["2","3"],["3","2"]]', "--beta", '[["1","1"],["0","1"]]')
     assert code == 0
@@ -689,9 +721,8 @@ def test_malformed_json_element_is_bad_input(capsys, kind, entry):
 
 
 def test_clauwens_projectors_over_z8192(capsys):
-    # the ideal 4096*M2 has 16 elements in a ring of 8192, past
-    # additive.BASIS_CAP: the projector lists it from the generators by
-    # extend_span, under clauwens.SPAN_LIMIT, with no additive basis
+    # the ideal 4096*M2 has 16 elements in a ring of 8192: the projector
+    # lists it from the generators by extend_span, under clauwens.SPAN_LIMIT
     ideal = json.dumps([
         [["4096", "0"], ["0", "0"]], [["0", "4096"], ["0", "0"]],
         [["0", "0"], ["4096", "0"]], [["0", "0"], ["0", "4096"]],

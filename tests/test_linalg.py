@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermkq.additive import additive_basis, solve_affine
+from hermkq.additive import basis_elements, solve_affine
 from hermkq.caps import scoped_cap
 from hermkq.invariants import AbelianGroupPresentation
 from hermkq.linalg import (
@@ -265,18 +265,19 @@ ADDITIVE_RINGS = {
 @pytest.mark.parametrize("name", list(ADDITIVE_RINGS))
 def test_element_from_coords_inverts_coords(name):
     ring = ADDITIVE_RINGS[name]()
-    basis = additive_basis(ring)
-    assert len(basis.coords) == ring.size
-    for elem, vec in basis.coords.items():
+    basis = basis_elements(ring)
+    coords = {elem: ring.coords(elem) for elem in ring.elements()}
+    assert len(set(coords.values())) == ring.size
+    for elem, vec in coords.items():
         # vec lists the multiples of the basis elements that sum to elem
         acc = ring.zero
-        for b, k in zip(basis.basis, vec):
+        for b, k in zip(basis, vec):
             for _ in range(k):
                 acc = ring.add(acc, b)
         assert acc == elem
-        assert basis.element_from_coords(vec) == elem
+        assert ring.from_coords(vec) == elem
         # coordinates are read mod char
-        assert basis.element_from_coords([k + ring.char for k in vec]) == elem
+        assert ring.from_coords([k + ring.char for k in vec]) == elem
 
 
 def _scan_solutions(ring, n, fun, targets):
@@ -308,6 +309,19 @@ def _scan_solutions(ring, n, fun, targets):
                 for r2 in second.get(t - part, []):
                     images.append((first + placed(r2, 1), t))
     return [sorted((x for x, y in images if y == t), key=Mat.key) for t in targets]
+
+
+def test_solve_affine_over_a_prime_past_4096():
+    # Fp(10007) has coordinates in closed form, so no element is listed
+    ring = Fp(10007)
+    a = Mat.from_strs(ring, [["3", "10000"], ["5", "7"]])
+    target = Mat.from_strs(ring, [["1", "2"], ["3", "4"]])
+
+    def fun(x):
+        return a * x - x.star()
+
+    sols = solve_affine(ring, (2, 2), fun, target, all_solutions=False)
+    assert len(sols) == 1 and fun(sols[0]) == target
 
 
 @pytest.mark.parametrize("ring", [Zn(4), Zn(6), Zn(9), DualRing(Zn(4)), Mat2Ring(F2())],

@@ -679,3 +679,55 @@ def test_polys_add_and_conj_match_their_definitions(data):
     for out in (total, ca, cb, product_):
         # an element of the ring's one representation; contains: trimmed
         assert isinstance(out, type(ring.zero)) and ring.contains(out)
+
+
+# the finite ring kinds, coded and uncoded, over which the coordinates are
+# checked against the greedy scan's
+COORD_RINGS = {
+    "Z12": lambda: Zn(12),
+    "F7": lambda: Fp(7),
+    "F4": lambda: F4(),
+    "F4-trivial": lambda: F4("trivial"),
+    "F8": lambda: Fq(2, 3, (1, 1, 0, 1)),
+    "F9": lambda: Fq(3, 2, (1, 0, 1)),
+    "Fq-2-9": lambda: Fq(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+    "Dual-Z4": lambda: DualRing(Zn(4)),
+    "Dual-Z6": lambda: DualRing(Zn(6)),
+    "Dual-F4": lambda: DualRing(F4()),
+    "Dual-F5": lambda: DualRing(Fp(5)),
+    "Dual-Dual-Z2": lambda: DualRing(DualRing(Zn(2))),
+    "Mat2-F2": lambda: Mat2Ring(F2()),
+    "Mat2-F3": lambda: Mat2Ring(Fp(3)),
+    "Mat2-Z4": lambda: Mat2Ring(Zn(4)),
+    "ProductOp-F3": lambda: ProductOpRing(Fp(3)),
+    "ProductOp-F4": lambda: ProductOpRing(F4()),
+    "TruncPoly-F3-3": lambda: TruncPolyRing(Fp(3), 3),
+    "TruncPoly-Z4-2-t": lambda: TruncPolyRing(Zn(4), 2, "-t"),
+    "TruncPoly-F4-2": lambda: TruncPolyRing(F4(), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(COORD_RINGS))
+def test_coords_match_the_greedy_scan(name):
+    ring = COORD_RINGS[name]()
+    greedy = oracles.greedy_additive_coords(ring)
+    assert ring.char ** ring.dim == ring.size
+    for a in ring.elements():
+        assert ring.coords(a) == greedy[a]
+    # the elements are listed in the order of their coordinates read from the last
+    keys = [ring.coords(a)[::-1] for a in ring.elements()]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name", list(COORD_RINGS))
+def test_coords_invert_and_add(name):
+    ring = COORD_RINGS[name]()
+    char = ring.char
+    for a in ring.elements():
+        assert ring.from_coords(ring.coords(a)) == a
+    rng = random.Random(name)
+    elems = ring.elements()
+    for _ in range(200):
+        a, b = rng.choice(elems), rng.choice(elems)
+        total = [(x + y) % char for x, y in zip(ring.coords(a), ring.coords(b))]
+        assert list(ring.coords(ring.add(a, b))) == total
